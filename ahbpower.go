@@ -36,8 +36,7 @@
 // examples/powertrace.
 //
 // Gate-level characterization is configured with CharacterizationConfig
-// and run with Characterize; the positional FitBusModels form is
-// deprecated and delegates to it.
+// and run with Characterize.
 package ahbpower
 
 import (
@@ -141,13 +140,6 @@ type CharacterizationConfig = charact.Config
 // reuse with LoadModels and the WithModels attach option).
 func Characterize(cfg CharacterizationConfig) (*Models, error) {
 	return charact.Characterize(cfg)
-}
-
-// FitBusModels is the positional form of Characterize.
-//
-// Deprecated: use Characterize with a CharacterizationConfig.
-func FitBusModels(numMasters, numSlaves, dataWidth, vectors int, seed int64, tech Tech) (*Models, error) {
-	return charact.FitBusModels(numMasters, numSlaves, dataWidth, vectors, seed, tech)
 }
 
 // SaveModels writes a model set as JSON.

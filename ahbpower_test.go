@@ -207,7 +207,9 @@ func TestPublicFifoSlave(t *testing.T) {
 
 func TestPublicModelRoundTrip(t *testing.T) {
 	tech := ahbpower.DefaultTech()
-	models, err := ahbpower.FitBusModels(2, 2, 32, 500, 3, tech)
+	models, err := ahbpower.Characterize(ahbpower.CharacterizationConfig{
+		NumMasters: 2, NumSlaves: 2, DataWidth: 32, Vectors: 500, Seed: 3, Tech: tech,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,9 @@ func TestPublicModelRoundTrip(t *testing.T) {
 	// Models for a 2x2 system attached to a 3x3 bus still validate
 	// structurally (dimension mismatch is the caller's responsibility),
 	// so build matching ones instead.
-	fitted, err := ahbpower.FitBusModels(3, 3, 32, 500, 4, tech)
+	fitted, err := ahbpower.Characterize(ahbpower.CharacterizationConfig{
+		NumMasters: 3, NumSlaves: 3, DataWidth: 32, Vectors: 500, Seed: 4, Tech: tech,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

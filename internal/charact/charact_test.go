@@ -138,7 +138,7 @@ func TestFitString(t *testing.T) {
 }
 
 func TestFitBusModels(t *testing.T) {
-	m, err := FitBusModels(3, 3, 32, 1500, 21, tech())
+	m, err := Characterize(Config{NumMasters: 3, NumSlaves: 3, DataWidth: 32, Vectors: 1500, Seed: 21, Tech: tech()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFitBusModels(t *testing.T) {
 }
 
 func TestFitBusModelsRoundTripThroughJSON(t *testing.T) {
-	m, err := FitBusModels(2, 2, 32, 800, 5, tech())
+	m, err := Characterize(Config{NumMasters: 2, NumSlaves: 2, DataWidth: 32, Vectors: 800, Seed: 5, Tech: tech()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,25 +50,14 @@ func Characterize(cfg Config) (*power.Models, error) {
 	if cfg.Tech.VDD == 0 {
 		cfg.Tech = power.DefaultTech()
 	}
-	return fitBusModels(cfg.NumMasters, cfg.NumSlaves, cfg.DataWidth, cfg.Vectors, cfg.Seed, cfg.Tech)
-}
-
-// FitBusModels is the positional form of Characterize, retained for
-// existing callers.
-//
-// Deprecated: use Characterize with a Config.
-func FitBusModels(numMasters, numSlaves, dataWidth, vectors int, seed int64, tech power.Tech) (*power.Models, error) {
-	return fitBusModels(numMasters, numSlaves, dataWidth, vectors, seed, tech)
-}
-
-func fitBusModels(numMasters, numSlaves, dataWidth, vectors int, seed int64, tech power.Tech) (*power.Models, error) {
-	models, err := power.DefaultModels(numMasters, numSlaves, dataWidth, tech)
+	tech := cfg.Tech
+	models, err := power.DefaultModels(cfg.NumMasters, cfg.NumSlaves, cfg.DataWidth, tech)
 	if err != nil {
 		return nil, err
 	}
 
 	// Decoder: fit CHD / CEvent directly at full size.
-	decFit, err := CharacterizeDecoder(models.Dec.NO, vectors, seed, tech)
+	decFit, err := CharacterizeDecoder(models.Dec.NO, cfg.Vectors, cfg.Seed, tech)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +70,7 @@ func fitBusModels(numMasters, numSlaves, dataWidth, vectors int, seed int64, tec
 	// carry over directly.
 	const fitW = 16
 	fitMux := func(target *power.MuxModel, muxSeed int64) error {
-		_, fitted, err := CharacterizeMux(fitW, target.N, vectors, muxSeed, tech)
+		_, fitted, err := CharacterizeMux(fitW, target.N, cfg.Vectors, muxSeed, tech)
 		if err != nil {
 			return err
 		}
@@ -90,10 +79,10 @@ func fitBusModels(numMasters, numSlaves, dataWidth, vectors int, seed int64, tec
 		target.CSel = fitted.CSel * float64(target.W) / float64(fitW)
 		return nil
 	}
-	if err := fitMux(models.M2S, seed+1); err != nil {
+	if err := fitMux(models.M2S, cfg.Seed+1); err != nil {
 		return nil, err
 	}
-	if err := fitMux(models.S2M, seed+2); err != nil {
+	if err := fitMux(models.S2M, cfg.Seed+2); err != nil {
 		return nil, err
 	}
 	return models, nil

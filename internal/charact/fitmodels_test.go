@@ -4,24 +4,6 @@ import (
 	"testing"
 )
 
-// TestCharacterizeMatchesDeprecatedForm pins the API redesign: the
-// config form and the deprecated positional form must produce identical
-// model sets for the same parameters and seed.
-func TestCharacterizeMatchesDeprecatedForm(t *testing.T) {
-	cfg := Config{NumMasters: 2, NumSlaves: 2, DataWidth: 16, Vectors: 300, Seed: 7, Tech: tech()}
-	a, err := Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FitBusModels(cfg.NumMasters, cfg.NumSlaves, cfg.DataWidth, cfg.Vectors, cfg.Seed, cfg.Tech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a.Dec != *b.Dec || *a.M2S != *b.M2S || *a.S2M != *b.S2M || *a.Arb != *b.Arb {
-		t.Errorf("config form and positional form diverge:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
 func TestCharacterizeDefaults(t *testing.T) {
 	// Zero DataWidth/Vectors/Tech take the documented defaults rather
 	// than failing; only a degenerate bus shape is rejected.

@@ -229,15 +229,15 @@ type analyzerState struct {
 // SnapshotUnsupported returns the reason this analyzer cannot join a
 // checkpoint snapshot, or "" when it can. Streaming consumers (windowed
 // traces, activity stores, DPM estimators, trace recorders) hold
-// unserialized mid-run state, so scenarios using them run without
-// checkpointing and the reason is surfaced like any other traits gate.
+// unserialized mid-run state; the engine's execution plan runs scenarios
+// using them without checkpointing, and this guard refuses them again.
 func (a *Analyzer) SnapshotUnsupported() string {
 	return a.cfg.SnapshotUnsupported()
 }
 
 // SnapshotUnsupported is the config-level form of the analyzer's
-// checkpoint-eligibility gate, so callers (the engine) can decide before
-// the analyzer is even built.
+// checkpoint guard. The exec capability table must never arm a
+// configuration it refuses; the engine's planner tests check both agree.
 func (cfg AnalyzerConfig) SnapshotUnsupported() string {
 	switch {
 	case cfg.TraceWindow > 0:

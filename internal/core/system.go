@@ -206,20 +206,7 @@ func NewSystemTopo(t topo.Topology) (*System, error) {
 // LoadPaperWorkload loads every active master with the paper's testbench
 // traffic sized to roughly the requested total cycle count.
 func (s *System) LoadPaperWorkload(targetCycles uint64) error {
-	// Each sequence occupies ~50 transfer cycles plus tens of idle cycles;
-	// size the sequence count so the masters stay busy for the whole run.
-	perMaster := int(targetCycles)/100 + 2
-	base, size := s.Topo.AddrSpan()
-	for m, mm := range s.Masters {
-		cfg := workload.PaperTestbench(m, perMaster)
-		cfg.AddrBase, cfg.AddrSize = base, size
-		seqs, err := workload.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		mm.Enqueue(seqs...)
-	}
-	return nil
+	return s.enqueue(paperWorkloads(&s.Topo, targetCycles))
 }
 
 // LoadWorkload generates traffic from one configuration per active master
@@ -228,20 +215,71 @@ func (s *System) LoadWorkload(cfgs ...workload.Config) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("core: no workload configurations")
 	}
+	return s.enqueue(perMaster(cfgs, len(s.Masters)))
+}
+
+// enqueue generates one script per active master from cfgs, which holds
+// one configuration per master.
+func (s *System) enqueue(cfgs []workload.Config) error {
 	for m, mm := range s.Masters {
-		cfg := cfgs[len(cfgs)-1]
-		if m < len(cfgs) {
-			cfg = cfgs[m]
-		} else {
-			cfg.Seed += int64(m) * 104729
-		}
-		seqs, err := workload.Generate(cfg)
+		seqs, err := workload.Generate(cfgs[m])
 		if err != nil {
 			return err
 		}
 		mm.Enqueue(seqs...)
 	}
 	return nil
+}
+
+// ResolveWorkloads is the traffic rule every execution path shares:
+// explicit configurations win, then the topology's per-master workload
+// hints, then the paper testbench sized to cycles. It returns one
+// configuration per active master of t; missing explicit or hinted
+// entries reuse the last one with a shifted seed, exactly like
+// LoadWorkload, so every path drives identical traffic.
+func ResolveWorkloads(t *topo.Topology, explicit []workload.Config, cycles uint64) ([]workload.Config, error) {
+	src := explicit
+	if len(src) == 0 {
+		hints, err := t.Workloads()
+		if err != nil {
+			return nil, err
+		}
+		src = hints
+	}
+	if len(src) == 0 {
+		return paperWorkloads(t, cycles), nil
+	}
+	return perMaster(src, t.ActiveMasters()), nil
+}
+
+// paperWorkloads sizes the paper testbench for t's active masters. Each
+// sequence occupies ~50 transfer cycles plus tens of idle cycles; the
+// sequence count keeps the masters busy for the whole run.
+func paperWorkloads(t *topo.Topology, cycles uint64) []workload.Config {
+	n := int(cycles)/100 + 2
+	base, size := t.AddrSpan()
+	out := make([]workload.Config, t.ActiveMasters())
+	for m := range out {
+		out[m] = workload.PaperTestbench(m, n)
+		out[m].AddrBase, out[m].AddrSize = base, size
+	}
+	return out
+}
+
+// perMaster expands cfgs to n configurations: entry m is cfgs[m] when
+// present, else the last configuration with its seed shifted by
+// m*104729.
+func perMaster(cfgs []workload.Config, n int) []workload.Config {
+	out := make([]workload.Config, n)
+	for m := range out {
+		if m < len(cfgs) {
+			out[m] = cfgs[m]
+			continue
+		}
+		out[m] = cfgs[len(cfgs)-1]
+		out[m].Seed += int64(m) * 104729
+	}
+	return out
 }
 
 // runChunk bounds how many bus cycles RunContext simulates between

@@ -30,27 +30,3 @@ type CheckpointConfig struct {
 	// canonical scenario — restore verifies shape and fails otherwise.
 	Resume []byte
 }
-
-// CheckpointUnsupported returns the reason this scenario cannot be
-// checkpointed, or "" when it is eligible (or requests no
-// checkpointing). Eligibility spans two layers: the execution traits
-// (custom Setup hooks and DPM estimators hold state outside the
-// snapshot) and the analyzer configuration (streaming consumers —
-// windowed traces, activity stores, trace recorders — hold unserialized
-// mid-run state). Ineligible scenarios run to completion without
-// snapshots and the reason is surfaced in Result.CheckpointFallback;
-// only an explicit Resume against an ineligible scenario is an error.
-func (sc *Scenario) CheckpointUnsupported() string {
-	if sc.Checkpoint == nil {
-		return ""
-	}
-	if reason := sc.ExecTraits().CheckpointUnsupported(); reason != "" {
-		return reason
-	}
-	if !sc.SkipAnalyzer {
-		if reason := sc.Analyzer.SnapshotUnsupported(); reason != "" {
-			return reason
-		}
-	}
-	return ""
-}

@@ -19,9 +19,11 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/sim"
+	"ahbpower/internal/tlm"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
 )
@@ -47,9 +49,9 @@ type Scenario struct {
 	// Analyzer parameterizes the power analyzer attached to the run.
 	Analyzer core.AnalyzerConfig
 	// Workloads supplies per-master traffic configurations (missing
-	// entries reuse the last one with a shifted seed, as in
-	// core.LoadWorkload). When empty, the paper workload sized to Cycles
-	// is loaded instead.
+	// entries reuse the last one with a shifted seed). When empty, the
+	// topology's workload hints apply, then the paper workload sized to
+	// Cycles; core.ResolveWorkloads implements the rule for every path.
 	Workloads []workload.Config
 	// Cycles is the number of bus clock cycles to simulate.
 	Cycles uint64
@@ -120,24 +122,112 @@ func (sc *Scenario) Topology() topo.Topology {
 	return sc.System.Topology()
 }
 
-// ExecTraits derives the backend-selection traits of the scenario (see
-// exec.Traits). The clock period comes from the scenario's topology, so
-// fallback decisions (the compiled backend's even-period contract) match
-// the system that will actually be built.
-func (sc *Scenario) ExecTraits() exec.Traits {
+// Plan is how a scenario executes: its backend hint and accuracy request
+// resolved against the exec capability table. A Plan never changes what a
+// scenario computes on the cycle-accurate paths; it decides where and
+// how the cycles are produced.
+type Plan struct {
+	// Path is the executor that runs the scenario: exec.NameEvent,
+	// exec.NameCompiled, lane.Name or tlm.Name.
+	Path string
+	// Accuracy is the accuracy class Path delivers.
+	Accuracy string
+	// Checkpoint reports whether the scenario's CheckpointConfig is armed.
+	Checkpoint bool
+	// BackendFallback and CheckpointFallback are the surfaced reasons the
+	// requested path or checkpointing was not taken (see Result).
+	BackendFallback, CheckpointFallback string
+}
+
+// Plan resolves the scenario's execution path. A transaction-accuracy
+// request takes the estimator unless a feature blocks it; otherwise the
+// backend hint picks the compiled stepper or a lane pack unless a
+// feature blocks those, and the event kernel runs everything else. A
+// transaction request never runs on lanes, even when it falls back to
+// cycle accuracy. The reason a requested path was not taken is the first
+// blocker in the capability table, prefixed "transaction accuracy: " for
+// an accuracy fallback. Checkpointing is armed unless blocked; resuming a
+// scenario that cannot be checkpointed is an error, since restoring would
+// silently drop state.
+func (sc *Scenario) Plan() (Plan, error) {
+	switch {
+	case sc.Cycles == 0:
+		return Plan{}, fmt.Errorf("engine: scenario %q: Cycles must be positive", sc.Name)
+	case !ValidAccuracy(sc.Accuracy):
+		return Plan{}, fmt.Errorf("engine: scenario %q: unknown accuracy %q (want %s|%s)",
+			sc.Name, sc.Accuracy, AccuracyCycle, AccuracyTransaction)
+	case !exec.ValidName(sc.Backend):
+		return Plan{}, fmt.Errorf("engine: scenario %q: unknown backend %q (want %s|%s|%s|%s)",
+			sc.Name, sc.Backend, exec.NameEvent, exec.NameCompiled, exec.NameAuto, exec.NameLanes)
+	}
+	fs := sc.features()
+	p := Plan{Path: exec.NameEvent, Accuracy: AccuracyCycle}
+	if NormalizeAccuracy(sc.Accuracy) == AccuracyTransaction {
+		reason := exec.Blocker(fs, exec.PathTLM)
+		if reason == "" {
+			return Plan{Path: tlm.Name, Accuracy: AccuracyTransaction}, nil
+		}
+		p.BackendFallback = "transaction accuracy: " + reason
+	}
+	switch sc.Backend {
+	case exec.NameCompiled, exec.NameAuto:
+		if reason := exec.Blocker(fs, exec.PathCompiled); reason == "" {
+			p.Path = exec.NameCompiled
+		} else if p.BackendFallback == "" {
+			p.BackendFallback = reason
+		}
+	case exec.NameLanes:
+		if p.BackendFallback != "" {
+			break // a transaction request never runs on lanes
+		}
+		if reason := exec.Blocker(fs, exec.PathLanes); reason == "" {
+			p.Path = lane.Name
+		} else {
+			p.BackendFallback = reason
+		}
+	}
+	if sc.Checkpoint != nil {
+		p.CheckpointFallback = exec.Blocker(fs, exec.PathCheckpoint)
+		p.Checkpoint = p.CheckpointFallback == ""
+		if !p.Checkpoint && len(sc.Checkpoint.Resume) > 0 {
+			return Plan{}, fmt.Errorf("engine: scenario %q: cannot resume from snapshot: %s", sc.Name, p.CheckpointFallback)
+		}
+	}
+	return p, nil
+}
+
+// features derives the scenario's capability-table features. The clock
+// period comes from the scenario's topology, so the odd-clock decision
+// matches the system that will actually be built.
+func (sc *Scenario) features() exec.Feature {
 	period := sc.System.ClockPeriod
 	if sc.Topo != nil {
 		period = sc.Topo.ClockPeriod()
 	} else if period == 0 {
 		period = topo.DefaultClockPeriodPS * sim.Picosecond
 	}
-	return exec.Traits{
-		HasSetup:          sc.Setup != nil,
-		HasDPM:            !sc.SkipAnalyzer && sc.Analyzer.DPM != nil,
-		DeltaInstrumented: !sc.SkipAnalyzer && sc.Analyzer.Style == core.StylePrivate,
-		ClockPeriod:       period,
-		Checkpoint:        sc.Checkpoint != nil,
+	fs := exec.ClockFeatures(period)
+	flags := []struct {
+		on bool
+		f  exec.Feature
+	}{
+		{sc.Setup != nil, exec.FeatureSetup},
+		{sc.KeepSystem, exec.FeatureKeepSystem},
+		{sc.Timeout > 0, exec.FeatureTimeout},
+		{sc.Faults.Active(), exec.FeatureActiveFaults},
+		{sc.Faults != nil, exec.FeatureFaultPlan},
+		{sc.SkipAnalyzer, exec.FeatureNoAnalyzer},
+		{sc.Checkpoint != nil, exec.FeatureCheckpoint},
 	}
+	for _, fl := range flags {
+		if fl.on {
+			fs |= fl.f
+		}
+	}
+	if !sc.SkipAnalyzer {
+		fs |= exec.AnalyzerFeatures(sc.Analyzer)
+	}
+	return fs
 }
 
 // Result is the outcome of one scenario. On success Report and the
@@ -178,11 +268,11 @@ type Result struct {
 	// runner retried transient failures). Zero for scenarios abandoned
 	// before starting.
 	Attempts int
-	// Backend is the execution backend that actually ran the scenario
-	// ("event", "compiled" or "lanes"). Empty for scenarios that never
-	// reached execution. An execution detail, not part of the result
-	// identity: supported scenarios produce bit-identical results on
-	// every backend.
+	// Backend is the execution path that actually ran the scenario, the
+	// plan's Path ("event", "compiled", "lanes" or "tlm"). Empty for
+	// scenarios that never reached execution. An execution detail, not
+	// part of the result identity: supported scenarios produce
+	// bit-identical results on every cycle-accurate backend.
 	Backend string
 	// BackendFallback is the surfaced reason the compiled or lane backend
 	// was requested but the event backend ran instead, or the reason a
@@ -270,6 +360,13 @@ func DefaultRunner() *Runner { return NewRunner(runtime.GOMAXPROCS(0)) }
 // stop mid-simulation with the same error (see core.System.RunContext) —
 // for a lane pack, lanes that already retired keep their results.
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
+	results, _ := r.run(ctx, scenarios)
+	return results
+}
+
+// run is Run, also returning the effective pool size: the configured
+// workers capped at the number of runner jobs.
+func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -329,7 +426,7 @@ feed:
 	for i := range results {
 		results[i].Index = i
 	}
-	return results
+	return results, workers
 }
 
 // RunMetered executes a batch like Run and additionally aggregates
@@ -337,31 +434,33 @@ feed:
 // latency and worker utilization.
 func (r *Runner) RunMetered(ctx context.Context, scenarios []Scenario) ([]Result, metrics.BatchMetrics) {
 	start := time.Now()
-	results := r.Run(ctx, scenarios)
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
+	results, workers := r.run(ctx, scenarios)
 	return results, AggregateMetrics(results, workers, time.Since(start))
 }
 
 // AggregateMetrics folds the per-scenario metrics of a finished batch
 // into batch metrics. workers is the effective pool size and wall the
-// batch's end-to-end duration.
+// batch's end-to-end duration. Every member of a lane pack reports the
+// pack's whole run time, but the pack occupied one worker once, so each
+// member contributes 1/occupancy of it to the pool's busy time.
 func AggregateMetrics(results []Result, workers int, wall time.Duration) metrics.BatchMetrics {
 	runs := make([]metrics.RunMetrics, 0, len(results))
 	failed := 0
+	var busy time.Duration
 	for i := range results {
 		if results[i].Err != nil {
 			failed++
 			continue
 		}
 		runs = append(runs, results[i].Metrics)
+		busy += results[i].Metrics.Run / time.Duration(max(1, results[i].Lanes))
 	}
-	return metrics.Aggregate(runs, failed, workers, wall)
+	b := metrics.Aggregate(runs, failed, workers, wall)
+	if b.Busy != busy {
+		b.Utilization *= busy.Seconds() / b.Busy.Seconds()
+		b.Busy = busy
+	}
+	return b
 }
 
 // Run executes a batch with a machine-sized worker pool.
@@ -384,7 +483,8 @@ func Execute(ctx context.Context, index int, sc Scenario) Result {
 
 // executeAttempt is Execute with an attempt number, so a fault plan's
 // FailFirst knob can fail early attempts and the retry loop can report
-// attempt counts.
+// attempt counts. It plans the scenario once and dispatches on the plan's
+// path.
 func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (res Result) {
 	res = Result{Index: index, Scenario: sc, Attempts: attempt + 1}
 	defer func() {
@@ -399,132 +499,88 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 		res.Err = err
 		return res
 	}
-	if sc.Cycles == 0 {
-		res.Err = fmt.Errorf("engine: scenario %q: Cycles must be positive", sc.Name)
-		return res
-	}
-	if !ValidAccuracy(sc.Accuracy) {
-		res.Err = fmt.Errorf("engine: scenario %q: unknown accuracy %q (want %s|%s)",
-			sc.Name, sc.Accuracy, AccuracyCycle, AccuracyTransaction)
+	plan, err := sc.Plan()
+	if err != nil {
+		res.Err = err
 		return res
 	}
 	if sc.Faults != nil && attempt < sc.Faults.FailFirst {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, &fault.InjectedFault{Attempt: attempt})
 		return res
 	}
-	var tlmFallback string
-	if NormalizeAccuracy(sc.Accuracy) == AccuracyTransaction {
-		reason := sc.TLMTraits().Unsupported()
-		if reason == "" && sc.Checkpoint != nil {
-			// The estimator computes whole transactions, not cycles; it has
-			// no kernel state to snapshot or resume.
-			reason = "checkpointing requested"
-		}
-		if reason == "" {
-			return executeTLMAttempt(ctx, index, sc, attempt)
-		}
-		// Estimator-ineligible: run exactly, with the conservative
-		// fallback surfaced like a backend fallback.
-		tlmFallback = "transaction accuracy: " + reason
-	}
-	hint := sc.Backend
-	var laneFallback string
-	if hint == exec.NameLanes {
-		reason := sc.LaneTraits().Unsupported()
-		if reason == "" && sc.Checkpoint != nil {
-			// A lane pack interleaves up to 64 scenarios in one kernel;
-			// there is no per-scenario state to snapshot.
-			reason = "checkpointing requested"
-		}
-		if reason == "" && tlmFallback == "" {
-			return executeLaneAttempt(ctx, index, sc, attempt)
-		}
-		// Lane-ineligible: run on the reference backend with the reason
-		// surfaced, mirroring the compiled backend's fallback contract.
-		laneFallback = reason
-		hint = exec.NameEvent
-	}
-	// Checkpoint eligibility: ineligible scenarios run to completion
-	// without snapshots (reason surfaced); resuming an ineligible
-	// scenario would silently drop state, so that is an error instead.
-	ckpt := sc.Checkpoint
-	if reason := sc.CheckpointUnsupported(); reason != "" {
-		if ckpt != nil && len(ckpt.Resume) > 0 {
-			res.Err = fmt.Errorf("engine: scenario %q: cannot resume from snapshot: %s", sc.Name, reason)
-			return res
-		}
-		res.CheckpointFallback = reason
-		ckpt = nil
-	}
-	backend, fallback, err := exec.Select(hint, sc.ExecTraits())
-	if err != nil {
-		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-		return res
-	}
-	res.Backend = backend.Name()
-	res.Accuracy = AccuracyCycle
-	res.BackendFallback = fallback
-	if laneFallback != "" {
-		res.BackendFallback = laneFallback
-	}
-	if tlmFallback != "" {
-		res.BackendFallback = tlmFallback
-	}
+	res.Backend, res.Accuracy = plan.Path, plan.Accuracy
+	res.BackendFallback, res.CheckpointFallback = plan.BackendFallback, plan.CheckpointFallback
 	if sc.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, sc.Timeout)
 		defer cancel()
 	}
+	switch plan.Path {
+	case tlm.Name:
+		estimate(ctx, &res)
+	case lane.Name:
+		// The Execute/RunOne path runs a single-lane pack; Runner batches
+		// pack compatible scenarios together instead.
+		outs, lanes, build, run := execLanePack(ctx, []lane.Spec{laneSpec(&sc)})
+		res.Lanes = lanes
+		scatterOutcome(&res, outs[0], build, run)
+	default:
+		simulate(ctx, &res, plan)
+	}
+	return res
+}
+
+// simulate builds res.Scenario and runs it on the cycle-accurate backend
+// the plan chose, with snapshots when the plan armed them.
+func simulate(ctx context.Context, res *Result, plan Plan) {
+	sc := &res.Scenario
+	fail := func(err error) { res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err) }
+	backend := exec.Event()
+	if plan.Path == exec.NameCompiled {
+		backend = exec.Compiled()
+	}
 	buildStart := time.Now()
 	var sys *core.System
+	var err error
 	if sc.Topo != nil {
 		sys, err = core.NewSystemTopo(*sc.Topo)
 	} else {
 		sys, err = core.NewSystem(sc.System)
 	}
 	if err != nil {
-		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-		return res
+		fail(err)
+		return
 	}
-	// Traffic resolution: explicit Workloads win, then the topology's
-	// per-master hints, then the paper workload sized to Cycles.
-	if len(sc.Workloads) > 0 {
-		err = sys.LoadWorkload(sc.Workloads...)
-	} else if hints, herr := sys.Topo.Workloads(); herr != nil {
-		err = herr
-	} else if len(hints) > 0 {
-		err = sys.LoadWorkload(hints...)
-	} else {
-		err = sys.LoadPaperWorkload(sc.Cycles)
+	cfgs, err := core.ResolveWorkloads(&sys.Topo, sc.Workloads, sc.Cycles)
+	if err == nil {
+		err = sys.LoadWorkload(cfgs...)
 	}
 	if err != nil {
-		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-		return res
+		fail(err)
+		return
 	}
 	var an *core.Analyzer
 	if !sc.SkipAnalyzer {
-		an, err = core.Attach(sys, sc.Analyzer)
-		if err != nil {
-			res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-			return res
+		if an, err = core.Attach(sys, sc.Analyzer); err != nil {
+			fail(err)
+			return
 		}
 	}
 	if sc.Setup != nil {
 		if err := sc.Setup(sys); err != nil {
-			res.Err = fmt.Errorf("engine: scenario %q: setup: %w", sc.Name, err)
-			return res
+			fail(fmt.Errorf("setup: %w", err))
+			return
 		}
 	}
 	var inj *fault.Injector
 	if sc.Faults.Active() {
-		inj, err = fault.Attach(sys.Bus, sys.Masters, sc.Faults)
-		if err != nil {
-			res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-			return res
+		if inj, err = fault.Attach(sys.Bus, sys.Masters, sc.Faults); err != nil {
+			fail(err)
+			return
 		}
 	}
 	run := sc.Cycles
-	if ckpt != nil {
+	if plan.Checkpoint {
 		// Register the extra snapshot participants. Registration happens on
 		// both the capture and the resume side, so the snapshot's component
 		// sets always match.
@@ -534,20 +590,20 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 		if inj != nil {
 			sys.AddSnapshotter("faults", inj)
 		}
+		ckpt := sc.Checkpoint
 		if len(ckpt.Resume) > 0 {
 			snap, err := core.DecodeSnapshot(ckpt.Resume)
 			if err != nil {
-				res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-				return res
+				fail(err)
+				return
 			}
 			if snap.Cycle == 0 || snap.Cycle >= sc.Cycles {
-				res.Err = fmt.Errorf("engine: scenario %q: snapshot at cycle %d cannot resume a %d-cycle run",
-					sc.Name, snap.Cycle, sc.Cycles)
-				return res
+				fail(fmt.Errorf("snapshot at cycle %d cannot resume a %d-cycle run", snap.Cycle, sc.Cycles))
+				return
 			}
 			if err := sys.RestoreSnapshot(snap); err != nil {
-				res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-				return res
+				fail(err)
+				return
 			}
 			res.ResumedFrom = snap.Cycle
 			run = sc.Cycles - snap.Cycle
@@ -570,8 +626,8 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 	build := time.Since(buildStart)
 	start := time.Now()
 	if err := backend.Run(ctx, sys, run); err != nil {
-		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-		return res
+		fail(err)
+		return
 	}
 	res.RunDuration = time.Since(start)
 	res.Metrics = metrics.NewRunMetrics(sys.Bus.Cycles(), sys.K.DeltaCycles(), build, res.RunDuration)
@@ -592,7 +648,6 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 	if sc.KeepSystem {
 		res.System = sys
 	}
-	return res
 }
 
 // FirstError returns the first scenario error in a batch, annotated with

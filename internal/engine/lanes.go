@@ -1,72 +1,23 @@
 package engine
 
 // Lane scheduling: the runner's integration with the bit-parallel lane
-// backend (internal/lane). Scenarios that hint Backend "lanes" and pass
-// the lane eligibility gate are grouped by structural key — same
-// canonical bus shape, clock and policy — and executed as packs of up to
-// lane.MaxLanes scenarios per simulation, one scenario per bit of the
-// pack's uint64 words. Per-lane results are scattered back into ordinary
-// Results that are bit-identical to the event backend's; ineligible or
-// structurally lonely scenarios fall back to a per-scenario run with the
-// reason surfaced in Result.BackendFallback.
+// backend (internal/lane). Scenarios whose Plan says lanes are grouped by
+// structural key — same canonical bus shape, clock and policy — and
+// executed as packs of up to lane.MaxLanes scenarios per simulation, one
+// scenario per bit of the pack's uint64 words. Per-lane results are
+// scattered back into ordinary Results that are bit-identical to the
+// event backend's; scenarios the plan sends elsewhere run per scenario
+// with the reason surfaced in Result.BackendFallback.
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
-	"ahbpower/internal/sim"
-	"ahbpower/internal/topo"
 )
-
-// LaneTraits derives the lane-backend eligibility traits of the scenario
-// (see lane.Traits), the packed analog of ExecTraits. The clock period
-// comes from the scenario's topology exactly like ExecTraits.
-func (sc *Scenario) LaneTraits() lane.Traits {
-	period := sc.System.ClockPeriod
-	if sc.Topo != nil {
-		period = sc.Topo.ClockPeriod()
-	} else if period == 0 {
-		period = topo.DefaultClockPeriodPS * sim.Picosecond
-	}
-	return lane.Traits{
-		HasSetup:          sc.Setup != nil,
-		KeepSystem:        sc.KeepSystem,
-		HasTimeout:        sc.Timeout > 0,
-		HasFaults:         sc.Faults.Active(),
-		HasDPM:            !sc.SkipAnalyzer && sc.Analyzer.DPM != nil,
-		DeltaInstrumented: !sc.SkipAnalyzer && sc.Analyzer.Style == core.StylePrivate,
-		HasTraceRecorder:  !sc.SkipAnalyzer && sc.Analyzer.Trace != nil,
-		ClockPeriod:       period,
-	}
-}
-
-// laneEligible reports whether the runner may pack this scenario into a
-// lane execution. Beyond the trait gate, any fault plan (even an inactive
-// one carrying only FailFirst) keeps the scenario on the per-scenario
-// path, where the retry loop can honor it; Cycles == 0 stays there too so
-// it fails with the engine's usual validation error, and
-// transaction-accuracy scenarios belong to the estimator (or its
-// conservative cycle fallback), never to a lane pack.
-func laneEligible(sc *Scenario) bool {
-	if sc.Backend != exec.NameLanes || sc.Cycles == 0 || sc.Faults != nil {
-		return false
-	}
-	// Checkpointing needs per-scenario kernel state a pack cannot provide;
-	// the scenario falls to the per-scenario path, which surfaces the
-	// fallback reason.
-	if sc.Checkpoint != nil {
-		return false
-	}
-	if NormalizeAccuracy(sc.Accuracy) == AccuracyTransaction {
-		return false
-	}
-	return sc.LaneTraits().Unsupported() == ""
-}
 
 // runJob is one unit of runner work: a single scenario index, or a lane
 // pack of scenario indices (pack non-nil, led by index).
@@ -99,7 +50,9 @@ func scheduleLanes(scenarios []Scenario) []runJob {
 	packOf := make(map[int][]int) // first member index → full pack
 	groups := make(map[string][]int)
 	for i := range scenarios {
-		if !laneEligible(&scenarios[i]) {
+		// Any fault plan, even a FailFirst-only one, keeps the scenario on
+		// the per-scenario path, where the retry loop can honor it.
+		if p, err := scenarios[i].Plan(); err != nil || p.Path != lane.Name || scenarios[i].Faults != nil {
 			continue
 		}
 		eligible[i] = true
@@ -188,21 +141,11 @@ func scatterOutcome(res *Result, o lane.Outcome, build, run time.Duration) {
 	res.Metrics = metrics.NewRunMetrics(o.Cycles, 0, build, run)
 }
 
-// executeLaneAttempt runs one scenario as a single-lane pack: the
-// Execute/RunOne path for an eligible lanes hint. Runner batches pack
-// compatible scenarios together instead of coming through here.
-func executeLaneAttempt(ctx context.Context, index int, sc Scenario, attempt int) Result {
-	res := Result{Index: index, Scenario: sc, Attempts: attempt + 1, Backend: lane.Name, Lanes: 1, Accuracy: AccuracyCycle}
-	outs, _, build, run := execLanePack(ctx, []lane.Spec{laneSpec(&sc)})
-	scatterOutcome(&res, outs[0], build, run)
-	return res
-}
-
 // runPack executes one lane pack inside a runner batch: every member
 // reports OnStart when the pack begins, the pack runs as one packed
 // simulation, and each member's Result is scattered (and OnDone fired) in
-// member order. Packs bypass the retry loop — lane-eligible scenarios
-// carry no fault plan, so there is nothing transient to retry — and a
+// member order. Packs bypass the retry loop — packed scenarios carry no
+// fault plan, so there is nothing transient to retry — and a
 // cancellation mid-pack keeps the results of lanes that already retired.
 func (r *Runner) runPack(ctx context.Context, scenarios []Scenario, members []int, results []Result, executed []bool) {
 	if r.OnStart != nil {

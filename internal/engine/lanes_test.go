@@ -14,6 +14,8 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/lane"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/workload"
 )
 
@@ -294,5 +296,44 @@ func TestRunnerLanePackCancellation(t *testing.T) {
 	}
 	if !errors.Is(results[1].Err, context.Canceled) {
 		t.Errorf("long lane err should wrap context.Canceled, got %v", results[1].Err)
+	}
+}
+
+// TestRunMeteredLanePackUtilization checks a lane pack's busy time is
+// counted once: one 64-lane pack on a two-worker runner is one job, so
+// the pool is capped at one worker and utilization stays within (0, 1].
+// A per-scenario batch keeps the plain per-run sum.
+func TestRunMeteredLanePackUtilization(t *testing.T) {
+	scs := make([]Scenario, lane.MaxLanes)
+	for i := range scs {
+		scs[i] = laneScenario(fmt.Sprintf("u%02d", i), int64(i))
+	}
+	results, batch := NewRunner(2).RunMetered(context.Background(), scs)
+	if err := FirstError(results); err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Lanes != lane.MaxLanes {
+		t.Fatalf("pack occupancy %d, want %d", results[0].Lanes, lane.MaxLanes)
+	}
+	if batch.Workers != 1 {
+		t.Errorf("workers=%d, want 1 (one pack is one job)", batch.Workers)
+	}
+	if batch.Utilization <= 0 || batch.Utilization > 1 {
+		t.Errorf("utilization=%v outside (0, 1]: busy %v in a %v batch", batch.Utilization, batch.Busy, batch.Wall)
+	}
+	if d := results[0].Metrics.Run - batch.Busy; d < 0 || d >= lane.MaxLanes {
+		t.Errorf("busy %v, want the pack's run time %v once", batch.Busy, results[0].Metrics.Run)
+	}
+
+	for i := range scs[:4] {
+		scs[i].Backend = exec.NameCompiled
+	}
+	results, batch = NewRunner(2).RunMetered(context.Background(), scs[:4])
+	runs := make([]metrics.RunMetrics, len(results))
+	for i := range results {
+		runs[i] = results[i].Metrics
+	}
+	if want := metrics.Aggregate(runs, 0, 2, batch.Wall); !reflect.DeepEqual(batch, want) {
+		t.Errorf("per-scenario batch metrics changed:\n got %+v\nwant %+v", batch, want)
 	}
 }

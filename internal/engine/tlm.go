@@ -41,63 +41,28 @@ func NormalizeAccuracy(a string) string {
 	return a
 }
 
-// TLMTraits derives the transaction-level eligibility traits of the
-// scenario (see tlm.Traits), the estimator's analog of ExecTraits.
-func (sc *Scenario) TLMTraits() tlm.Traits {
-	return tlm.Traits{
-		HasFaults:        sc.Faults != nil,
-		HasSetup:         sc.Setup != nil,
-		KeepSystem:       sc.KeepSystem,
-		SkipAnalyzer:     sc.SkipAnalyzer,
-		HasDPM:           !sc.SkipAnalyzer && sc.Analyzer.DPM != nil,
-		HasTraceWindow:   !sc.SkipAnalyzer && sc.Analyzer.TraceWindow > 0,
-		RecordActivity:   !sc.SkipAnalyzer && sc.Analyzer.RecordActivity,
-		HasTraceRecorder: !sc.SkipAnalyzer && sc.Analyzer.Trace != nil,
-	}
-}
-
-// executeTLMAttempt runs one scenario through the transaction-level
-// estimator. The caller has already checked eligibility via TLMTraits.
-func executeTLMAttempt(ctx context.Context, index int, sc Scenario, attempt int) (res Result) {
-	res = Result{
-		Index:    index,
-		Scenario: sc,
-		Attempts: attempt + 1,
-		Backend:  tlm.Name,
-		Accuracy: AccuracyTransaction,
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Err = fmt.Errorf("engine: scenario %q panicked: %v", sc.Name, p)
-		}
-	}()
-	if sc.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sc.Timeout)
-		defer cancel()
-	}
-	buildStart := time.Now()
-	spec := tlm.Spec{
+// estimate runs res.Scenario through the transaction-level estimator.
+func estimate(ctx context.Context, res *Result) {
+	sc := &res.Scenario
+	start := time.Now()
+	out, err := tlm.Estimate(ctx, tlm.Spec{
 		Name:      sc.Name,
 		Topo:      sc.Topology(),
 		Analyzer:  sc.Analyzer,
 		Workloads: sc.Workloads,
 		Cycles:    sc.Cycles,
-	}
-	out, err := tlm.Estimate(ctx, spec)
+	})
 	if err != nil {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
-		return res
+		return
 	}
-	elapsed := time.Since(buildStart)
-	res.RunDuration = elapsed
+	res.RunDuration = time.Since(start)
 	// Only the calibration prefix actually turned the kernel over; the
 	// rest of the horizon was estimated, which is the whole point — the
 	// throughput figure reflects estimated cycles per wall-clock second.
-	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, 0, elapsed)
+	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, 0, res.RunDuration)
 	res.Report = out.Report
 	res.Stats = out.Stats
 	res.Beats = out.Beats
 	res.Counts = out.Counts
-	return res
 }

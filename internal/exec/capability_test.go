@@ -1,0 +1,105 @@
+package exec
+
+import (
+	"testing"
+
+	"ahbpower/internal/core"
+	"ahbpower/internal/metrics"
+	"ahbpower/internal/sim"
+)
+
+// TestCapabilityTable pins one golden row per (feature, path): the exact
+// reason a feature surfaces when it rules a path out, or "" when the path
+// honours it.
+func TestCapabilityTable(t *testing.T) {
+	const (
+		setup   = "custom Setup hook"
+		keep    = "KeepSystem retains the kernel-backed system"
+		timeout = "per-scenario timeout"
+		active  = "active fault-injection plan"
+		plan    = "fault plan attached"
+		noAn    = "no analyzer attached, nothing to estimate"
+		dpm     = "DPM estimator attached"
+		private = "delta-level (private-style) instrumentation"
+		window  = "windowed power trace attached"
+		act     = "activity recording enabled"
+		rec     = "streaming trace recorder attached"
+		odd     = "odd clock period"
+		ckpt    = "checkpointing requested"
+	)
+	paths := []Path{PathCompiled, PathLanes, PathTLM, PathCheckpoint}
+	golden := []struct {
+		f    Feature
+		want [4]string // compiled, lanes, TLM, checkpoint
+	}{
+		{FeatureSetup, [4]string{setup, setup, setup, setup}},
+		{FeatureKeepSystem, [4]string{"", keep, keep, ""}},
+		{FeatureTimeout, [4]string{"", timeout, "", ""}},
+		{FeatureActiveFaults, [4]string{"", active, active, ""}},
+		{FeatureFaultPlan, [4]string{"", "", plan, ""}},
+		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},
+		{FeatureDPM, [4]string{dpm, dpm, dpm, dpm}},
+		{FeaturePrivateStyle, [4]string{private, private, "", ""}},
+		{FeatureTraceWindow, [4]string{"", "", window, window}},
+		{FeatureActivity, [4]string{"", "", act, act}},
+		{FeatureTraceRecorder, [4]string{"", rec, rec, rec}},
+		{FeatureOddClock, [4]string{odd, odd, "", ""}},
+		{FeatureCheckpoint, [4]string{"", ckpt, ckpt, ""}},
+	}
+	if len(golden) != len(capabilities) {
+		t.Fatalf("%d golden rows for %d table rows", len(golden), len(capabilities))
+	}
+	for i, g := range golden {
+		if capabilities[i].feature != g.f {
+			t.Errorf("table row %d is feature %#x, want %#x", i, capabilities[i].feature, g.f)
+		}
+		for j, p := range paths {
+			if got := Blocker(g.f, p); got != g.want[j] {
+				t.Errorf("Blocker(%#x, %#x) = %q, want %q", g.f, p, got, g.want[j])
+			}
+		}
+	}
+	// With the features of rows i..end present, each path reports the
+	// first of them, in table order, that blocks it.
+	for i := range golden {
+		var rest Feature
+		for _, g := range golden[i:] {
+			rest |= g.f
+		}
+		for j, p := range paths {
+			want := ""
+			for _, g := range golden[i:] {
+				if g.want[j] != "" {
+					want = g.want[j]
+					break
+				}
+			}
+			if got := Blocker(rest, p); got != want {
+				t.Errorf("Blocker(rows %d.., %#x) = %q, want %q", i, p, got, want)
+			}
+		}
+	}
+}
+
+// TestFeatureDerivation checks the analyzer and clock feature helpers.
+func TestFeatureDerivation(t *testing.T) {
+	if fs := AnalyzerFeatures(core.AnalyzerConfig{Style: core.StyleGlobal}); fs != 0 {
+		t.Errorf("plain global analyzer has features %#x", fs)
+	}
+	full := core.AnalyzerConfig{
+		Style:          core.StylePrivate,
+		TraceWindow:    1e-6,
+		RecordActivity: true,
+		DPM:            &core.DPMConfig{},
+		Trace:          new(metrics.Trace),
+	}
+	want := FeatureDPM | FeaturePrivateStyle | FeatureTraceWindow | FeatureActivity | FeatureTraceRecorder
+	if fs := AnalyzerFeatures(full); fs != want {
+		t.Errorf("full analyzer features %#x, want %#x", fs, want)
+	}
+	for period, odd := range map[uint64]bool{0: false, 1: false, 2: false, 3: true, 7: true, 10000: false, 10001: true} {
+		if got := ClockFeatures(sim.Time(period)) == FeatureOddClock; got != odd {
+			t.Errorf("ClockFeatures(%d) odd = %v, want %v", period, got, odd)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Package exec is the execution-backend seam between model construction
 // and simulation. A built core.System does not care how its cycles are
-// advanced; a Backend supplies that policy. Three backends exist today:
+// advanced; a Backend supplies that policy. Two backends advance a built
+// system:
 //
 //   - "event": the reference discrete-event kernel (internal/sim event
 //     heap, delta cycles, sensitivity-driven scheduling). Always
@@ -12,18 +13,20 @@
 //     event backend for every scenario it supports, several times
 //     faster, and restricted to static topologies without delta-level
 //     instrumentation.
-//   - "lanes": the bit-parallel pack executor (internal/lane), which
-//     evaluates up to 64 structurally compatible scenarios at once, one
-//     per bit of a uint64. It does not implement Backend — it never
-//     advances a core.System — so it is scheduled by the engine's
-//     runner, not selected here; Select rejects the name and the engine
-//     intercepts it before calling Select.
 //
-// Results are byte-identical across backends for supported scenarios —
-// the golden equivalence suites and the backend fuzzers enforce it —
-// which is why a backend hint is an execution detail and deliberately
-// excluded from engine.Scenario.CanonicalKey: a cached result answers a
-// scenario regardless of which backend computed it.
+// Two more paths execute scenarios without advancing a core.System: the
+// bit-parallel lane packs ("lanes", internal/lane) and the
+// transaction-level estimator (internal/tlm). Which of the four paths —
+// and whether checkpointing — can honour a scenario is one decision,
+// recorded once in this package's capability table (see Feature and
+// Blocker) and resolved by engine.(*Scenario).Plan.
+//
+// Results are byte-identical across the cycle-accurate paths for
+// supported scenarios — the golden equivalence suites and the backend
+// fuzzers enforce it — which is why a backend hint is an execution
+// detail and deliberately excluded from engine.Scenario.CanonicalKey: a
+// cached result answers a scenario regardless of which backend computed
+// it.
 package exec
 
 import (
@@ -34,7 +37,7 @@ import (
 	"ahbpower/internal/sim"
 )
 
-// Backend names accepted by Select and the -backend CLI flags.
+// Backend names accepted as scenario hints and by the -backend CLI flags.
 const (
 	// NameEvent selects the reference event-driven kernel.
 	NameEvent = "event"
@@ -46,10 +49,9 @@ const (
 	// it and the event backend otherwise; the fallback reason is surfaced
 	// the same way as for an explicit compiled request.
 	NameAuto = "auto"
-	// NameLanes selects the bit-parallel lane backend (internal/lane).
-	// Valid as a scenario hint everywhere the other names are, but
-	// resolved by the engine's lane scheduler rather than Select: lanes
-	// execute whole packs of scenarios, not a single built system.
+	// NameLanes selects the bit-parallel lane backend (internal/lane):
+	// lanes execute whole packs of scenarios, not a single built system,
+	// so the engine's runner schedules them.
 	NameLanes = "lanes"
 )
 
@@ -68,82 +70,127 @@ type Backend interface {
 	Run(ctx context.Context, sys *core.System, cycles uint64) error
 }
 
-// Traits captures the execution-relevant features of a scenario, so
-// backend selection can happen before the system is built. The engine
-// fills it from a Scenario; anything the compiled stepper cannot honor
-// shows up here.
-type Traits struct {
-	// HasSetup marks a custom Setup hook: arbitrary construction-time code
-	// may register processes or schedule events the static schedule does
-	// not know about.
-	HasSetup bool
-	// HasDPM marks an attached dynamic-power-management estimator.
-	HasDPM bool
-	// DeltaInstrumented marks delta-level instrumentation (the private
-	// analyzer style counts per-delta glitches through signal watchers,
-	// which a one-update-per-cycle stepper would undercount).
-	DeltaInstrumented bool
-	// ClockPeriod is the bus clock period; the flat stepper requires an
-	// even period (an odd one makes the event clock drift against the
-	// nominal period, which the straight-line timestamps cannot mirror).
-	ClockPeriod sim.Time
-	// Checkpoint marks that the scenario requests periodic state
-	// snapshots at chunk boundaries (crash-safe resume). Both
-	// cycle-accurate backends honor it; the pack (lanes) and
-	// transaction-level executors cannot — they carry no per-scenario
-	// kernel state to snapshot — so the engine routes
-	// checkpoint-requesting scenarios away from them with a surfaced
-	// reason.
-	Checkpoint bool
+// Feature is a bit set of the scenario properties that decide which
+// execution paths can honour a scenario. The engine derives it from a
+// Scenario before anything is built.
+type Feature uint16
+
+// The features, in capability-table order: when several features block
+// a path, the earliest one names the fallback reason.
+const (
+	FeatureSetup         Feature = 1 << iota // custom Setup hook
+	FeatureKeepSystem                        // the built system is retained in the result
+	FeatureTimeout                           // per-scenario wall-clock timeout
+	FeatureActiveFaults                      // a fault plan with active rules
+	FeatureFaultPlan                         // any fault plan, FailFirst-only included
+	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
+	FeatureDPM                               // DPM estimator attached
+	FeaturePrivateStyle                      // private-style (per-delta) instrumentation
+	FeatureTraceWindow                       // windowed power traces
+	FeatureActivity                          // per-signal activity recording
+	FeatureTraceRecorder                     // streaming metrics.Trace subscriber
+	FeatureOddClock                          // odd bus clock period
+	FeatureCheckpoint                        // checkpoint/resume requested
+)
+
+// Path is a bit set of the execution paths a feature can rule out. The
+// event kernel honours every feature and has no bit; checkpointing is not
+// a path of its own but is gated the same way.
+type Path uint8
+
+const (
+	PathCompiled   Path = 1 << iota // the straight-line compiled stepper
+	PathLanes                       // bit-parallel lane packs
+	PathTLM                         // the transaction-level estimator
+	PathCheckpoint                  // periodic snapshots and resume
+)
+
+// capabilities is the single feature × path eligibility table: each row
+// names the paths a feature rules out and the reason surfaced when it
+// does.
+var capabilities = [...]struct {
+	feature Feature
+	blocks  Path
+	reason  string
+}{
+	// Arbitrary construction-time code may register processes or state
+	// no static schedule, lane interpreter, estimator or snapshot sees.
+	{FeatureSetup, PathCompiled | PathLanes | PathTLM | PathCheckpoint, "custom Setup hook"},
+	// Lanes and the estimator build no kernel-backed system to keep.
+	{FeatureKeepSystem, PathLanes | PathTLM, "KeepSystem retains the kernel-backed system"},
+	// Pack members share one execution and cannot be timed out singly.
+	{FeatureTimeout, PathLanes, "per-scenario timeout"},
+	// Injectors hook the kernel's signal fabric cycle by cycle.
+	{FeatureActiveFaults, PathLanes | PathTLM, "active fault-injection plan"},
+	{FeatureFaultPlan, PathTLM, "fault plan attached"},
+	// With no analyzer there is no energy to estimate.
+	{FeatureNoAnalyzer, PathTLM, "no analyzer attached, nothing to estimate"},
+	// The DPM estimator keeps windowed per-cycle history outside every
+	// snapshot and every one-update-per-cycle stepper.
+	{FeatureDPM, PathCompiled | PathLanes | PathTLM | PathCheckpoint, "DPM estimator attached"},
+	// Per-delta glitch counting needs the event kernel's delta cycles.
+	{FeaturePrivateStyle, PathCompiled | PathLanes, "delta-level (private-style) instrumentation"},
+	// Streaming consumers need per-cycle samples and hold unserialized
+	// mid-run state.
+	{FeatureTraceWindow, PathTLM | PathCheckpoint, "windowed power trace attached"},
+	{FeatureActivity, PathTLM | PathCheckpoint, "activity recording enabled"},
+	{FeatureTraceRecorder, PathLanes | PathTLM | PathCheckpoint, "streaming trace recorder attached"},
+	// The event clock's integer half-period drifts against an odd
+	// nominal period, which straight-line timestamps cannot mirror.
+	{FeatureOddClock, PathCompiled | PathLanes, "odd clock period"},
+	// Packs and estimates carry no per-scenario kernel state to snapshot.
+	{FeatureCheckpoint, PathLanes | PathTLM, "checkpointing requested"},
 }
 
-// Unsupported returns the reason the compiled backend cannot honor a
-// scenario with these traits, or "" when it can.
-func (t Traits) Unsupported() string {
-	period := t.ClockPeriod
-	if period < 2 {
-		period = 2 // sim.NewClock clamps sub-minimum periods the same way
-	}
-	switch {
-	case t.HasSetup:
-		return "custom Setup hook"
-	case t.HasDPM:
-		return "DPM estimator attached"
-	case t.DeltaInstrumented:
-		return "delta-level (private-style) instrumentation"
-	case period%2 != 0:
-		return fmt.Sprintf("odd clock period %d", t.ClockPeriod)
+// Blocker returns the reason of the first feature in fs, in table order,
+// that rules out path p, or "" when p can honour every feature in fs.
+func Blocker(fs Feature, p Path) string {
+	for _, row := range capabilities {
+		if fs&row.feature != 0 && p&row.blocks != 0 {
+			return row.reason
+		}
 	}
 	return ""
 }
 
-// CheckpointUnsupported returns the reason a scenario with these traits
-// cannot be checkpointed, or "" when checkpoint/resume is eligible.
-// Eligibility is a property of the scenario, not the backend: both
-// cycle-accurate backends (event and compiled) snapshot at the same
-// settled chunk boundaries. A custom Setup hook may register processes
-// or state the snapshot protocol cannot see, and a DPM estimator keeps
-// windowed history outside the snapshot; both are rejected rather than
-// silently resumed wrong. Analyzer-side ineligibility (trace recorders,
-// windowed traces, activity recording) is reported separately by
-// core.Analyzer.SnapshotUnsupported.
-func (t Traits) CheckpointUnsupported() string {
-	switch {
-	case t.HasSetup:
-		return "custom Setup hook"
-	case t.HasDPM:
-		return "DPM estimator attached"
+// AnalyzerFeatures returns the features an attached analyzer with this
+// configuration contributes.
+func AnalyzerFeatures(cfg core.AnalyzerConfig) Feature {
+	var fs Feature
+	if cfg.DPM != nil {
+		fs |= FeatureDPM
 	}
-	return ""
+	if cfg.Style == core.StylePrivate {
+		fs |= FeaturePrivateStyle
+	}
+	if cfg.TraceWindow > 0 {
+		fs |= FeatureTraceWindow
+	}
+	if cfg.RecordActivity {
+		fs |= FeatureActivity
+	}
+	if cfg.Trace != nil {
+		fs |= FeatureTraceRecorder
+	}
+	return fs
+}
+
+// ClockFeatures returns FeatureOddClock for an odd clock period. Periods
+// below two are clamped to two, exactly like sim.NewClock.
+func ClockFeatures(period sim.Time) Feature {
+	if period > 2 && period%2 != 0 {
+		return FeatureOddClock
+	}
+	return 0
 }
 
 // Event returns the reference event-driven backend.
 func Event() Backend { return eventBackend{} }
 
 // Compiled returns the straight-line compiled backend. Callers are
-// expected to consult Traits.Unsupported first; Run fails (rather than
-// silently degrading) when the built system violates the flat-execution
-// contract.
+// expected to consult Blocker with PathCompiled first; Run fails (rather
+// than silently degrading) when the built system violates the
+// flat-execution contract.
 func Compiled() Backend { return compiledBackend{} }
 
 type eventBackend struct{}
@@ -174,24 +221,4 @@ func ValidName(name string) bool {
 		return true
 	}
 	return false
-}
-
-// Select resolves a backend hint against a scenario's traits. The empty
-// hint and "event" select the event backend. "compiled" and "auto" select
-// the compiled backend when the traits allow it and otherwise fall back
-// to the event backend, returning the surfaced fallback reason. Unknown
-// hints are an error.
-func Select(hint string, t Traits) (b Backend, fallbackReason string, err error) {
-	switch hint {
-	case "", NameEvent:
-		return Event(), "", nil
-	case NameCompiled, NameAuto:
-		if reason := t.Unsupported(); reason != "" {
-			return Event(), reason, nil
-		}
-		return Compiled(), "", nil
-	case NameLanes:
-		return nil, "", fmt.Errorf("exec: the %s backend is scheduled by the engine's runner, not selected per-system", NameLanes)
-	}
-	return nil, "", fmt.Errorf("exec: unknown backend %q (want %s|%s|%s|%s)", hint, NameEvent, NameCompiled, NameAuto, NameLanes)
 }

@@ -49,9 +49,9 @@ func (c *modelCache) put(k modelKey, m *power.Models) {
 // hook: the same activity words, the same Hamming distances against the
 // same previous-cycle snapshot, the same macromodel calls in the same
 // order, feeding the same power.FSM accumulator — so a lane's report is
-// Float64bits-identical to the event backend's. Features whose observable
-// effect lives outside the engine result (sample streaming, activity
-// recording, DPM) are gated out by Traits before a pack is built; the
+// Float64bits-identical to the event backend's. Features it cannot
+// reproduce (private-style glitch counting, DPM, streaming trace
+// recorders) are kept out of packs by the exec capability table; the
 // constructor rejects them again defensively.
 type laneAnalyzer struct {
 	style   core.Style

@@ -2,6 +2,7 @@ package lane
 
 import (
 	"ahbpower/internal/amba/ahb"
+	"ahbpower/internal/core"
 	"ahbpower/internal/sim"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
@@ -181,49 +182,20 @@ func newLaneState(idx int, spec Spec, ct topo.Topology, mc *modelCache) (*laneSt
 	return l, nil
 }
 
-// loadWorkloads resolves the lane's traffic the way the engine does:
-// explicit Workloads win, then the topology's per-master hints, then the
-// paper workload sized to Cycles; missing explicit entries reuse the last
-// configuration with the same shifted seed as core.System.LoadWorkload.
+// loadWorkloads resolves the lane's traffic with core.ResolveWorkloads,
+// the rule every execution path shares, and lowers each master's script.
 func (l *laneState) loadWorkloads(ct topo.Topology) error {
-	cfgs := l.spec.Workloads
-	if len(cfgs) == 0 {
-		hints, err := ct.Workloads()
-		if err != nil {
-			return err
-		}
-		cfgs = hints
+	cfgs, err := core.ResolveWorkloads(&ct, l.spec.Workloads, l.spec.Cycles)
+	if err != nil {
+		return err
 	}
-	if len(cfgs) > 0 {
-		for m := range l.masters {
-			lm := &l.masters[m]
-			cfg := cfgs[len(cfgs)-1]
-			if m < len(cfgs) {
-				cfg = cfgs[m]
-			} else {
-				cfg.Seed += int64(m) * 104729
-			}
-			seqs, err := workload.Generate(cfg)
-			if err != nil {
-				return err
-			}
-			lm.lowerScript(seqs)
-			lm.reloadCur()
-		}
-		return nil
-	}
-	perMaster := int(l.spec.Cycles)/100 + 2
-	base, size := ct.AddrSpan()
 	for m := range l.masters {
-		lm := &l.masters[m]
-		cfg := workload.PaperTestbench(m, perMaster)
-		cfg.AddrBase, cfg.AddrSize = base, size
-		seqs, err := workload.Generate(cfg)
+		seqs, err := workload.Generate(cfgs[m])
 		if err != nil {
 			return err
 		}
-		lm.lowerScript(seqs)
-		lm.reloadCur()
+		l.masters[m].lowerScript(seqs)
+		l.masters[m].reloadCur()
 	}
 	return nil
 }

@@ -44,12 +44,11 @@ type Spec struct {
 	// Topo is the canonical topology the lane simulates.
 	Topo topo.Topology
 	// Analyzer parameterizes the power analyzer (ignored under
-	// SkipAnalyzer). DPM, private style and streaming traces are not
-	// supported — Traits.Unsupported gates them out before packing.
+	// SkipAnalyzer). DPM, private style and streaming trace recorders are
+	// not supported — the exec capability table keeps them out of packs.
 	Analyzer core.AnalyzerConfig
 	// Workloads supplies per-master traffic exactly like
-	// engine.Scenario.Workloads; empty means topology hints, then the
-	// paper workload sized to Cycles.
+	// engine.Scenario.Workloads, resolved by core.ResolveWorkloads.
 	Workloads []workload.Config
 	// Cycles is the lane's run length; lanes of one pack may differ and
 	// retire individually.
@@ -76,64 +75,6 @@ type Outcome struct {
 	// Err captures a per-lane failure: workload generation, or pack
 	// cancellation before the lane retired.
 	Err error
-}
-
-// Traits captures the execution-relevant features of a scenario for lane
-// eligibility, the packed analog of exec.Traits. The engine fills it from
-// a Scenario (see engine.Scenario.LaneTraits).
-type Traits struct {
-	// HasSetup marks a custom Setup hook (arbitrary kernel-level code the
-	// lane interpreter cannot replay).
-	HasSetup bool
-	// KeepSystem asks for the built core.System in the result; a lane has
-	// no kernel-backed system to retain.
-	KeepSystem bool
-	// HasTimeout marks a per-scenario wall-clock timeout; pack members
-	// share one execution and cannot be timed out individually.
-	HasTimeout bool
-	// HasFaults marks an active fault-injection plan (injectors hook the
-	// kernel's signal fabric).
-	HasFaults bool
-	// HasDPM marks an attached dynamic-power-management estimator.
-	HasDPM bool
-	// DeltaInstrumented marks private-style (per-delta glitch counting)
-	// instrumentation; a one-update-per-cycle interpreter undercounts it.
-	DeltaInstrumented bool
-	// HasTraceRecorder marks a streaming metrics.Trace subscriber on the
-	// analyzer's sample stream.
-	HasTraceRecorder bool
-	// ClockPeriod is the bus clock period (the lane stepper shares the
-	// compiled backend's even-period contract).
-	ClockPeriod sim.Time
-}
-
-// Unsupported returns the reason the lane backend cannot honor a scenario
-// with these traits, or "" when it can. Reason strings shared with the
-// compiled backend match exec.Traits.Unsupported verbatim.
-func (t Traits) Unsupported() string {
-	period := t.ClockPeriod
-	if period < 2 {
-		period = 2 // sim.NewClock clamps sub-minimum periods the same way
-	}
-	switch {
-	case t.HasSetup:
-		return "custom Setup hook"
-	case t.KeepSystem:
-		return "KeepSystem retains the kernel-backed system"
-	case t.HasTimeout:
-		return "per-scenario timeout"
-	case t.HasFaults:
-		return "active fault-injection plan"
-	case t.HasDPM:
-		return "DPM estimator attached"
-	case t.DeltaInstrumented:
-		return "delta-level (private-style) instrumentation"
-	case t.HasTraceRecorder:
-		return "streaming trace recorder attached"
-	case period%2 != 0:
-		return fmt.Sprintf("odd clock period %d", t.ClockPeriod)
-	}
-	return ""
 }
 
 // Key returns the structural grouping key of a topology: two scenarios

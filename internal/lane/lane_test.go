@@ -11,6 +11,7 @@ import (
 	"ahbpower/internal/engine"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/lane"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
 )
@@ -275,26 +276,28 @@ func TestPackCancellation(t *testing.T) {
 	}
 }
 
-// TestLaneTraitsUnsupported enumerates the gating reasons.
+// TestLaneTraitsUnsupported enumerates the reasons the capability table
+// gives for keeping a scenario out of a lane pack.
 func TestLaneTraitsUnsupported(t *testing.T) {
 	cases := []struct {
-		name   string
-		traits lane.Traits
-		want   string
+		name string
+		fs   exec.Feature
+		want string
 	}{
-		{"ok", lane.Traits{ClockPeriod: 10000}, ""},
-		{"setup", lane.Traits{HasSetup: true, ClockPeriod: 10000}, "custom Setup hook"},
-		{"keep", lane.Traits{KeepSystem: true, ClockPeriod: 10000}, "KeepSystem retains the kernel-backed system"},
-		{"timeout", lane.Traits{HasTimeout: true, ClockPeriod: 10000}, "per-scenario timeout"},
-		{"faults", lane.Traits{HasFaults: true, ClockPeriod: 10000}, "active fault-injection plan"},
-		{"dpm", lane.Traits{HasDPM: true, ClockPeriod: 10000}, "DPM estimator attached"},
-		{"private", lane.Traits{DeltaInstrumented: true, ClockPeriod: 10000}, "delta-level (private-style) instrumentation"},
-		{"trace", lane.Traits{HasTraceRecorder: true, ClockPeriod: 10000}, "streaming trace recorder attached"},
-		{"odd", lane.Traits{ClockPeriod: 10001}, "odd clock period 10001"},
+		{"ok", exec.ClockFeatures(10000), ""},
+		{"setup", exec.FeatureSetup, "custom Setup hook"},
+		{"keep", exec.FeatureKeepSystem, "KeepSystem retains the kernel-backed system"},
+		{"timeout", exec.FeatureTimeout, "per-scenario timeout"},
+		{"faults", exec.FeatureActiveFaults, "active fault-injection plan"},
+		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}}), "DPM estimator attached"},
+		{"private", exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate}), "delta-level (private-style) instrumentation"},
+		{"trace", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)}), "streaming trace recorder attached"},
+		{"odd", exec.ClockFeatures(10001), "odd clock period"},
+		{"checkpoint", exec.FeatureCheckpoint, "checkpointing requested"},
 	}
 	for _, tc := range cases {
-		if got := tc.traits.Unsupported(); got != tc.want {
-			t.Errorf("%s: Unsupported() = %q, want %q", tc.name, got, tc.want)
+		if got := exec.Blocker(tc.fs, exec.PathLanes); got != tc.want {
+			t.Errorf("%s: Blocker(lanes) = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

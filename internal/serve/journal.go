@@ -47,8 +47,8 @@ const (
 
 // journalEntry is one JSONL line of the write-ahead journal.
 type journalEntry struct {
-	T   string      `json:"t"`
-	Job string      `json:"job,omitempty"`
+	T   string `json:"t"`
+	Job string `json:"job,omitempty"`
 	// Req is the originally admitted request (accepted entries), the
 	// replay source for re-admission.
 	Req *RunRequest `json:"req,omitempty"`

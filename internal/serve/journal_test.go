@@ -277,3 +277,36 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	}
 	st.close()
 }
+
+// TestCheckpointArmingFollowsPlan checks checkpoints are armed by the
+// scenario's plan, not its hint: a lanes-hinted private-style scenario
+// plans onto the event kernel and is armed, while a lane-eligible twin
+// runs on lanes unarmed, and neither counts as a checkpoint fallback.
+func TestCheckpointArmingFollowsPlan(t *testing.T) {
+	s := mustOpen(t, Config{Workers: 2, StateDir: t.TempDir(), CheckpointEvery: 512})
+	const wl = `"workloads":[{"seed":4,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]`
+	rr := post(s.Handler(), `{"backend":"lanes","scenarios":[`+
+		`{"name":"private","cycles":1200,"analyzer":{"style":"private"},`+wl+`},`+
+		`{"name":"packed","cycles":1200,`+wl+`}]}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+	}
+	var resp struct {
+		Batch struct {
+			Backends map[string]int `json:"backends"`
+		} `json:"batch"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if b := resp.Batch.Backends; b["event"] != 1 || b["lanes"] != 1 {
+		t.Errorf("backends = %v, want event:1 lanes:1", b)
+	}
+	if n := metricInt(t, s, "checkpoints_saved"); n == 0 {
+		t.Error("the event-planned scenario saved no checkpoint")
+	}
+	if n := metricInt(t, s, "checkpoint_fallbacks"); n != 0 {
+		t.Errorf("checkpoint_fallbacks = %d, want 0", n)
+	}
+	s.Drain(time.Second)
+}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -719,15 +718,15 @@ func (s *Server) cachePut(key string, b []byte) {
 // under its canonical key, and it picks up whatever snapshot a crashed
 // predecessor left there — the resumed tail is Float64bits-identical to
 // a from-scratch run, so the cached result is too. Saving is best-effort
-// (a state-dir write failure is counted, never fatal). Lane and
-// transaction-accuracy hints run unarmed rather than forcing a backend
-// fallback just to snapshot, as do checkpoint-ineligible analyzer
-// configurations.
+// (a state-dir write failure is counted, never fatal). Scenarios planned
+// onto a lane pack or the estimator run unarmed rather than forcing a
+// fallback just to snapshot; those the plan cannot checkpoint run unarmed
+// and are counted.
 func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 	if s.state == nil || s.cfg.CheckpointEvery == 0 || key == "" {
 		return
 	}
-	if sc.Backend == exec.NameLanes || engine.NormalizeAccuracy(sc.Accuracy) == engine.AccuracyTransaction {
+	if p, err := sc.Plan(); err != nil || p.Path == exec.NameLanes || p.Path == tlm.Name {
 		return
 	}
 	st := s.state
@@ -743,7 +742,7 @@ func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 		},
 		Resume: st.loadCheckpoint(key),
 	}
-	if sc.CheckpointUnsupported() != "" {
+	if p, err := sc.Plan(); err != nil || !p.Checkpoint {
 		sc.Checkpoint = nil
 		s.ctr.checkpointFallbacks.Add(1)
 	}
@@ -837,7 +836,9 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 				if engine.NormalizeAccuracy(sc.Accuracy) != engine.AccuracyCycle {
 					continue
 				}
-				if sc.TLMTraits().Unsupported() != "" {
+				est := *sc
+				est.Accuracy = engine.AccuracyTransaction
+				if p, err := est.Plan(); err != nil || p.Accuracy != engine.AccuracyTransaction {
 					continue // would only fall back to the exact path anyway
 				}
 				sc.Accuracy = engine.AccuracyTransaction
@@ -948,11 +949,11 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 					}
 					resp.Batch.Accuracies[ac]++
 				}
+				if ac := res[n].Accuracy; ac != "" && ac != engine.NormalizeAccuracy(res[n].Scenario.Accuracy) {
+					s.ctr.accuracyFallbacks.Add(1)
+				}
 				if fb := res[n].BackendFallback; fb != "" {
 					s.ctr.backendFallbacks.Add(1)
-					if strings.HasPrefix(fb, "transaction accuracy:") {
-						s.ctr.accuracyFallbacks.Add(1)
-					}
 					resp.Batch.BackendFallbacks = append(resp.Batch.BackendFallbacks,
 						fmt.Sprintf("%s: %s", res[n].Scenario.Name, fb))
 				}

@@ -76,65 +76,11 @@ type Spec struct {
 	// supplies the macromodels (characterized Models or structural
 	// defaults) the analytic expectations are derived from.
 	Analyzer core.AnalyzerConfig
-	// Workloads are the explicit per-master traffic configurations; when
-	// empty the topology's workload hints and then the paper testbench
-	// (sized to Cycles) apply, mirroring the engine's traffic resolution.
+	// Workloads are the explicit per-master traffic configurations,
+	// resolved by core.ResolveWorkloads like every other path's.
 	Workloads []workload.Config
 	// Cycles is the bus-cycle horizon of the estimate.
 	Cycles uint64
-}
-
-// Traits captures the scenario features that decide transaction-level
-// eligibility, the TLM analog of exec.Traits/lane.Traits. The engine
-// fills it from a Scenario; anything the estimator cannot honor shows up
-// here and surfaces as a conservative fallback to cycle accuracy.
-type Traits struct {
-	// HasFaults marks an active fault-injection plan. Fault effects are
-	// per-cycle kernel interventions a transaction walk cannot model;
-	// the ISSUE contract is a conservative fallback to cycle accuracy.
-	HasFaults bool
-	// HasSetup marks a custom Setup hook (arbitrary kernel-level code).
-	HasSetup bool
-	// KeepSystem asks for the built core.System in the result; the
-	// estimator only builds a short-lived prefix system.
-	KeepSystem bool
-	// SkipAnalyzer disables power analysis — with no analyzer there is no
-	// energy to estimate and the exact path is strictly cheaper.
-	SkipAnalyzer bool
-	// HasDPM marks an attached dynamic-power-management estimator, which
-	// needs the full per-cycle power trace.
-	HasDPM bool
-	// HasTraceWindow marks windowed power traces (per-cycle samples).
-	HasTraceWindow bool
-	// RecordActivity marks per-signal switching statistics.
-	RecordActivity bool
-	// HasTraceRecorder marks a streaming metrics.Trace subscriber.
-	HasTraceRecorder bool
-}
-
-// Unsupported returns the reason the transaction-level estimator cannot
-// honor a scenario with these traits, or "" when it can. Reason strings
-// shared with the other backends match their Unsupported wording.
-func (t Traits) Unsupported() string {
-	switch {
-	case t.HasFaults:
-		return "active fault-injection plan"
-	case t.HasSetup:
-		return "custom Setup hook"
-	case t.KeepSystem:
-		return "KeepSystem retains the kernel-backed system"
-	case t.SkipAnalyzer:
-		return "no analyzer attached, nothing to estimate"
-	case t.HasDPM:
-		return "DPM estimator needs the per-cycle power trace"
-	case t.HasTraceWindow:
-		return "windowed power traces need per-cycle samples"
-	case t.RecordActivity:
-		return "per-signal activity recording needs per-cycle samples"
-	case t.HasTraceRecorder:
-		return "streaming trace recorder attached"
-	}
-	return ""
 }
 
 // Outcome is the result of one estimation: the approximate analogs of the
@@ -205,7 +151,7 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if err := topo.Check(ct); err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	cfgs, err := resolveConfigs(&ct, spec.Workloads, spec.Cycles)
+	cfgs, err := core.ResolveWorkloads(&ct, spec.Workloads, spec.Cycles)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
@@ -285,14 +231,9 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 	if err != nil {
 		return m, "", err
 	}
-	traits := exec.Traits{
-		DeltaInstrumented: az.Style == core.StylePrivate,
-		HasDPM:            az.DPM != nil,
-		ClockPeriod:       ct.ClockPeriod(),
-	}
-	backend, _, err := exec.Select(exec.NameAuto, traits)
-	if err != nil {
-		return m, "", err
+	backend := exec.Compiled()
+	if exec.Blocker(exec.AnalyzerFeatures(az)|exec.ClockFeatures(ct.ClockPeriod()), exec.PathCompiled) != "" {
+		backend = exec.Event()
 	}
 	if err := backend.Run(ctx, sys, prefix); err != nil {
 		return m, backend.Name(), err
@@ -303,47 +244,4 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 	}
 	m.total = an.FSM().TotalEnergy()
 	return m, backend.Name(), nil
-}
-
-// resolveConfigs expands a scenario's traffic sources into one
-// workload.Config per active master, mirroring the engine's resolution
-// order (explicit Workloads, then topology hints, then the paper
-// testbench sized to the horizon) and core.System.LoadWorkload's
-// fill-with-shifted-seed semantics, so the walk scripts describe exactly
-// the traffic the cycle-accurate path would drive.
-func resolveConfigs(ct *topo.Topology, explicit []workload.Config, cycles uint64) ([]workload.Config, error) {
-	n := ct.ActiveMasters()
-	if n == 0 {
-		return nil, fmt.Errorf("topology has no active masters")
-	}
-	src := explicit
-	if len(src) == 0 {
-		hints, err := ct.Workloads()
-		if err != nil {
-			return nil, err
-		}
-		src = hints
-	}
-	out := make([]workload.Config, n)
-	if len(src) == 0 {
-		// Paper testbench sized to the horizon, as LoadPaperWorkload does.
-		perMaster := int(cycles)/100 + 2
-		base, size := ct.AddrSpan()
-		for m := 0; m < n; m++ {
-			cfg := workload.PaperTestbench(m, perMaster)
-			cfg.AddrBase, cfg.AddrSize = base, size
-			out[m] = cfg
-		}
-		return out, nil
-	}
-	for m := 0; m < n; m++ {
-		cfg := src[len(src)-1]
-		if m < len(src) {
-			cfg = src[m]
-		} else {
-			cfg.Seed += int64(m) * 104729
-		}
-		out[m] = cfg
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
@@ -33,11 +34,7 @@ func cycleAccurate(t *testing.T, ct topo.Topology, az core.AnalyzerConfig,
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	backend, _, err := exec.Select(exec.NameAuto, exec.Traits{ClockPeriod: ct.ClockPeriod()})
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
-	if err := backend.Run(context.Background(), sys, cycles); err != nil {
+	if err := exec.Compiled().Run(context.Background(), sys, cycles); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return an.Report()
@@ -168,27 +165,40 @@ func TestEstimateWorkloadPatterns(t *testing.T) {
 	}
 }
 
-// TestTraitsUnsupported enumerates the conservative-fallback reasons.
+// TestTraitsUnsupported enumerates the capability-table features that
+// send a transaction-accuracy request back to cycle accuracy.
 func TestTraitsUnsupported(t *testing.T) {
-	if r := (Traits{}).Unsupported(); r != "" {
-		t.Errorf("zero traits unsupported: %q", r)
+	if r := exec.Blocker(0, exec.PathTLM); r != "" {
+		t.Errorf("no features unsupported: %q", r)
 	}
 	cases := []struct {
 		name string
-		tr   Traits
+		fs   exec.Feature
 	}{
-		{"faults", Traits{HasFaults: true}},
-		{"setup", Traits{HasSetup: true}},
-		{"keep-system", Traits{KeepSystem: true}},
-		{"skip-analyzer", Traits{SkipAnalyzer: true}},
-		{"dpm", Traits{HasDPM: true}},
-		{"trace-window", Traits{HasTraceWindow: true}},
-		{"activity", Traits{RecordActivity: true}},
-		{"trace-recorder", Traits{HasTraceRecorder: true}},
+		{"faults", exec.FeatureActiveFaults},
+		{"fault-plan", exec.FeatureFaultPlan},
+		{"setup", exec.FeatureSetup},
+		{"keep-system", exec.FeatureKeepSystem},
+		{"skip-analyzer", exec.FeatureNoAnalyzer},
+		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}})},
+		{"trace-window", exec.AnalyzerFeatures(core.AnalyzerConfig{TraceWindow: 1e-6})},
+		{"activity", exec.AnalyzerFeatures(core.AnalyzerConfig{RecordActivity: true})},
+		{"trace-recorder", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)})},
+		{"checkpoint", exec.FeatureCheckpoint},
 	}
 	for _, c := range cases {
-		if r := c.tr.Unsupported(); r == "" {
-			t.Errorf("%s: Unsupported() = \"\", want a reason", c.name)
+		if r := exec.Blocker(c.fs, exec.PathTLM); r == "" {
+			t.Errorf("%s: Blocker(TLM) = \"\", want a reason", c.name)
+		}
+	}
+	// The estimator honours private-style instrumentation and odd clocks;
+	// only its cycle-accurate prefix run has to pick the event path.
+	for _, fs := range []exec.Feature{
+		exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate}),
+		exec.ClockFeatures(10001),
+	} {
+		if r := exec.Blocker(fs, exec.PathTLM); r != "" {
+			t.Errorf("features %#x: Blocker(TLM) = %q, want none", fs, r)
 		}
 	}
 }
