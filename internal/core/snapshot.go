@@ -224,13 +224,23 @@ type analyzerState struct {
 
 	LocalPrev  []uint64 `json:"local_prev,omitempty"`
 	LocalFirst bool     `json:"local_first,omitempty"`
+
+	DPM *dpmSnapshot `json:"dpm,omitempty"`
+}
+
+// dpmSnapshot is the DPM estimator's streak state. JSON round-trips the
+// estimate's float64 energies exactly (shortest round-trip formatting).
+type dpmSnapshot struct {
+	Estimate DPMEstimate `json:"estimate"`
+	Streak   int         `json:"streak"`
+	Gated    bool        `json:"gated,omitempty"`
 }
 
 // SnapshotUnsupported returns the reason this analyzer cannot join a
 // checkpoint snapshot, or "" when it can. Streaming consumers (windowed
-// traces, activity stores, DPM estimators, trace recorders) hold
-// unserialized mid-run state; the engine's execution plan runs scenarios
-// using them without checkpointing, and this guard refuses them again.
+// traces, activity stores, trace recorders) hold unserialized mid-run
+// state; the engine's execution plan runs scenarios using them without
+// checkpointing, and this guard refuses them again.
 func (a *Analyzer) SnapshotUnsupported() string {
 	return a.cfg.SnapshotUnsupported()
 }
@@ -244,8 +254,6 @@ func (cfg AnalyzerConfig) SnapshotUnsupported() string {
 		return "windowed power trace attached"
 	case cfg.RecordActivity:
 		return "activity recording enabled"
-	case cfg.DPM != nil:
-		return "DPM estimator attached"
 	case cfg.Trace != nil:
 		return "trace recorder attached"
 	}
@@ -284,6 +292,9 @@ func (a *Analyzer) CaptureSnapshot() (json.RawMessage, error) {
 		LocalPrev:  append([]uint64(nil), a.localPrev...),
 		LocalFirst: a.localFirst,
 	}
+	if d := a.dpm; d != nil {
+		st.DPM = &dpmSnapshot{Estimate: d.est, Streak: d.streak, Gated: d.gated}
+	}
 	return json.Marshal(st)
 }
 
@@ -298,6 +309,9 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 	}
 	if len(st.LocalPrev) != len(a.localPrev) {
 		return fmt.Errorf("core: analyzer snapshot has %d local-history slots, analyzer has %d", len(st.LocalPrev), len(a.localPrev))
+	}
+	if (st.DPM != nil) != (a.dpm != nil) || st.DPM != nil && st.DPM.Estimate.Config != a.dpm.cfg {
+		return fmt.Errorf("core: analyzer snapshot and analyzer disagree on the DPM estimator")
 	}
 	if err := a.fsm.RestoreState(st.FSM); err != nil {
 		return err
@@ -324,5 +338,8 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 	a.privArb = st.PrivArb
 	copy(a.localPrev, st.LocalPrev)
 	a.localFirst = st.LocalFirst
+	if d := st.DPM; d != nil {
+		a.dpm.est, a.dpm.streak, a.dpm.gated = d.Estimate, d.Streak, d.Gated
+	}
 	return nil
 }

@@ -214,3 +214,38 @@ func TestSnapshotCheckpointHook(t *testing.T) {
 		t.Errorf("hook-resumed run diverged from control:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestSnapshotDPMMismatch checks the analyzer refuses a snapshot whose
+// DPM estimator presence or configuration differs from its own.
+func TestSnapshotDPMMismatch(t *testing.T) {
+	build := func(dpm *core.DPMConfig) *core.System {
+		sys, err := core.NewSystem(core.PaperSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadPaperWorkload(1200); err != nil {
+			t.Fatal(err)
+		}
+		an, err := core.Attach(sys, core.AnalyzerConfig{DPM: dpm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.AddSnapshotter("analyzer", an)
+		return sys
+	}
+	th4, th8 := &core.DPMConfig{IdleThreshold: 4}, &core.DPMConfig{IdleThreshold: 8}
+	for _, c := range []struct{ from, to *core.DPMConfig }{{th4, nil}, {nil, th4}, {th4, th8}, {th4, th4}} {
+		src := build(c.from)
+		if err := src.Run(600); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := src.CaptureSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = build(c.to).RestoreSnapshot(sn)
+		if want := c.from != c.to; (err != nil) != want {
+			t.Errorf("restore DPM %+v onto %+v: err = %v, want refused = %v", c.from, c.to, err, want)
+		}
+	}
+}

@@ -23,6 +23,7 @@ type ckptFP struct {
 	beats      uint64
 	violations int
 	faults     *fault.Stats
+	dpm        *core.DPMEstimate
 }
 
 func resultFP(t *testing.T, res Result) ckptFP {
@@ -37,6 +38,7 @@ func resultFP(t *testing.T, res Result) ckptFP {
 		beats:      res.Beats,
 		violations: len(res.Violations),
 		faults:     res.Faults,
+		dpm:        res.DPM,
 	}
 }
 
@@ -48,27 +50,42 @@ var errCrash = errors.New("simulated crash after checkpoint")
 // scenario "crashed" right after its first checkpoint and resumed from
 // that snapshot must produce a Result Float64bits-identical to the
 // uninterrupted run, for every eligible backend, analyzer style and
-// fault-plan combination.
+// fault-plan combination. DPM and odd-period scenarios resume on both
+// backends, whichever saved the snapshot.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	type combo struct {
+		name    string
 		backend string
 		style   core.Style
 		faults  *fault.Plan
+		mutate  func(*Scenario)
+		// cross resumes on both backends, each of which must run it.
+		cross bool
 	}
 	var combos []combo
 	for _, be := range []string{exec.NameEvent, exec.NameCompiled, exec.NameAuto} {
 		for _, style := range []core.Style{core.StyleGlobal, core.StyleLocal, core.StylePrivate} {
-			for _, plan := range []*fault.Plan{nil, fault.RandomPlan(11)} {
-				combos = append(combos, combo{be, style, plan})
+			for pi, plan := range []*fault.Plan{nil, fault.RandomPlan(11)} {
+				combos = append(combos, combo{name: fmt.Sprintf("%s/%s/plan%d", be, style, pi),
+					backend: be, style: style, faults: plan})
 			}
 		}
 	}
-	for _, c := range combos {
-		pi := 0
-		if c.faults != nil {
-			pi = 1
+	extras := []struct {
+		name   string
+		mutate func(*Scenario)
+	}{
+		{"dpm", func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 4, WakeEnergy: 1e-12} }},
+		{"odd-period", func(sc *Scenario) { sc.System.ClockPeriod = 10_001 }},
+	}
+	for _, x := range extras {
+		for _, be := range []string{exec.NameEvent, exec.NameCompiled} {
+			combos = append(combos, combo{name: x.name + "/" + be, backend: be, style: core.StyleGlobal,
+				mutate: x.mutate, cross: true})
 		}
-		t.Run(fmt.Sprintf("%s/%s/plan%d", c.backend, c.style, pi), func(t *testing.T) {
+	}
+	for _, c := range combos {
+		t.Run(c.name, func(t *testing.T) {
 			base := Scenario{
 				Name:     "ckpt-golden",
 				System:   core.PaperSystem(),
@@ -76,6 +93,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				Cycles:   2600,
 				Backend:  c.backend,
 				Faults:   c.faults,
+			}
+			if c.mutate != nil {
+				c.mutate(&base)
 			}
 			control := RunOne(context.Background(), base)
 			want := resultFP(t, control)
@@ -98,12 +118,22 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 			resumed := base
 			resumed.Checkpoint = &CheckpointConfig{Resume: blob}
-			got := RunOne(context.Background(), resumed)
-			if got.ResumedFrom != at {
-				t.Errorf("ResumedFrom = %d, want %d", got.ResumedFrom, at)
+			resumeOn := []string{c.backend}
+			if c.cross {
+				resumeOn = []string{exec.NameEvent, exec.NameCompiled}
 			}
-			if fp := resultFP(t, got); !reflect.DeepEqual(fp, want) {
-				t.Errorf("resumed result diverged:\n got %+v\nwant %+v", fp, want)
+			for _, be := range resumeOn {
+				resumed.Backend = be
+				got := RunOne(context.Background(), resumed)
+				if got.ResumedFrom != at {
+					t.Errorf("resumed on %s: ResumedFrom = %d, want %d", be, got.ResumedFrom, at)
+				}
+				if c.cross && got.Backend != be {
+					t.Errorf("resumed on %s: ran on %q (fallback %q)", be, got.Backend, got.BackendFallback)
+				}
+				if fp := resultFP(t, got); !reflect.DeepEqual(fp, want) {
+					t.Errorf("resumed on %s: result diverged:\n got %+v\nwant %+v", be, fp, want)
+				}
 			}
 			// The checkpoint option must never change the cache identity.
 			ck, ok1 := base.CanonicalKey()
@@ -128,9 +158,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 	}
 	noopSave := func(uint64, []byte) error { return nil }
 
-	t.Run("dpm-ineligible", func(t *testing.T) {
+	t.Run("trace-window-ineligible", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8}
+		sc.Analyzer.TraceWindow = 1e-6
 		sc.Checkpoint = &CheckpointConfig{Save: func(uint64, []byte) error {
 			t.Error("Save must not run for an ineligible scenario")
 			return nil
@@ -143,9 +173,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 			t.Error("CheckpointFallback empty, want surfaced reason")
 		}
 	})
-	t.Run("dpm-resume-error", func(t *testing.T) {
+	t.Run("trace-window-resume-error", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8}
+		sc.Analyzer.TraceWindow = 1e-6
 		sc.Checkpoint = &CheckpointConfig{Resume: []byte("{}")}
 		if res := RunOne(context.Background(), sc); res.Err == nil {
 			t.Error("resuming an ineligible scenario must fail")

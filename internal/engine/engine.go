@@ -22,7 +22,6 @@ import (
 	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
-	"ahbpower/internal/sim"
 	"ahbpower/internal/tlm"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
@@ -97,7 +96,7 @@ type Scenario struct {
 	// approximate by contract — so it participates in CanonicalKey and
 	// cycle and transaction results never share a cache entry. A
 	// transaction-accuracy scenario that uses features the estimator
-	// cannot honor (fault plans, Setup hooks, per-cycle traces, ...)
+	// cannot honor (active fault plans, Setup hooks, per-cycle traces, ...)
 	// conservatively falls back to cycle accuracy, with the reason
 	// surfaced in Result.BackendFallback.
 	Accuracy string
@@ -196,17 +195,9 @@ func (sc *Scenario) Plan() (Plan, error) {
 	return p, nil
 }
 
-// features derives the scenario's capability-table features. The clock
-// period comes from the scenario's topology, so the odd-clock decision
-// matches the system that will actually be built.
+// features derives the scenario's capability-table features.
 func (sc *Scenario) features() exec.Feature {
-	period := sc.System.ClockPeriod
-	if sc.Topo != nil {
-		period = sc.Topo.ClockPeriod()
-	} else if period == 0 {
-		period = topo.DefaultClockPeriodPS * sim.Picosecond
-	}
-	fs := exec.ClockFeatures(period)
+	var fs exec.Feature
 	flags := []struct {
 		on bool
 		f  exec.Feature
@@ -215,7 +206,6 @@ func (sc *Scenario) features() exec.Feature {
 		{sc.KeepSystem, exec.FeatureKeepSystem},
 		{sc.Timeout > 0, exec.FeatureTimeout},
 		{sc.Faults.Active(), exec.FeatureActiveFaults},
-		{sc.Faults != nil, exec.FeatureFaultPlan},
 		{sc.SkipAnalyzer, exec.FeatureNoAnalyzer},
 		{sc.Checkpoint != nil, exec.FeatureCheckpoint},
 	}
@@ -287,9 +277,9 @@ type Result struct {
 	// (1 for a single-lane run); zero when another backend ran it.
 	Lanes int
 	// CheckpointFallback is the surfaced reason checkpointing was
-	// requested but the scenario ran without it (Setup hook, DPM,
-	// streaming analyzer consumers); empty when checkpointing ran or was
-	// never requested.
+	// requested but the scenario ran without it (Setup hook, streaming
+	// analyzer consumers); empty when checkpointing ran or was never
+	// requested.
 	CheckpointFallback string
 	// ResumedFrom is the absolute cycle the scenario resumed from when a
 	// Checkpoint.Resume snapshot was restored; zero for fresh runs.

@@ -25,17 +25,17 @@ type planKnob struct {
 
 // planKnobs are the scenario settings behind the capability table's
 // features, in table order. The fault-plan and checkpoint knobs are the
-// runnable forms: a plan without rules or FailFirst, and a Save-only
-// checkpoint.
+// runnable forms: a plan without rules or FailFirst, which contributes no
+// feature, and a Save-only checkpoint.
 func planKnobs(t *testing.T) []planKnob {
 	return []planKnob{
 		{"setup", exec.FeatureSetup, func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }},
 		{"keep", exec.FeatureKeepSystem, func(sc *Scenario) { sc.KeepSystem = true }},
 		{"timeout", exec.FeatureTimeout, func(sc *Scenario) { sc.Timeout = time.Minute }},
-		{"active-faults", exec.FeatureActiveFaults | exec.FeatureFaultPlan, func(sc *Scenario) {
+		{"active-faults", exec.FeatureActiveFaults, func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 7, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}}
 		}},
-		{"fault-plan", exec.FeatureFaultPlan, func(sc *Scenario) {
+		{"fault-plan", 0, func(sc *Scenario) {
 			if sc.Faults == nil {
 				sc.Faults = &fault.Plan{}
 			}
@@ -52,7 +52,6 @@ func planKnobs(t *testing.T) []planKnob {
 			}
 			sc.Analyzer.Trace = tr
 		}},
-		{"odd-clock", exec.FeatureOddClock, func(sc *Scenario) { sc.System.ClockPeriod = 7 }},
 		{"checkpoint", exec.FeatureCheckpoint, func(sc *Scenario) {
 			sc.Checkpoint = &CheckpointConfig{Save: func(uint64, []byte) error { return nil }}
 		}},
@@ -116,9 +115,9 @@ func TestPlanExhaustive(t *testing.T) {
 		fs   exec.Feature
 	}{
 		{nil, 0},
-		{&fault.Plan{FailFirst: 1}, exec.FeatureFaultPlan},
+		{&fault.Plan{FailFirst: 1}, 0},
 		{&fault.Plan{Seed: 3, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}},
-			exec.FeatureFaultPlan | exec.FeatureActiveFaults},
+			exec.FeatureActiveFaults},
 	}
 	checkpoints := []*CheckpointConfig{
 		nil,
@@ -162,7 +161,7 @@ func TestPlanExhaustive(t *testing.T) {
 			}
 		}
 	}
-	if rows != 9216*len(planHints)*len(planAccuracies) {
+	if rows != 4608*len(planHints)*len(planAccuracies) {
 		t.Fatalf("enumerated %d rows", rows)
 	}
 }

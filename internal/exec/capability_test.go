@@ -5,7 +5,6 @@ import (
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/metrics"
-	"ahbpower/internal/sim"
 )
 
 // TestCapabilityTable pins one golden row per (feature, path): the exact
@@ -17,14 +16,12 @@ func TestCapabilityTable(t *testing.T) {
 		keep    = "KeepSystem retains the kernel-backed system"
 		timeout = "per-scenario timeout"
 		active  = "active fault-injection plan"
-		plan    = "fault plan attached"
 		noAn    = "no analyzer attached, nothing to estimate"
 		dpm     = "DPM estimator attached"
 		private = "delta-level (private-style) instrumentation"
 		window  = "windowed power trace attached"
 		act     = "activity recording enabled"
 		rec     = "streaming trace recorder attached"
-		odd     = "odd clock period"
 		ckpt    = "checkpointing requested"
 	)
 	paths := []Path{PathCompiled, PathLanes, PathTLM, PathCheckpoint}
@@ -36,14 +33,12 @@ func TestCapabilityTable(t *testing.T) {
 		{FeatureKeepSystem, [4]string{"", keep, keep, ""}},
 		{FeatureTimeout, [4]string{"", timeout, "", ""}},
 		{FeatureActiveFaults, [4]string{"", active, active, ""}},
-		{FeatureFaultPlan, [4]string{"", "", plan, ""}},
 		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},
-		{FeatureDPM, [4]string{dpm, dpm, dpm, dpm}},
+		{FeatureDPM, [4]string{"", dpm, dpm, ""}},
 		{FeaturePrivateStyle, [4]string{private, private, "", ""}},
 		{FeatureTraceWindow, [4]string{"", "", window, window}},
 		{FeatureActivity, [4]string{"", "", act, act}},
 		{FeatureTraceRecorder, [4]string{"", rec, rec, rec}},
-		{FeatureOddClock, [4]string{odd, odd, "", ""}},
 		{FeatureCheckpoint, [4]string{"", ckpt, ckpt, ""}},
 	}
 	if len(golden) != len(capabilities) {
@@ -81,7 +76,7 @@ func TestCapabilityTable(t *testing.T) {
 	}
 }
 
-// TestFeatureDerivation checks the analyzer and clock feature helpers.
+// TestFeatureDerivation checks the analyzer feature helper.
 func TestFeatureDerivation(t *testing.T) {
 	if fs := AnalyzerFeatures(core.AnalyzerConfig{Style: core.StyleGlobal}); fs != 0 {
 		t.Errorf("plain global analyzer has features %#x", fs)
@@ -96,10 +91,5 @@ func TestFeatureDerivation(t *testing.T) {
 	want := FeatureDPM | FeaturePrivateStyle | FeatureTraceWindow | FeatureActivity | FeatureTraceRecorder
 	if fs := AnalyzerFeatures(full); fs != want {
 		t.Errorf("full analyzer features %#x, want %#x", fs, want)
-	}
-	for period, odd := range map[uint64]bool{0: false, 1: false, 2: false, 3: true, 7: true, 10000: false, 10001: true} {
-		if got := ClockFeatures(sim.Time(period)) == FeatureOddClock; got != odd {
-			t.Errorf("ClockFeatures(%d) odd = %v, want %v", period, got, odd)
-		}
 	}
 }

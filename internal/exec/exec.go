@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"ahbpower/internal/core"
-	"ahbpower/internal/sim"
 )
 
 // Backend names accepted as scenario hints and by the -backend CLI flags.
@@ -82,14 +81,12 @@ const (
 	FeatureKeepSystem                        // the built system is retained in the result
 	FeatureTimeout                           // per-scenario wall-clock timeout
 	FeatureActiveFaults                      // a fault plan with active rules
-	FeatureFaultPlan                         // any fault plan, FailFirst-only included
 	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
 	FeatureDPM                               // DPM estimator attached
 	FeaturePrivateStyle                      // private-style (per-delta) instrumentation
 	FeatureTraceWindow                       // windowed power traces
 	FeatureActivity                          // per-signal activity recording
 	FeatureTraceRecorder                     // streaming metrics.Trace subscriber
-	FeatureOddClock                          // odd bus clock period
 	FeatureCheckpoint                        // checkpoint/resume requested
 )
 
@@ -120,14 +117,13 @@ var capabilities = [...]struct {
 	{FeatureKeepSystem, PathLanes | PathTLM, "KeepSystem retains the kernel-backed system"},
 	// Pack members share one execution and cannot be timed out singly.
 	{FeatureTimeout, PathLanes, "per-scenario timeout"},
-	// Injectors hook the kernel's signal fabric cycle by cycle.
+	// Injectors hook the kernel's signal fabric cycle by cycle. A plan
+	// with only FailFirst fails attempts before any path is dispatched.
 	{FeatureActiveFaults, PathLanes | PathTLM, "active fault-injection plan"},
-	{FeatureFaultPlan, PathTLM, "fault plan attached"},
 	// With no analyzer there is no energy to estimate.
 	{FeatureNoAnalyzer, PathTLM, "no analyzer attached, nothing to estimate"},
-	// The DPM estimator keeps windowed per-cycle history outside every
-	// snapshot and every one-update-per-cycle stepper.
-	{FeatureDPM, PathCompiled | PathLanes | PathTLM | PathCheckpoint, "DPM estimator attached"},
+	// The lane and estimator analyzers have no DPM estimator.
+	{FeatureDPM, PathLanes | PathTLM, "DPM estimator attached"},
 	// Per-delta glitch counting needs the event kernel's delta cycles.
 	{FeaturePrivateStyle, PathCompiled | PathLanes, "delta-level (private-style) instrumentation"},
 	// Streaming consumers need per-cycle samples and hold unserialized
@@ -135,9 +131,6 @@ var capabilities = [...]struct {
 	{FeatureTraceWindow, PathTLM | PathCheckpoint, "windowed power trace attached"},
 	{FeatureActivity, PathTLM | PathCheckpoint, "activity recording enabled"},
 	{FeatureTraceRecorder, PathLanes | PathTLM | PathCheckpoint, "streaming trace recorder attached"},
-	// The event clock's integer half-period drifts against an odd
-	// nominal period, which straight-line timestamps cannot mirror.
-	{FeatureOddClock, PathCompiled | PathLanes, "odd clock period"},
 	// Packs and estimates carry no per-scenario kernel state to snapshot.
 	{FeatureCheckpoint, PathLanes | PathTLM, "checkpointing requested"},
 }
@@ -173,15 +166,6 @@ func AnalyzerFeatures(cfg core.AnalyzerConfig) Feature {
 		fs |= FeatureTraceRecorder
 	}
 	return fs
-}
-
-// ClockFeatures returns FeatureOddClock for an odd clock period. Periods
-// below two are clamped to two, exactly like sim.NewClock.
-func ClockFeatures(period sim.Time) Feature {
-	if period > 2 && period%2 != 0 {
-		return FeatureOddClock
-	}
-	return 0
 }
 
 // Event returns the reference event-driven backend.

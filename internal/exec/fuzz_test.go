@@ -15,14 +15,17 @@ import (
 	"ahbpower/internal/workload"
 )
 
-// FuzzBackendEquivalence derives a small random topology, workload and
-// fault plan from the fuzz input and checks that the event and compiled
-// backends produce identical total energy and per-block breakdowns. Any
-// divergence is a scheduling bug in the flat stepper.
+// FuzzBackendEquivalence derives a small random topology, clock period,
+// DPM threshold, workload and fault plan from the fuzz input and checks
+// that the event and compiled backends produce identical reports and DPM
+// estimates. Any divergence is a scheduling bug in the flat stepper.
 func FuzzBackendEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(0), uint8(0), uint8(0), int64(1), uint8(0))
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), int64(42), uint8(3))
 	f.Add(uint8(3), uint8(4), uint8(1), uint8(2), uint8(2), int64(-7), uint8(255))
+	f.Add(uint8(6), uint8(2), uint8(1), uint8(0), uint8(1), int64(5), uint8(0))
+	f.Add(uint8(33), uint8(3), uint8(0), uint8(2), uint8(0), int64(9), uint8(2))
+	f.Add(uint8(62), uint8(1), uint8(3), uint8(1), uint8(2), int64(-3), uint8(5))
 	f.Fuzz(func(t *testing.T, nm, ns, waits, policy, pattern uint8, seed int64, faultSel uint8) {
 		sys := core.SystemConfig{
 			NumActiveMasters:  1 + int(nm%3),
@@ -33,9 +36,17 @@ func FuzzBackendEquivalence(f *testing.F) {
 			DataWidth:         32,
 			Policy:            ahb.ArbPolicy(policy % 3),
 		}
-		style := core.StyleGlobal
+		// nm's upper bits pick an odd period (bit 2) and a DPM threshold
+		// (bits 3-7, 0 = no estimator).
+		if nm&4 != 0 {
+			sys.ClockPeriod += sim.Picosecond
+		}
+		an := core.AnalyzerConfig{Style: core.StyleGlobal}
 		if pattern%2 == 1 {
-			style = core.StyleLocal
+			an.Style = core.StyleLocal
+		}
+		if th := int(nm >> 3); th > 0 {
+			an.DPM = &core.DPMConfig{IdleThreshold: th, WakeEnergy: 1e-12}
 		}
 		wl := workload.Config{
 			Seed:         seed,
@@ -60,7 +71,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			return engine.RunOne(context.Background(), engine.Scenario{
 				Name:      "fuzz",
 				System:    sys,
-				Analyzer:  core.AnalyzerConfig{Style: style},
+				Analyzer:  an,
 				Workloads: []workload.Config{wl},
 				Cycles:    600,
 				Faults:    plan,
@@ -81,9 +92,11 @@ func FuzzBackendEquivalence(f *testing.F) {
 		if math.Float64bits(ev.Report.TotalEnergy) != math.Float64bits(cp.Report.TotalEnergy) {
 			t.Fatalf("TotalEnergy: event=%g compiled=%g", ev.Report.TotalEnergy, cp.Report.TotalEnergy)
 		}
-		if !reflect.DeepEqual(ev.Report.BlockEnergy, cp.Report.BlockEnergy) {
-			t.Fatalf("BlockEnergy diverges:\nevent:    %v\ncompiled: %v",
-				ev.Report.BlockEnergy, cp.Report.BlockEnergy)
+		if !reflect.DeepEqual(ev.Report, cp.Report) {
+			t.Fatalf("Report diverges:\nevent:    %+v\ncompiled: %+v", ev.Report, cp.Report)
+		}
+		if !reflect.DeepEqual(ev.DPM, cp.DPM) {
+			t.Fatalf("DPM diverges:\nevent:    %+v\ncompiled: %+v", ev.DPM, cp.DPM)
 		}
 		if ev.Beats != cp.Beats || !reflect.DeepEqual(ev.Counts, cp.Counts) {
 			t.Fatalf("beats/counts diverge: event=%d/%v compiled=%d/%v",

@@ -61,6 +61,9 @@ func assertIdentical(t *testing.T, ev, cp engine.Result) {
 	if !reflect.DeepEqual(ev.Stats, cp.Stats) {
 		t.Errorf("instruction Stats diverge")
 	}
+	if !reflect.DeepEqual(ev.DPM, cp.DPM) {
+		t.Errorf("DPM diverges:\nevent:    %+v\ncompiled: %+v", ev.DPM, cp.DPM)
+	}
 	if (ev.Report == nil) != (cp.Report == nil) {
 		t.Fatalf("Report presence: event=%v compiled=%v", ev.Report != nil, cp.Report != nil)
 	}
@@ -80,8 +83,9 @@ func assertIdentical(t *testing.T, ev, cp engine.Result) {
 }
 
 // TestGoldenEquivalence runs paired event/compiled scenarios across bus
-// shapes, arbitration policies, analyzer styles, wait states, data widths
-// and fault plans, asserting bit-identical results.
+// shapes, arbitration policies, analyzer styles, wait states, data widths,
+// clock periods, DPM estimators and fault plans, asserting bit-identical
+// results.
 func TestGoldenEquivalence(t *testing.T) {
 	type variant struct {
 		name   string
@@ -114,6 +118,13 @@ func TestGoldenEquivalence(t *testing.T) {
 	wide.NumSlaves = 4
 	variants = append(variants, variant{name: "w16_4slaves", sys: wide,
 		an: core.AnalyzerConfig{Style: core.StyleGlobal, RecordActivity: true}})
+	// An odd period: the windowed trace checks cycle timestamps too.
+	odd := base
+	odd.ClockPeriod = 10_001 * sim.Picosecond
+	variants = append(variants, variant{name: "odd_period_trace", sys: odd,
+		an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}})
+	variants = append(variants, variant{name: "dpm_local", sys: base,
+		an: core.AnalyzerConfig{Style: core.StyleLocal, DPM: &core.DPMConfig{IdleThreshold: 4, WakeEnergy: 1e-12}}})
 	// Fault plans exercise the injector processes (slave response
 	// rewrites, split masking, master drive corruption) under both
 	// execution models.
@@ -205,15 +216,9 @@ func TestBackendFallback(t *testing.T) {
 		{"setup_hook", func(sc *engine.Scenario) {
 			sc.Setup = func(*core.System) error { return nil }
 		}, "Setup"},
-		{"dpm", func(sc *engine.Scenario) {
-			sc.Analyzer.DPM = &core.DPMConfig{}
-		}, "DPM"},
 		{"private_style", func(sc *engine.Scenario) {
 			sc.Analyzer.Style = core.StylePrivate
 		}, "delta-level"},
-		{"odd_period", func(sc *engine.Scenario) {
-			sc.System.ClockPeriod = 7 * sim.Picosecond
-		}, "odd clock period"},
 	}
 	for _, tc := range cases {
 		tc := tc

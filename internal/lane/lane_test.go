@@ -12,6 +12,7 @@ import (
 	"ahbpower/internal/exec"
 	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
+	"ahbpower/internal/sim"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
 )
@@ -89,8 +90,8 @@ func runLaneSingle(t *testing.T, sc engine.Scenario) lane.Outcome {
 }
 
 // TestLaneGoldenEquivalence pairs single-lane packs against the event
-// backend across bus shapes, policies, analyzer styles, wait states and
-// data widths.
+// backend across bus shapes, policies, analyzer styles, wait states, data
+// widths and an odd clock period.
 func TestLaneGoldenEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -122,6 +123,10 @@ func TestLaneGoldenEquivalence(t *testing.T) {
 	wide.NumSlaves = 4
 	variants = append(variants, variant{name: "w16_4slaves", sys: wide,
 		an: core.AnalyzerConfig{Style: core.StyleGlobal}})
+	odd := base
+	odd.ClockPeriod = 10_001 * sim.Picosecond
+	variants = append(variants, variant{name: "odd_period_trace", sys: odd,
+		an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}})
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
@@ -284,7 +289,7 @@ func TestLaneTraitsUnsupported(t *testing.T) {
 		fs   exec.Feature
 		want string
 	}{
-		{"ok", exec.ClockFeatures(10000), ""},
+		{"ok", 0, ""},
 		{"setup", exec.FeatureSetup, "custom Setup hook"},
 		{"keep", exec.FeatureKeepSystem, "KeepSystem retains the kernel-backed system"},
 		{"timeout", exec.FeatureTimeout, "per-scenario timeout"},
@@ -292,7 +297,6 @@ func TestLaneTraitsUnsupported(t *testing.T) {
 		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}}), "DPM estimator attached"},
 		{"private", exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate}), "delta-level (private-style) instrumentation"},
 		{"trace", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)}), "streaming trace recorder attached"},
-		{"odd", exec.ClockFeatures(10001), "odd clock period"},
 		{"checkpoint", exec.FeatureCheckpoint, "checkpointing requested"},
 	}
 	for _, tc := range cases {

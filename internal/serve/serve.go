@@ -605,7 +605,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			vr.Valid = true
 			// A clean decode can still carry advisory findings (address-map
-			// gaps, odd clock periods predicting backend fallback).
+			// gaps, no default master).
 			_, vr.Warnings = topo.Validate(sc.Topology())
 			vr.Key, _ = sc.CanonicalKey()
 		} else {

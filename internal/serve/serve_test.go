@@ -182,12 +182,12 @@ func TestBackendCacheShared(t *testing.T) {
 		t.Errorf("compiled run differs from event run:\n%s\n%s", r1.Results[0], r3.Results[0])
 	}
 
-	// A DPM scenario cannot run compiled: it must fall back to event and
-	// say so in the envelope.
-	dpm := `{"name":"dpm","cycles":1500,"analyzer":{"dpm":{"idle_threshold":4,"wake_energy_J":1e-12}},` +
+	// A private-style scenario cannot run compiled: it must fall back to
+	// event and say so in the envelope.
+	private := `{"name":"private","cycles":1500,"analyzer":{"style":"private"},` +
 		`"workloads":[{"seed":7,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}],` +
 		`"backend":"compiled"}`
-	fourth := post(h, `{"scenarios":[`+dpm+`]}`)
+	fourth := post(h, `{"scenarios":[`+private+`]}`)
 	var r4 struct {
 		Batch struct {
 			Backends  map[string]int `json:"backends"`
@@ -198,8 +198,8 @@ func TestBackendCacheShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r4.Batch.Backends["event"] != 1 || len(r4.Batch.Fallbacks) != 1 ||
-		!strings.Contains(r4.Batch.Fallbacks[0], "DPM") {
-		t.Errorf("DPM scenario: backends=%v fallbacks=%v, want event:1 with a DPM fallback reason",
+		!strings.Contains(r4.Batch.Fallbacks[0], "private-style") {
+		t.Errorf("private-style scenario: backends=%v fallbacks=%v, want event:1 with a private-style fallback reason",
 			r4.Batch.Backends, r4.Batch.Fallbacks)
 	}
 
@@ -455,7 +455,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"scenario":[{"cycles":100}]}`},
 		{"zero cycles", `{"scenarios":[{"name":"z"}]}`},
 		{"cycles over limit", `{"scenarios":[{"name":"big","cycles":2000}]}`},
-		{"bad policy", `{"scenarios":[{"cycles":100,"system":{"masters":2,"slaves":1,"policy":"nope"}}]}`},
+		{"bad policy", `{"scenarios":[{"cycles":100,"topology":{"masters":[{}],"slaves":[{"regions":[{"start":0,"size":1024}]}],"policy":"nope"}}]}`},
+		{"system alias", `{"scenarios":[{"cycles":100,"system":{"masters":2,"slaves":1}}]}`},
 		{"bad pattern", `{"scenarios":[{"cycles":100,"workloads":[{"seed":1,"pattern":"nope"}]}]}`},
 		{"not json", `scenario please`},
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,15 +78,15 @@ func TestTopologyRejectedBeforeAdmission(t *testing.T) {
 		t.Errorf("bad_requests = %d, want 1", s.ctr.badRequests.Value())
 	}
 
-	// system and topology together are ambiguous and rejected (a plain
-	// decode error: no ERC findings attached).
-	rr = post(h, `{"scenarios":[{"name":"both","cycles":1000,"system":{"masters":2,"slaves":3},"topology":`+paperTwinJSON+`}]}`)
+	// A valid topology with a bad analyzer style is rejected as a plain
+	// decode error: no ERC findings attached.
+	rr = post(h, `{"scenarios":[{"name":"bad-style","cycles":1000,"analyzer":{"style":"nope"},"topology":`+paperTwinJSON+`}]}`)
 	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("system+topology: status %d, want 400", rr.Code)
+		t.Fatalf("bad style: status %d, want 400", rr.Code)
 	}
-	var both ErrorWire
-	if err := json.Unmarshal(rr.Body.Bytes(), &both); err != nil || len(both.Erc) != 0 {
-		t.Errorf("mutual-exclusion rejection should carry no ERC findings: %v %s", err, rr.Body.String())
+	var plain ErrorWire
+	if err := json.Unmarshal(rr.Body.Bytes(), &plain); err != nil || len(plain.Erc) != 0 {
+		t.Errorf("non-ERC rejection should carry no ERC findings: %v %s", err, rr.Body.String())
 	}
 }
 
@@ -209,43 +210,48 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
-// TestRegionSizePropagation pins the count-based alias's slave_region_-
-// size field: it shapes the canonical address map (and therefore the
-// run), and non-1KB sizes are rejected with the typed ERC code.
+// TestRegionSizePropagation pins how slave region sizes reach the run:
+// they shape the canonical address map (and therefore the cache key),
+// and non-1KB sizes are refused at decode with the typed ERC code.
 func TestRegionSizePropagation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	h := s.Handler()
 
+	// body is the paper system with three equal slaves of the given size.
 	body := func(size int) string {
-		return `{"scenarios":[{"name":"rs","cycles":1500,` +
-			`"system":{"masters":2,"slaves":3,"slave_region_size":` +
-			jsonInt(size) + `}}]}`
+		var slaves []string
+		for i := 0; i < 3; i++ {
+			slaves = append(slaves, `{"regions":[{"start":`+jsonInt(i*size)+`,"size":`+jsonInt(size)+`}]}`)
+		}
+		return `{"scenarios":[{"name":"rs","cycles":1500,"topology":{"masters":[{},{},{"default":true}],"slaves":[` +
+			strings.Join(slaves, ",") + `]}}]}`
 	}
-	ok := post(h, body(2048))
-	if ok.Code != http.StatusOK {
-		t.Fatalf("2 KB regions: status %d, body %s", ok.Code, ok.Body.String())
+	key := func(size int) string {
+		rr := post(h, body(size))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%d B regions: status %d, body %s", size, rr.Code, rr.Body.String())
+		}
+		r := decodeRun(t, rr)
+		var res wireResult
+		if err := json.Unmarshal(r.Results[0], &res); err != nil || res.Error != "" {
+			t.Fatalf("%d B region run failed: %v %s", size, err, r.Results[0])
+		}
+		return res.Key
 	}
-	r := decodeRun(t, ok)
-	var res wireResult
-	if err := json.Unmarshal(r.Results[0], &res); err != nil || res.Error != "" {
-		t.Fatalf("2 KB region run failed: %v %s", err, r.Results[0])
+	if key(2048) == key(4096) {
+		t.Error("2 KB and 4 KB regions share a cache key")
 	}
 
-	// A non-1KB-multiple size flows into the canonical topology and is
-	// rejected by the same ERC rule as explicit regions — at run time for
-	// the legacy alias (wire-level validation is topology-only), with the
-	// typed code in the message.
 	bad := post(h, body(1536))
-	if bad.Code != http.StatusOK {
-		t.Fatalf("legacy alias rejections are per-scenario: status %d", bad.Code)
+	if bad.Code != http.StatusBadRequest {
+		t.Fatalf("1536 B regions: status %d, want 400", bad.Code)
 	}
-	rb := decodeRun(t, bad)
-	var resBad wireResult
-	if err := json.Unmarshal(rb.Results[0], &resBad); err != nil || resBad.Error == "" {
-		t.Fatalf("1536 B regions must fail the run: %v %s", err, rb.Results[0])
+	var ew ErrorWire
+	if err := json.Unmarshal(bad.Body.Bytes(), &ew); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(resBad.Error, string(topo.ErrRegion1KB)) {
-		t.Errorf("error %q should carry %s", resBad.Error, topo.ErrRegion1KB)
+	if codes := ercCodes(ew.Erc); !slices.Contains(codes, topo.ErrRegion1KB) {
+		t.Errorf("erc_errors %v should carry %s", codes, topo.ErrRegion1KB)
 	}
 }
 

@@ -16,14 +16,12 @@ import (
 	"fmt"
 	"strings"
 
-	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
-	"ahbpower/internal/sim"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
 )
@@ -64,21 +62,13 @@ type RunRequest struct {
 // ScenarioSpec is the wire form of one engine.Scenario.
 type ScenarioSpec struct {
 	Name string `json:"name"`
-	// System is the count-based legacy description of the bus shape;
-	// omitted (with no Topology either) means the paper's testbench
-	// (2 masters + default master + 3 slaves @ 100 MHz). It remains fully
-	// supported as an alias that canonicalizes into the same topology form
-	// — prefer Topology, which can also express non-uniform address maps,
-	// per-slave wait mixes and per-master workload hints. Mutually
-	// exclusive with Topology.
-	System *SystemSpec `json:"system,omitempty"`
 	// Topology is the declarative description of the bus shape (see
 	// internal/topo): masters in priority order, slaves with explicit
 	// address regions and per-slave wait states, arbitration policy, clock
-	// and data width. It passes the ERC compliance pass at decode time —
-	// before admission — and rejections come back as structured 400 bodies
-	// carrying typed rule codes. A topology and the count-based system it
-	// canonicalizes from share one cache key.
+	// and data width; omitted means the paper's testbench (2 masters +
+	// default master + 3 slaves @ 100 MHz). It passes the ERC compliance
+	// pass at decode time — before admission — and rejections come back
+	// as structured 400 bodies carrying typed rule codes.
 	Topology *topo.Topology `json:"topology,omitempty"`
 	// Analyzer parameterizes the power analyzer; omitted means the global
 	// style with default technology constants.
@@ -104,31 +94,10 @@ type ScenarioSpec struct {
 	// ("cycle"|"transaction"); empty defers to the request-level and then
 	// the server-level default. Part of the cache key: transaction
 	// estimates are approximate by contract and cache separately from
-	// exact results. Scenarios the estimator cannot honor (fault plans,
-	// per-cycle traces, ...) conservatively run cycle-accurate with the
-	// reason surfaced in the result's backend_fallback.
+	// exact results. Scenarios the estimator cannot honor (active fault
+	// plans, per-cycle traces, ...) conservatively run cycle-accurate with
+	// the reason surfaced in the result's backend_fallback.
 	Accuracy string `json:"accuracy,omitempty"`
-}
-
-// SystemSpec is the wire form of core.SystemConfig: the count-based
-// legacy shape description, kept as a fully supported alias of the
-// declarative "topology" object (both decode through the same
-// canonicalization, so they build identical systems and share cache
-// keys). New clients should send "topology" instead. RegionSize maps
-// into the canonical address map (slave i owns [i*size, (i+1)*size)) and
-// non-1 KB-multiple sizes are rejected by the ERC pass with a structured
-// E_REGION_1KB error.
-type SystemSpec struct {
-	Masters int `json:"masters"`
-	// DefaultMaster adds the paper's simple default master; omitted
-	// defaults to true.
-	DefaultMaster *bool  `json:"default_master,omitempty"`
-	Slaves        int    `json:"slaves"`
-	SlaveWaits    int    `json:"slave_waits,omitempty"`
-	ClockPeriodPS uint64 `json:"clock_period_ps,omitempty"` // default 10000 (100 MHz)
-	DataWidth     int    `json:"data_width,omitempty"`      // default 32
-	Policy        string `json:"policy,omitempty"`          // sticky|fixed|rr, default sticky
-	RegionSize    uint32 `json:"slave_region_size,omitempty"`
 }
 
 // AnalyzerSpec is the wire form of core.AnalyzerConfig.
@@ -215,41 +184,13 @@ func (s *ScenarioSpec) Scenario(index int) (engine.Scenario, error) {
 	}
 	sc.Accuracy = s.Accuracy
 	if s.Topology != nil {
-		if s.System != nil {
-			return sc, fmt.Errorf("scenario %q: system and topology are mutually exclusive (system is the count-based alias of topology)", sc.Name)
-		}
 		ct := s.Topology.Canonical()
 		if err := topo.Check(ct); err != nil {
 			return sc, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 		sc.Topo = &ct
-	} else if s.System == nil {
-		sc.System = core.PaperSystem()
 	} else {
-		sys := core.SystemConfig{
-			NumActiveMasters:  s.System.Masters,
-			WithDefaultMaster: true,
-			NumSlaves:         s.System.Slaves,
-			SlaveWaits:        s.System.SlaveWaits,
-			ClockPeriod:       10 * sim.Nanosecond,
-			DataWidth:         32,
-			SlaveRegionSize:   s.System.RegionSize,
-		}
-		if s.System.DefaultMaster != nil {
-			sys.WithDefaultMaster = *s.System.DefaultMaster
-		}
-		if s.System.ClockPeriodPS != 0 {
-			sys.ClockPeriod = sim.Time(s.System.ClockPeriodPS) * sim.Picosecond
-		}
-		if s.System.DataWidth != 0 {
-			sys.DataWidth = s.System.DataWidth
-		}
-		pol, err := ahb.ParsePolicy(orDefault(s.System.Policy, "sticky"))
-		if err != nil {
-			return sc, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		sys.Policy = pol
-		sc.System = sys
+		sc.System = core.PaperSystem()
 	}
 	if s.Analyzer != nil && !s.SkipAnalyzer {
 		style, err := parseStyle(s.Analyzer.Style)
@@ -294,13 +235,6 @@ func (s *ScenarioSpec) Scenario(index int) (engine.Scenario, error) {
 	return sc, nil
 }
 
-func orDefault(s, def string) string {
-	if strings.TrimSpace(s) == "" {
-		return def
-	}
-	return s
-}
-
 // ErrorWire is the structured 400 body for decode-time rejections. ERC
 // rejections (an invalid "topology" object) additionally carry the typed
 // rule findings, so clients can match on codes instead of message text.
@@ -321,7 +255,7 @@ type ValidateResult struct {
 	// Key is the scenario's canonical cache key, when canonicalizable.
 	Key string `json:"key,omitempty"`
 	// Errors and Warnings are the typed ERC findings; a valid scenario can
-	// still carry warnings (address-map gaps, odd clock periods).
+	// still carry warnings (address-map gaps, no default master).
 	Errors   []topo.Error   `json:"erc_errors,omitempty"`
 	Warnings []topo.Warning `json:"erc_warnings,omitempty"`
 	// Error is the non-ERC decode failure, when that is what rejected the

@@ -1,9 +1,10 @@
 package sim
 
 // Clock drives a boolean signal with a fixed period. The signal starts low
-// at time zero; the first rising edge occurs after half a period, so that
-// combinational logic initialized at time zero has settled before the first
-// active edge.
+// at time zero and stays low for period/2, then high for the rest of the
+// period, so rising edge i lands at period/2 + (i-1)*period for odd
+// periods too, and combinational logic initialized at time zero has
+// settled before the first active edge.
 type Clock struct {
 	sig    *Signal[bool]
 	period Time
@@ -22,17 +23,19 @@ func NewClock(k *Kernel, name string, period Time) *Clock {
 	// The clock's level is derived state (cycle count + execution model),
 	// not snapshot payload; see RestoreCycles.
 	c.sig.snapSkip = true
-	half := period / 2
+	low, high := period/2, period-period/2
 	var toggle func()
 	toggle = func() {
 		v := !c.sig.Read()
 		c.sig.Write(v)
+		next := low
 		if v {
 			c.cycles++
+			next = high
 		}
-		k.Schedule(half, toggle)
+		k.Schedule(next, toggle)
 	}
-	k.Schedule(half, toggle)
+	k.Schedule(low, toggle)
 	return c
 }
 

@@ -52,6 +52,29 @@ func TestRunCycles(t *testing.T) {
 	}
 }
 
+// TestClockOddPeriods checks the clock is exact for every period: n
+// RunCycles periods produce n rising edges, and edge i fires at
+// period/2 + (i-1)*period, the time sim.Flat stamps on cycle i.
+func TestClockOddPeriods(t *testing.T) {
+	for _, period := range []Time{2, 3, 7, 10000, 10001} {
+		k := NewKernel()
+		clk := NewClock(k, "clk", period)
+		var edges []Time
+		k.MethodNoInit("rise", func() { edges = append(edges, k.Now()) }, clk.Posedge())
+		if err := k.RunCycles(clk, 25); err != nil {
+			t.Fatal(err)
+		}
+		if clk.Cycles() != 25 || len(edges) != 25 {
+			t.Fatalf("period %d: Cycles=%d, %d edges, want 25", period, clk.Cycles(), len(edges))
+		}
+		for i, at := range edges {
+			if want := period/2 + Time(i)*period; at != want {
+				t.Errorf("period %d: posedge %d at %d, want %d", period, i+1, at, want)
+			}
+		}
+	}
+}
+
 func TestClockedRegisterPipeline(t *testing.T) {
 	// A 2-stage register pipeline: q1 <= d, q2 <= q1 on each posedge.
 	k := NewKernel()

@@ -35,11 +35,6 @@ type Flat struct {
 // edge, in topological order: every process in wave i may depend on edge
 // outputs and on waves < i, never on later waves.
 func NewFlat(k *Kernel, clk *Clock, combWaves [][]*Process) (*Flat, error) {
-	period := clk.Period()
-	half := period / 2
-	if 2*half != period {
-		return nil, fmt.Errorf("sim: flat stepper needs an even clock period, got %d", period)
-	}
 	// Settle initialization at time zero exactly as Run would: Method
 	// processes run once and their deltas drain. The clock's first toggle
 	// (scheduled at half a period) stays queued and is never popped.
@@ -73,7 +68,7 @@ func NewFlat(k *Kernel, clk *Clock, combWaves [][]*Process) (*Flat, error) {
 	// directly, and settled-timestep observers that gate on the high phase
 	// (the bus cycle probe) see every flat cycle as a settled posedge.
 	clk.sig.SetInit(true)
-	return &Flat{k: k, clk: clk, waves: combWaves, half: half}, nil
+	return &Flat{k: k, clk: clk, waves: combWaves, half: clk.Period() / 2}, nil
 }
 
 // RunCycles advances the model by n settled clock cycles. Simulated time

@@ -232,7 +232,7 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 		return m, "", err
 	}
 	backend := exec.Compiled()
-	if exec.Blocker(exec.AnalyzerFeatures(az)|exec.ClockFeatures(ct.ClockPeriod()), exec.PathCompiled) != "" {
+	if exec.Blocker(exec.AnalyzerFeatures(az), exec.PathCompiled) != "" {
 		backend = exec.Event()
 	}
 	if err := backend.Run(ctx, sys, prefix); err != nil {

@@ -176,7 +176,6 @@ func TestTraitsUnsupported(t *testing.T) {
 		fs   exec.Feature
 	}{
 		{"faults", exec.FeatureActiveFaults},
-		{"fault-plan", exec.FeatureFaultPlan},
 		{"setup", exec.FeatureSetup},
 		{"keep-system", exec.FeatureKeepSystem},
 		{"skip-analyzer", exec.FeatureNoAnalyzer},
@@ -191,15 +190,13 @@ func TestTraitsUnsupported(t *testing.T) {
 			t.Errorf("%s: Blocker(TLM) = \"\", want a reason", c.name)
 		}
 	}
-	// The estimator honours private-style instrumentation and odd clocks;
-	// only its cycle-accurate prefix run has to pick the event path.
-	for _, fs := range []exec.Feature{
-		exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate}),
-		exec.ClockFeatures(10001),
-	} {
-		if r := exec.Blocker(fs, exec.PathTLM); r != "" {
-			t.Errorf("features %#x: Blocker(TLM) = %q, want none", fs, r)
-		}
+	// The estimator honours private-style instrumentation; only its
+	// cycle-accurate prefix run has to pick the event path. Odd clocks and
+	// FailFirst-only fault plans are no features at all: the engine fails
+	// a plan's early attempts before it dispatches to any path.
+	fs := exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate})
+	if r := exec.Blocker(fs, exec.PathTLM); r != "" {
+		t.Errorf("features %#x: Blocker(TLM) = %q, want none", fs, r)
 	}
 }
 

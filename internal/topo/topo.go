@@ -7,9 +7,8 @@
 //
 // Topology is also the wire form: the serving layer accepts it verbatim
 // as the "topology" object of a scenario, and the count-based legacy
-// forms (core.SystemConfig, the serve layer's SystemSpec) canonicalize
-// into it through Canonicalize, so both API generations build the same
-// systems byte for byte.
+// form (core.SystemConfig) canonicalizes into it through Canonicalize, so
+// both API generations build the same systems byte for byte.
 //
 // Validate is the ERC (electrical-rule-check-style) compliance pass that
 // makes arbitrary user topologies safe to accept from untrusted traffic:
@@ -151,9 +150,9 @@ type Topology struct {
 }
 
 // Counts is the count-based legacy description: the fields of
-// core.SystemConfig and the serve layer's SystemSpec, which Canonicalize
-// expands into an explicit Topology ("N equal slaves in equal contiguous
-// regions", default master on the last port).
+// core.SystemConfig, which Canonicalize expands into an explicit
+// Topology ("N equal slaves in equal contiguous regions", default master
+// on the last port).
 type Counts struct {
 	// Masters is the number of workload-driven masters.
 	Masters int
@@ -176,9 +175,9 @@ type Counts struct {
 
 // Canonicalize expands a count-based description into its canonical
 // topology. This is the compatibility contract the legacy API rides on:
-// core.NewSystem and the serve layer's count-based SystemSpec both decode
-// through here, so a count-based system and its explicit topology twin
-// build byte-identical simulations and share one canonical cache key.
+// core.NewSystem decodes through here, so a count-based system and its
+// explicit topology twin build byte-identical simulations and share one
+// canonical cache key.
 func Canonicalize(c Counts) Topology {
 	rs := c.RegionSize
 	if rs == 0 {

@@ -60,9 +60,6 @@ const (
 	// WarnAddrGap: unmapped hole between mapped regions; accesses there
 	// get the default slave's two-cycle ERROR response.
 	WarnAddrGap Code = "W_ADDR_GAP"
-	// WarnOddClock: odd clock period; the compiled execution backend will
-	// fall back to the event kernel (sim.Flat requires an even period).
-	WarnOddClock Code = "W_ODD_CLOCK"
 	// WarnNoDefaultMaster: no master marked default; the bus parks on the
 	// last listed master when idle, as in the legacy count-based API.
 	WarnNoDefaultMaster Code = "W_NO_DEFAULT_MASTER"
@@ -76,7 +73,6 @@ const (
 	refDefaultMstr = "AMBA 2.0 AHB §3.11.2 (default master drives IDLE transfers)"
 	refDefaultSlv  = "AMBA 2.0 AHB §3.6.1 (default slave responds ERROR to undecoded non-IDLE transfers)"
 	refWidth       = "AMBA 2.0 AHB §6.4 (supported data-bus widths)"
-	refFlat        = "DESIGN.md §9 (sim.Flat even-period contract)"
 )
 
 // Error is one ERC rule violation: a typed code, the component path it
@@ -197,10 +193,6 @@ func Validate(t Topology) ([]Error, []Warning) {
 	case period > sim.Second:
 		errs = append(errs, Error{ErrBadClock, "clock_period_ps",
 			fmt.Sprintf("period %d ps exceeds one second", t.ClockPeriodPS), ""})
-	case period%2 != 0:
-		warns = append(warns, Warning{WarnOddClock, "clock_period_ps",
-			fmt.Sprintf("odd period %d ps: the compiled execution backend will fall back to the event kernel", t.ClockPeriodPS),
-			refFlat})
 	}
 	switch t.DataWidth {
 	case 8, 16, 32:

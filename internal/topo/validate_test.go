@@ -220,12 +220,6 @@ func TestWarnAddrGap(t *testing.T) {
 	}
 }
 
-func TestWarnOddClock(t *testing.T) {
-	tp := validTopo()
-	tp.ClockPeriodPS = 10_001
-	hasWarn(t, tp, WarnOddClock)
-}
-
 func TestWarnNoDefaultMaster(t *testing.T) {
 	tp := validTopo()
 	tp.Masters = []Master{{}, {}}

@@ -345,7 +345,7 @@ func fingerprint(results []engine.Result) []byte {
 // — and asserts the batch fingerprint matches the all-event baseline:
 // which kernel advances the cycles must be invisible in every observable
 // outcome, even with faults injected and retries in play. The soak
-// scenarios use no Setup hooks, DPM or delta-level instrumentation, so a
+// scenarios use no Setup hooks or delta-level instrumentation, so a
 // compiled pin must actually run compiled; any fallback is a violation.
 func backendMixPhase(cfg config, baseline []byte) []string {
 	var v []string
