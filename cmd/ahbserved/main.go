@@ -49,7 +49,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "maximum per-request deadline")
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "time in-flight batches may finish after SIGTERM before cancellation")
 	degradeAt := flag.Float64("degrade-at", 0.75, "queue-pressure fraction that enters degraded mode (negative disables)")
-	retries := flag.Int("retries", 2, "execution attempts per scenario for transient failures (1 disables retry)")
 	backend := flag.String("backend", "", "default execution backend for requests that don't pick one: event, compiled, lanes or auto")
 	accuracy := flag.String("accuracy", "", "default accuracy class for requests that don't pick one: cycle (exact) or transaction (calibrated estimate; part of the cache key)")
 	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate instead of just shedding options (approximate answers; opt-in)")
@@ -74,7 +73,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		DegradeAt:       *degradeAt,
-		Retry:           engine.RetryPolicy{MaxAttempts: *retries},
 		DefaultBackend:  *backend,
 		DefaultAccuracy: *accuracy,
 		DegradeEstimate: *degradeEstimate,

@@ -139,11 +139,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// A one-worker runner (rather than RunOne) so fault plans with
-	// fail_first get the engine's retry policy, as they would in a sweep.
-	runner := engine.NewRunner(1)
-	runner.Retry = engine.DefaultRetryPolicy()
-	res := runner.Run(ctx, []engine.Scenario{{
+	res := engine.RunOne(ctx, engine.Scenario{
 		Name:     "ahbsim",
 		System:   cfg,
 		Topo:     topol,
@@ -152,7 +148,7 @@ func main() {
 		Faults:   plan,
 		Backend:  *backend,
 		Accuracy: *accuracy,
-	}})[0]
+	})
 	if errors.Is(res.Err, context.Canceled) {
 		// Interrupted mid-run: keep the partial trace, skip the report.
 		fmt.Fprintln(os.Stderr, "ahbsim: interrupted")
@@ -180,9 +176,6 @@ func main() {
 		fmt.Printf("injected faults: errors=%d retries=%d splits=%d wait_states=%d addr_flips=%d data_flips=%d\n",
 			res.Faults.Errors, res.Faults.Retries, res.Faults.Splits,
 			res.Faults.WaitStates, res.Faults.AddrFlips, res.Faults.DataFlips)
-	}
-	if res.Attempts > 1 {
-		fmt.Printf("attempts: %d (transient failures retried)\n", res.Attempts)
 	}
 
 	r := res.Report

@@ -115,9 +115,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	runner := engine.NewRunner(*workers)
-	runner.Retry = engine.DefaultRetryPolicy()
-	results, batch := runner.RunMetered(ctx, scens)
+	results, batch := engine.NewRunner(*workers).RunMetered(ctx, scens)
 	if *showMetrics {
 		fmt.Fprintln(os.Stderr, batch.Format())
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
@@ -207,33 +206,4 @@ func TestCheckpointFallbacks(t *testing.T) {
 				res.Accuracy, res.BackendFallback)
 		}
 	})
-}
-
-// TestRetryBackoffDeadline verifies the runner fails fast, classed as a
-// timeout, when the computed backoff would outlive the context deadline —
-// instead of sleeping out the delay just to report the stale transient
-// class.
-func TestRetryBackoffDeadline(t *testing.T) {
-	r := NewRunner(1)
-	r.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: 30 * time.Second, MaxBackoff: 30 * time.Second}
-	sc := Scenario{
-		Name:     "backoff-deadline",
-		System:   core.PaperSystem(),
-		Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal},
-		Cycles:   200,
-		Faults:   &fault.Plan{FailFirst: 3}, // transient failures invite retries
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	start := time.Now()
-	res := r.runScenario(ctx, 0, sc)
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("runScenario slept %v into a 30s backoff under a 2s deadline", elapsed)
-	}
-	if res.Err == nil {
-		t.Fatal("expected a failure")
-	}
-	if c := Classify(res.Err); c != ClassTimeout {
-		t.Errorf("failure class = %v, want %v (err: %v)", c, ClassTimeout, res.Err)
-	}
 }

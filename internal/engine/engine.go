@@ -63,10 +63,6 @@ type Scenario struct {
 	// functional-only baselines (e.g. the instrumentation-overhead
 	// experiment).
 	SkipAnalyzer bool
-	// KeepSystem retains the built System in the Result for post-run
-	// inspection. Leave false in large sweeps so memory is reclaimed as
-	// scenarios complete.
-	KeepSystem bool
 	// Faults, when non-nil, is the deterministic fault-injection plan
 	// compiled onto the system after the workload is loaded (see
 	// internal/fault). Plans participate in CanonicalKey, so faulty runs
@@ -74,8 +70,7 @@ type Scenario struct {
 	Faults *fault.Plan
 	// Timeout, when positive, bounds this scenario's wall-clock execution.
 	// On expiry the run stops at the next cycle-slice boundary and the
-	// scenario fails with a timeout-classed error; timeouts are never
-	// retried (a deterministic simulation would only time out again).
+	// scenario fails with a timeout-classed error.
 	Timeout time.Duration
 	// Backend is an execution hint: "", "event", "compiled", "auto" or
 	// "lanes" (see internal/exec). It selects how cycles are advanced,
@@ -203,7 +198,6 @@ func (sc *Scenario) features() exec.Feature {
 		f  exec.Feature
 	}{
 		{sc.Setup != nil, exec.FeatureSetup},
-		{sc.KeepSystem, exec.FeatureKeepSystem},
 		{sc.Timeout > 0, exec.FeatureTimeout},
 		{sc.Faults.Active(), exec.FeatureActiveFaults},
 		{sc.SkipAnalyzer, exec.FeatureNoAnalyzer},
@@ -252,11 +246,8 @@ type Result struct {
 	// simulated, kernel delta cycles, build and run wall times and the
 	// resulting throughput. Populated on success.
 	Metrics metrics.RunMetrics
-	// System is the built system, retained only when Scenario.KeepSystem.
-	System *core.System
-	// Attempts is the number of execution attempts made (>1 when the
-	// runner retried transient failures). Zero for scenarios abandoned
-	// before starting.
+	// Attempts is 1 for every executed scenario (each runs exactly once)
+	// and 0 for one abandoned before starting.
 	Attempts int
 	// Backend is the execution path that actually ran the scenario, the
 	// plan's Path ("event", "compiled", "lanes" or "tlm"). Empty for
@@ -289,9 +280,9 @@ type Result struct {
 	Faults *fault.Stats
 	// Err captures any failure: construction, workload generation, attach,
 	// simulation, or a panic inside the scenario. Runner batches wrap it
-	// in a *ScenarioError carrying the failure class and attempt count;
-	// scenarios abandoned before starting keep the raw context error. One
-	// failed scenario never aborts the rest of a batch.
+	// in a *ScenarioError carrying the failure class; scenarios abandoned
+	// before starting keep the raw context error. One failed scenario
+	// never aborts the rest of a batch.
 	Err error
 }
 
@@ -318,9 +309,6 @@ type Runner struct {
 	// cancelled ones. Scenarios abandoned before starting (batch
 	// cancellation) do not trigger it.
 	OnDone func(Result)
-	// Retry bounds how transiently failed scenarios are re-attempted.
-	// The zero value runs each scenario exactly once.
-	Retry RetryPolicy
 }
 
 // NewRunner returns a runner with the given pool size (minimum 1).
@@ -385,7 +373,8 @@ func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) 
 				if r.OnStart != nil {
 					r.OnStart(i)
 				}
-				results[i] = r.runScenario(ctx, i, scenarios[i])
+				results[i] = Execute(ctx, i, scenarios[i])
+				typeErr(&results[i])
 				executed[i] = true
 				if r.OnDone != nil {
 					r.OnDone(results[i])
@@ -463,20 +452,12 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 	return Execute(ctx, 0, sc)
 }
 
-// Execute builds and runs one scenario, capturing any failure — including
-// a panic anywhere in the model stack — in Result.Err. It is a single
-// attempt: fault-plan FailFirst failures and other transient errors come
-// back as-is; retrying is the Runner's job.
-func Execute(ctx context.Context, index int, sc Scenario) Result {
-	return executeAttempt(ctx, index, sc, 0)
-}
-
-// executeAttempt is Execute with an attempt number, so a fault plan's
-// FailFirst knob can fail early attempts and the retry loop can report
-// attempt counts. It plans the scenario once and dispatches on the plan's
-// path.
-func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (res Result) {
-	res = Result{Index: index, Scenario: sc, Attempts: attempt + 1}
+// Execute builds and runs one scenario exactly once, capturing any
+// failure — including a panic anywhere in the model stack — in
+// Result.Err, unwrapped (Runner batches type it as a *ScenarioError). It
+// plans the scenario once and dispatches on the plan's path.
+func Execute(ctx context.Context, index int, sc Scenario) (res Result) {
+	res = Result{Index: index, Scenario: sc}
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("engine: scenario %q panicked: %v", sc.Name, p)
@@ -489,13 +470,10 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 		res.Err = err
 		return res
 	}
+	res.Attempts = 1
 	plan, err := sc.Plan()
 	if err != nil {
 		res.Err = err
-		return res
-	}
-	if sc.Faults != nil && attempt < sc.Faults.FailFirst {
-		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, &fault.InjectedFault{Attempt: attempt})
 		return res
 	}
 	res.Backend, res.Accuracy = plan.Path, plan.Accuracy
@@ -634,9 +612,6 @@ func simulate(ctx context.Context, res *Result, plan Plan) {
 	if inj != nil {
 		st := inj.Stats()
 		res.Faults = &st
-	}
-	if sc.KeepSystem {
-		res.System = sys
 	}
 }
 

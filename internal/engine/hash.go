@@ -29,10 +29,10 @@ const hashVersion = "ahbpower/engine.Scenario/v4"
 // which is what makes the key usable as a result-cache address.
 //
 // ok is false when the scenario is not canonicalizable: a Setup hook,
-// KeepSystem, caller-supplied Models or an attached Trace all inject
-// state the encoding cannot see, so such scenarios must never be cached.
+// caller-supplied Models or an attached Trace all inject state the
+// encoding cannot see, so such scenarios must never be cached.
 func (sc *Scenario) CanonicalKey() (key string, ok bool) {
-	if sc.Setup != nil || sc.KeepSystem {
+	if sc.Setup != nil {
 		return "", false
 	}
 	if !sc.SkipAnalyzer && (sc.Analyzer.Models != nil || sc.Analyzer.Trace != nil) {
@@ -127,7 +127,7 @@ func (sc *Scenario) CanonicalKey() (key string, ok bool) {
 	if sc.Faults != nil {
 		p := sc.Faults
 		e.i64(p.Seed)
-		e.i64(int64(p.FailFirst))
+		e.i64(0) // the retired fail_first slot, kept so v4 keys stay unchanged
 		e.u64(uint64(len(p.Rules)))
 		for _, r := range p.Rules {
 			e.u64(uint64(r.Kind))

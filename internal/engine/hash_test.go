@@ -83,8 +83,7 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 		"FaultRuleArg": func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.KindError, Slave: -1, Master: -1, Count: 2}}}
 		},
-		"FailFirst": func(sc *Scenario) { sc.Faults = &fault.Plan{Seed: 1, FailFirst: 1} },
-		"Timeout":   func(sc *Scenario) { sc.Timeout = time.Second },
+		"Timeout": func(sc *Scenario) { sc.Timeout = time.Second },
 	}
 	seen := map[string]string{"base": base}
 	for name, mut := range fmuts {
@@ -123,6 +122,27 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyGolden pins two keys, one clean and one faulted: a
+// change to the canonical encoding that keeps the version tag would
+// silently re-address every cached result.
+func TestCanonicalKeyGolden(t *testing.T) {
+	clean := Scenario{Name: "paper", System: core.PaperSystem(), Cycles: 5000}
+	faulted := clean
+	faulted.Faults = &fault.Plan{Seed: 7, Rules: []fault.Rule{{Kind: fault.KindError, Slave: 0, Master: -1, Prob: 0.1, Count: 3}}}
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"clean", clean, "e076f3d59cd99a09ccd6181d448eccd56a9a259f7e2647b19cfd2e09560367cc"},
+		{"faulted", faulted, "3454517bcad164375feb6d3732c4412f26a2fc10db6ed3e29c50022661b13068"},
+	} {
+		if got, ok := c.sc.CanonicalKey(); !ok || got != c.want {
+			t.Errorf("%s: key %s (ok=%v), want %s", c.name, got, ok, c.want)
+		}
+	}
+}
+
 // TestCanonicalKeyIgnoresBackend pins the cache-sharing contract: the
 // execution backend is a hint about *how* a scenario runs, never about
 // *what* it computes, so it must not separate canonical keys. A result
@@ -148,9 +168,8 @@ func TestCanonicalKeyIgnoresBackend(t *testing.T) {
 
 func TestCanonicalKeyUnhashable(t *testing.T) {
 	cases := map[string]func(*Scenario){
-		"Setup":      func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } },
-		"KeepSystem": func(sc *Scenario) { sc.KeepSystem = true },
-		"Models":     func(sc *Scenario) { sc.Analyzer.Models = &power.Models{} },
+		"Setup":  func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } },
+		"Models": func(sc *Scenario) { sc.Analyzer.Models = &power.Models{} },
 		"Trace": func(sc *Scenario) {
 			tr, _ := metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
 			sc.Analyzer.Trace = tr

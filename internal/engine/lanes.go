@@ -50,9 +50,7 @@ func scheduleLanes(scenarios []Scenario) []runJob {
 	packOf := make(map[int][]int) // first member index → full pack
 	groups := make(map[string][]int)
 	for i := range scenarios {
-		// Any fault plan, even a FailFirst-only one, keeps the scenario on
-		// the per-scenario path, where the retry loop can honor it.
-		if p, err := scenarios[i].Plan(); err != nil || p.Path != lane.Name || scenarios[i].Faults != nil {
+		if p, err := scenarios[i].Plan(); err != nil || p.Path != lane.Name {
 			continue
 		}
 		eligible[i] = true
@@ -144,9 +142,8 @@ func scatterOutcome(res *Result, o lane.Outcome, build, run time.Duration) {
 // runPack executes one lane pack inside a runner batch: every member
 // reports OnStart when the pack begins, the pack runs as one packed
 // simulation, and each member's Result is scattered (and OnDone fired) in
-// member order. Packs bypass the retry loop — packed scenarios carry no
-// fault plan, so there is nothing transient to retry — and a
-// cancellation mid-pack keeps the results of lanes that already retired.
+// member order. A cancellation mid-pack keeps the results of lanes that
+// already retired.
 func (r *Runner) runPack(ctx context.Context, scenarios []Scenario, members []int, results []Result, executed []bool) {
 	if r.OnStart != nil {
 		for _, i := range members {
@@ -161,9 +158,7 @@ func (r *Runner) runPack(ctx context.Context, scenarios []Scenario, members []in
 	for j, i := range members {
 		res := Result{Index: i, Scenario: scenarios[i], Attempts: 1, Backend: lane.Name, Lanes: lanes, Accuracy: AccuracyCycle}
 		scatterOutcome(&res, outs[j], build, run)
-		if res.Err != nil {
-			res.Err = &ScenarioError{Name: scenarios[i].Name, Index: i, Class: Classify(res.Err), Attempts: 1, Err: res.Err}
-		}
+		typeErr(&res)
 		results[i] = res
 		executed[i] = true
 		if r.OnDone != nil {

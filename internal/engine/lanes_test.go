@@ -63,9 +63,10 @@ func TestScheduleLanesIneligible(t *testing.T) {
 		{"other-backend", func(sc *Scenario) { sc.Backend = exec.NameCompiled }},
 		{"default-backend", func(sc *Scenario) { sc.Backend = "" }},
 		{"setup-hook", func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }},
-		{"keep-system", func(sc *Scenario) { sc.KeepSystem = true }},
 		{"timeout", func(sc *Scenario) { sc.Timeout = time.Second }},
-		{"fault-plan", func(sc *Scenario) { sc.Faults = &fault.Plan{FailFirst: 1} }},
+		{"fault-plan", func(sc *Scenario) {
+			sc.Faults = &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1}}}
+		}},
 		{"zero-cycles", func(sc *Scenario) { sc.Cycles = 0 }},
 		{"private-style", func(sc *Scenario) { sc.Analyzer.Style = core.StylePrivate }},
 	}
@@ -118,7 +119,7 @@ func TestScheduleLanesSpillover(t *testing.T) {
 		scs = append(scs, laneScenario(fmt.Sprintf("s%02d", i), int64(i)))
 	}
 	tail := laneScenario("tail", 99)
-	tail.KeepSystem = true
+	tail.Backend = exec.NameCompiled
 	scs = append(scs, tail)
 
 	plan := scheduleLanes(scs)

@@ -25,12 +25,11 @@ type planKnob struct {
 
 // planKnobs are the scenario settings behind the capability table's
 // features, in table order. The fault-plan and checkpoint knobs are the
-// runnable forms: a plan without rules or FailFirst, which contributes no
-// feature, and a Save-only checkpoint.
+// runnable forms: a plan without rules, which contributes no feature, and
+// a Save-only checkpoint.
 func planKnobs(t *testing.T) []planKnob {
 	return []planKnob{
 		{"setup", exec.FeatureSetup, func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }},
-		{"keep", exec.FeatureKeepSystem, func(sc *Scenario) { sc.KeepSystem = true }},
 		{"timeout", exec.FeatureTimeout, func(sc *Scenario) { sc.Timeout = time.Minute }},
 		{"active-faults", exec.FeatureActiveFaults, func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 7, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}}
@@ -93,7 +92,7 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 }
 
 // TestPlanExhaustive enumerates every feature combination — the boolean
-// knobs, fault plan {none, FailFirst-only, active} and checkpoint {none,
+// knobs, fault plan {none, rules-free, active} and checkpoint {none,
 // save, resume} — under every hint and accuracy, and checks the plan
 // against the capability table: no chosen path or armed checkpoint is
 // blocked by a present feature, a fallback reason is set exactly when the
@@ -115,7 +114,7 @@ func TestPlanExhaustive(t *testing.T) {
 		fs   exec.Feature
 	}{
 		{nil, 0},
-		{&fault.Plan{FailFirst: 1}, 0},
+		{&fault.Plan{Seed: 1}, 0},
 		{&fault.Plan{Seed: 3, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}},
 			exec.FeatureActiveFaults},
 	}
@@ -161,7 +160,7 @@ func TestPlanExhaustive(t *testing.T) {
 			}
 		}
 	}
-	if rows != 4608*len(planHints)*len(planAccuracies) {
+	if rows != 2304*len(planHints)*len(planAccuracies) {
 		t.Fatalf("enumerated %d rows", rows)
 	}
 }

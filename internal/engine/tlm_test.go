@@ -82,24 +82,6 @@ func TestTransactionAccuracyFaultsFallBack(t *testing.T) {
 	}
 }
 
-// TestTransactionAccuracyFailFirstRetried checks a FailFirst-only fault
-// plan reaches the estimator: its injected failures are spent on attempts
-// that never dispatch, and the retry that succeeds runs the estimate.
-func TestTransactionAccuracyFailFirstRetried(t *testing.T) {
-	sc := tlmScenario("tlm-fail-first")
-	sc.Faults = &fault.Plan{Seed: 1, FailFirst: 2}
-	r := NewRunner(1)
-	r.Retry = fastRetry(3)
-	res := r.Run(context.Background(), []Scenario{sc})[0]
-	if res.Err != nil {
-		t.Fatalf("run: %v", res.Err)
-	}
-	if res.Attempts != 3 || res.Backend != tlm.Name || res.Accuracy != AccuracyTransaction || res.BackendFallback != "" {
-		t.Errorf("attempts=%d backend=%q accuracy=%q fallback=%q; want 3 attempts on the estimator",
-			res.Attempts, res.Backend, res.Accuracy, res.BackendFallback)
-	}
-}
-
 // TestTransactionAccuracyUnsupportedFeatures walks the other conservative
 // fallbacks and checks each surfaces its reason.
 func TestTransactionAccuracyUnsupportedFeatures(t *testing.T) {
@@ -109,7 +91,6 @@ func TestTransactionAccuracyUnsupportedFeatures(t *testing.T) {
 		want string
 	}{
 		{"setup", func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }, "Setup"},
-		{"keep-system", func(sc *Scenario) { sc.KeepSystem = true }, "KeepSystem"},
 		{"trace-window", func(sc *Scenario) { sc.Analyzer.TraceWindow = 1e-6 }, "windowed"},
 		{"activity", func(sc *Scenario) { sc.Analyzer.RecordActivity = true }, "activity"},
 		{"dpm", func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8} }, "DPM"},

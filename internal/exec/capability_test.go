@@ -13,7 +13,6 @@ import (
 func TestCapabilityTable(t *testing.T) {
 	const (
 		setup   = "custom Setup hook"
-		keep    = "KeepSystem retains the kernel-backed system"
 		timeout = "per-scenario timeout"
 		active  = "active fault-injection plan"
 		noAn    = "no analyzer attached, nothing to estimate"
@@ -30,7 +29,6 @@ func TestCapabilityTable(t *testing.T) {
 		want [4]string // compiled, lanes, TLM, checkpoint
 	}{
 		{FeatureSetup, [4]string{setup, setup, setup, setup}},
-		{FeatureKeepSystem, [4]string{"", keep, keep, ""}},
 		{FeatureTimeout, [4]string{"", timeout, "", ""}},
 		{FeatureActiveFaults, [4]string{"", active, active, ""}},
 		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},

@@ -78,7 +78,6 @@ type Feature uint16
 // a path, the earliest one names the fallback reason.
 const (
 	FeatureSetup         Feature = 1 << iota // custom Setup hook
-	FeatureKeepSystem                        // the built system is retained in the result
 	FeatureTimeout                           // per-scenario wall-clock timeout
 	FeatureActiveFaults                      // a fault plan with active rules
 	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
@@ -113,12 +112,10 @@ var capabilities = [...]struct {
 	// Arbitrary construction-time code may register processes or state
 	// no static schedule, lane interpreter, estimator or snapshot sees.
 	{FeatureSetup, PathCompiled | PathLanes | PathTLM | PathCheckpoint, "custom Setup hook"},
-	// Lanes and the estimator build no kernel-backed system to keep.
-	{FeatureKeepSystem, PathLanes | PathTLM, "KeepSystem retains the kernel-backed system"},
 	// Pack members share one execution and cannot be timed out singly.
 	{FeatureTimeout, PathLanes, "per-scenario timeout"},
 	// Injectors hook the kernel's signal fabric cycle by cycle. A plan
-	// with only FailFirst fails attempts before any path is dispatched.
+	// without rules injects nothing and is no feature.
 	{FeatureActiveFaults, PathLanes | PathTLM, "active fault-injection plan"},
 	// With no analyzer there is no energy to estimate.
 	{FeatureNoAnalyzer, PathTLM, "no analyzer attached, nothing to estimate"},

@@ -12,15 +12,20 @@ import (
 	"ahbpower/internal/fault"
 )
 
-// scenario builds a paper-system scenario carrying the given plan.
-func scenario(name string, plan *fault.Plan, cycles uint64, keep bool) engine.Scenario {
-	return engine.Scenario{
-		Name:       name,
-		System:     core.PaperSystem(),
-		Cycles:     cycles,
-		KeepSystem: keep,
-		Faults:     plan,
+// scenario builds a paper-system scenario carrying the given plan. A
+// non-nil sys receives the built system through the Setup hook, for
+// post-run inspection.
+func scenario(name string, plan *fault.Plan, cycles uint64, sys **core.System) engine.Scenario {
+	sc := engine.Scenario{
+		Name:   name,
+		System: core.PaperSystem(),
+		Cycles: cycles,
+		Faults: plan,
 	}
+	if sys != nil {
+		sc.Setup = func(s *core.System) error { *sys = s; return nil }
+	}
+	return sc
 }
 
 // mustRun executes the scenario and fails the test on any error.
@@ -73,8 +78,7 @@ func TestKindWireNames(t *testing.T) {
 
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := &fault.Plan{
-		Seed:      42,
-		FailFirst: 1,
+		Seed: 42,
 		Rules: []fault.Rule{
 			{Kind: fault.KindSplit, Slave: 0, Master: -1, Prob: 0.25, Count: 3, Hold: 6},
 			{Kind: fault.KindDataFlip, Slave: -1, Master: 1, Mask: 0x11},
@@ -123,6 +127,8 @@ func TestPlanValidation(t *testing.T) {
 		`{"rules":[{"kind":"error","slave":-2}]}`,
 		`{"rules":[{"kind":"addr-flip","slave":1}]}`,
 		`{"fail_first":-1}`,
+		`{"seed":1,"rulez":[]}`,
+		`{"seed":1} {"seed":2}`,
 	}
 	for i, s := range bad {
 		if _, err := fault.Parse([]byte(s)); err == nil {
@@ -172,12 +178,13 @@ func TestForcedErrors(t *testing.T) {
 	plan := &fault.Plan{Seed: 7, Rules: []fault.Rule{
 		{Kind: fault.KindError, Slave: -1, Master: -1, Count: 3},
 	}}
-	res := mustRun(t, scenario("errors", plan, 2000, true))
+	var sys *core.System
+	res := mustRun(t, scenario("errors", plan, 2000, &sys))
 	if res.Faults == nil || res.Faults.Errors != 3 {
 		t.Fatalf("injector stats = %+v, want 3 errors", res.Faults)
 	}
 	var seen uint64
-	for _, m := range res.System.Masters {
+	for _, m := range sys.Masters {
 		seen += m.Stats().Errors
 	}
 	if seen < 3 {
@@ -193,13 +200,14 @@ func TestForcedRetries(t *testing.T) {
 	plan := &fault.Plan{Seed: 7, Rules: []fault.Rule{
 		{Kind: fault.KindRetry, Slave: -1, Master: -1, Count: 2, Retries: 2},
 	}}
-	res := mustRun(t, scenario("retries", plan, 2000, true))
+	var sys *core.System
+	res := mustRun(t, scenario("retries", plan, 2000, &sys))
 	// Each of the 2 firings forces 2 consecutive RETRY responses.
 	if res.Faults == nil || res.Faults.Retries != 4 {
 		t.Fatalf("injector stats = %+v, want 4 retries", res.Faults)
 	}
 	var seen uint64
-	for _, m := range res.System.Masters {
+	for _, m := range sys.Masters {
 		seen += m.Stats().Retries
 	}
 	if seen < 4 {
@@ -215,18 +223,19 @@ func TestForcedSplits(t *testing.T) {
 	plan := &fault.Plan{Seed: 11, Rules: []fault.Rule{
 		{Kind: fault.KindSplit, Slave: -1, Master: -1, Count: 2, Hold: 6},
 	}}
-	res := mustRun(t, scenario("splits", plan, 3000, true))
+	var sys *core.System
+	res := mustRun(t, scenario("splits", plan, 3000, &sys))
 	if res.Faults == nil || res.Faults.Splits != 2 {
 		t.Fatalf("injector stats = %+v, want 2 splits", res.Faults)
 	}
 	var seen uint64
-	for _, m := range res.System.Masters {
+	for _, m := range sys.Masters {
 		seen += m.Stats().Splits
 	}
 	if seen < 2 {
 		t.Errorf("masters observed %d SPLIT responses, want >= 2", seen)
 	}
-	if got := res.System.Bus.SplitMask(); got != 0 {
+	if got := sys.Bus.SplitMask(); got != 0 {
 		t.Errorf("split mask=%#x after run, want 0 (every split resumed)", got)
 	}
 	if len(res.Violations) != 0 {
@@ -236,22 +245,23 @@ func TestForcedSplits(t *testing.T) {
 }
 
 func TestForcedWaitStates(t *testing.T) {
-	base := mustRun(t, scenario("waits-base", nil, 2000, true))
+	var baseSys, sys *core.System
+	mustRun(t, scenario("waits-base", nil, 2000, &baseSys))
 	plan := &fault.Plan{Seed: 13, Rules: []fault.Rule{
 		{Kind: fault.KindWaits, Slave: -1, Master: -1, Count: 2, Waits: 3},
 	}}
-	res := mustRun(t, scenario("waits", plan, 2000, true))
+	res := mustRun(t, scenario("waits", plan, 2000, &sys))
 	if res.Faults == nil || res.Faults.WaitStates != 6 {
 		t.Fatalf("injector stats = %+v, want 6 wait states", res.Faults)
 	}
-	waitSum := func(r engine.Result) uint64 {
+	waitSum := func(s *core.System) uint64 {
 		var w uint64
-		for _, m := range r.System.Masters {
+		for _, m := range s.Masters {
 			w += m.Stats().WaitCycle
 		}
 		return w
 	}
-	if bw, fw := waitSum(base), waitSum(res); fw <= bw {
+	if bw, fw := waitSum(baseSys), waitSum(sys); fw <= bw {
 		t.Errorf("faulted run waits=%d, want more than baseline %d", fw, bw)
 	}
 	if len(res.Violations) != 0 {
@@ -265,7 +275,7 @@ func TestForcedWaitStates(t *testing.T) {
 // move — while both conservation invariants keep holding.
 func TestFlipsPerturbEnergy(t *testing.T) {
 	const cycles = 2000
-	base := mustRun(t, scenario("flip-base", nil, cycles, false))
+	base := mustRun(t, scenario("flip-base", nil, cycles, nil))
 	for _, tc := range []struct {
 		name string
 		kind fault.Kind
@@ -276,7 +286,7 @@ func TestFlipsPerturbEnergy(t *testing.T) {
 		plan := &fault.Plan{Seed: 5, Rules: []fault.Rule{
 			{Kind: tc.kind, Slave: -1, Master: -1},
 		}}
-		res := mustRun(t, scenario("flip-"+tc.name, plan, cycles, false))
+		res := mustRun(t, scenario("flip-"+tc.name, plan, cycles, nil))
 		if res.Faults == nil || res.Faults.Total() == 0 {
 			t.Fatalf("%s: no flips fired: %+v", tc.name, res.Faults)
 		}
@@ -292,9 +302,7 @@ func TestFlipsPerturbEnergy(t *testing.T) {
 // injector counters and monitor counts exactly equal.
 func TestReplayDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		plan := fault.RandomPlan(seed)
-		plan.FailFirst = 0 // single-attempt runs here; retries are engine tests
-		sc := scenario("replay", plan, 2500, false)
+		sc := scenario("replay", fault.RandomPlan(seed), 2500, nil)
 		a := mustRun(t, sc)
 		b := mustRun(t, sc)
 		if math.Float64bits(a.Report.TotalEnergy) != math.Float64bits(b.Report.TotalEnergy) {
@@ -320,11 +328,12 @@ func TestSplitEnergyBalance(t *testing.T) {
 	plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{
 		{Kind: fault.KindSplit, Slave: -1, Master: -1, Prob: 0.2, Hold: 5},
 	}}
-	res := mustRun(t, scenario("split-energy", plan, 4000, true))
+	var sys *core.System
+	res := mustRun(t, scenario("split-energy", plan, 4000, &sys))
 	if res.Faults == nil || res.Faults.Splits == 0 {
 		t.Fatal("no splits fired")
 	}
-	if got := res.System.Bus.SplitMask(); got != 0 {
+	if got := sys.Bus.SplitMask(); got != 0 {
 		t.Errorf("split mask=%#x after run, want 0", got)
 	}
 	checkConservation(t, res.Report)

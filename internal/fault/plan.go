@@ -15,8 +15,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -197,12 +200,7 @@ type Plan struct {
 	// Seed drives every injection decision; identical seeds replay
 	// byte-identically on the same scenario.
 	Seed int64 `json:"seed"`
-	// FailFirst makes the scenario's first N execution attempts fail with
-	// a transient InjectedFault before the simulation is even built — the
-	// knob that exercises (and tests) the engine's retry path.
-	FailFirst int `json:"fail_first,omitempty"`
-	// Rules are the fault sources; an empty list (with FailFirst 0) is a
-	// no-op plan.
+	// Rules are the fault sources; an empty list is a no-op plan.
 	Rules []Rule `json:"rules,omitempty"`
 }
 
@@ -215,9 +213,6 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.FailFirst < 0 {
-		return fmt.Errorf("fault: fail_first %d is negative", p.FailFirst)
-	}
 	for i := range p.Rules {
 		if err := p.Rules[i].validate(i); err != nil {
 			return err
@@ -226,11 +221,17 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Parse decodes and validates a JSON plan.
+// Parse decodes and validates a JSON plan. Unknown fields are refused,
+// as on the wire: a misspelt key must not silently become a no-op plan.
 func Parse(b []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("fault: parsing plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("fault: parsing plan: data after the plan object")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -253,9 +254,6 @@ func LoadFile(path string) (*Plan, error) {
 func RandomPlan(seed int64) *Plan {
 	rng := rand.New(rand.NewSource(subSeed(seed, 0x706c616e, 0))) // "plan"
 	p := &Plan{Seed: seed}
-	if rng.Intn(7) == 0 {
-		p.FailFirst = 1 // occasionally exercise the engine retry path
-	}
 	masks := []uint32{1, 1 << 3, 1 << 4, 1 << 9, 0x11, 0x80000001}
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		r := Rule{
@@ -279,22 +277,6 @@ func RandomPlan(seed int64) *Plan {
 	}
 	return p
 }
-
-// InjectedFault is the transient error a Plan.FailFirst attempt fails
-// with. The engine's failure classifier recognizes its Transient marker
-// and retries.
-type InjectedFault struct {
-	// Attempt is the zero-based execution attempt that was failed.
-	Attempt int
-}
-
-// Error implements error.
-func (f *InjectedFault) Error() string {
-	return fmt.Sprintf("fault: injected transient failure (attempt %d)", f.Attempt)
-}
-
-// Transient marks the fault as retryable.
-func (f *InjectedFault) Transient() bool { return true }
 
 // subSeed derives an independent PRNG seed from a plan seed and an
 // interceptor identity, splitmix64-style, so adding one interceptor never

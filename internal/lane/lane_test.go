@@ -291,7 +291,6 @@ func TestLaneTraitsUnsupported(t *testing.T) {
 	}{
 		{"ok", 0, ""},
 		{"setup", exec.FeatureSetup, "custom Setup hook"},
-		{"keep", exec.FeatureKeepSystem, "KeepSystem retains the kernel-backed system"},
 		{"timeout", exec.FeatureTimeout, "per-scenario timeout"},
 		{"faults", exec.FeatureActiveFaults, "active fault-injection plan"},
 		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}}), "DPM estimator attached"},

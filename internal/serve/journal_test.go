@@ -278,6 +278,29 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	st.close()
 }
 
+// TestJournalReplayIgnoresRetiredFields replays an accepted job whose
+// fault plan still carries the retired fail_first knob. Replay decodes
+// leniently, unlike the request decoder, so the job is re-admitted
+// without the field and completes instead of failing the daemon's start.
+func TestJournalReplayIgnoresRetiredFields(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"t":"accepted","job":"job-000001","req":{"scenarios":[` +
+		`{"name":"old","cycles":1000,"faults":{"seed":1,"fail_first":1}}]}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, Config{Workers: 1, StateDir: dir})
+	defer s.Drain(time.Second)
+	st := pollJob(t, s.Handler(), "job-000001")
+	if st.Status != JobDone || st.Response == nil || len(st.Response.Results) != 1 {
+		t.Fatalf("recovered job: %+v", st)
+	}
+	var res wireResult
+	if err := json.Unmarshal(st.Response.Results[0], &res); err != nil || res.Error != "" {
+		t.Fatalf("recovered scenario: err=%v result=%s", err, st.Response.Results[0])
+	}
+}
+
 // TestCheckpointArmingFollowsPlan checks checkpoints are armed by the
 // scenario's plan, not its hint: a lanes-hinted private-style scenario
 // plans onto the event kernel and is armed, while a lane-eligible twin

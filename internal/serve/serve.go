@@ -58,11 +58,6 @@ type Config struct {
 	// no_cache requests, with the degradation reported in the response
 	// envelope. 0 selects the default 0.75; negative disables degradation.
 	DegradeAt float64
-	// Retry is the engine retry policy applied to every batch (transient
-	// injected failures re-attempted with capped exponential backoff).
-	// A zero MaxAttempts selects the default (2 attempts, 25ms → 250ms,
-	// ±20% jitter); a negative MaxAttempts disables retries.
-	Retry engine.RetryPolicy
 	// DefaultBackend is the execution backend applied to scenarios whose
 	// request carries no backend of its own: "" or "event" (the default),
 	// "compiled", "lanes" (bit-parallel packs, scheduled by the runner),
@@ -139,12 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.DegradeAt == 0 {
 		c.DegradeAt = 0.75
 	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = engine.RetryPolicy{MaxAttempts: 2, BaseBackoff: 25 * time.Millisecond,
-			MaxBackoff: 250 * time.Millisecond, Jitter: 0.2}
-	} else if c.Retry.MaxAttempts < 0 {
-		c.Retry = engine.RetryPolicy{}
-	}
 	return c
 }
 
@@ -200,7 +189,6 @@ type counters struct {
 	degradedTraceShed   expvar.Int // scenarios whose trace options were shed
 	degradedCacheServed expvar.Int // cache hits served despite no_cache
 	degradedEstimated   expvar.Int // scenarios downgraded to transaction accuracy under pressure
-	scenariosRetried    expvar.Int // scenarios that needed >1 attempt
 
 	backendEventRuns    expvar.Int // scenarios executed on the event backend
 	backendCompiledRuns expvar.Int // scenarios executed on the compiled backend
@@ -270,7 +258,6 @@ func Open(cfg Config) (*Server, error) {
 		"degraded_trace_shed":   &s.ctr.degradedTraceShed,
 		"degraded_cache_served": &s.ctr.degradedCacheServed,
 		"degraded_estimated":    &s.ctr.degradedEstimated,
-		"scenarios_retried":     &s.ctr.scenariosRetried,
 
 		"backend_event_runs":    &s.ctr.backendEventRuns,
 		"backend_compiled_runs": &s.ctr.backendCompiledRuns,
@@ -451,14 +438,23 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
+// decode reads a request body under the body bound, refusing unknown
+// fields.
+func (s *Server) decode(r *http.Request, req *RunRequest) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
+}
+
 // decodeRun parses and validates a run request into engine scenarios and
 // their canonical cache keys ("" = uncacheable).
 func (s *Server) decodeRun(r *http.Request) (*RunRequest, []engine.Scenario, []string, error) {
 	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, fmt.Errorf("decoding request: %w", err)
+	if err := s.decode(r, &req); err != nil {
+		return nil, nil, nil, err
 	}
 	scenarios, keys, err := s.resolveRequest(&req)
 	if err != nil {
@@ -467,62 +463,79 @@ func (s *Server) decodeRun(r *http.Request) (*RunRequest, []engine.Scenario, []s
 	return &req, scenarios, keys, nil
 }
 
-// resolveRequest validates an already-decoded request and resolves it
-// into engine scenarios and canonical cache keys. It is deterministic in
-// (request, config), which is what lets journal replay re-resolve a
-// recovered job to the same scenarios and keys its first admission
-// computed.
+// resolveRequest validates an already-decoded request and resolves every
+// scenario, failing on the first error. It is deterministic in (request,
+// config), which is what lets journal replay re-resolve a recovered job
+// to the same scenarios and keys its first admission computed.
 func (s *Server) resolveRequest(req *RunRequest) ([]engine.Scenario, []string, error) {
-	if len(req.Scenarios) == 0 {
-		return nil, nil, errors.New("request has no scenarios")
-	}
-	if len(req.Scenarios) > s.cfg.MaxScenarios {
-		return nil, nil, fmt.Errorf("request has %d scenarios, limit %d", len(req.Scenarios), s.cfg.MaxScenarios)
-	}
-	if !exec.ValidName(req.Backend) {
-		return nil, nil, fmt.Errorf("unknown backend %q (want event|compiled|lanes|auto)", req.Backend)
-	}
-	if !engine.ValidAccuracy(req.Accuracy) {
-		return nil, nil, fmt.Errorf("unknown accuracy %q (want cycle|transaction)", req.Accuracy)
+	if err := s.checkRequest(req); err != nil {
+		return nil, nil, err
 	}
 	scenarios := make([]engine.Scenario, len(req.Scenarios))
 	keys := make([]string, len(req.Scenarios))
 	for i := range req.Scenarios {
-		sc, err := req.Scenarios[i].Scenario(i)
+		sc, key, err := s.resolveScenario(req, i)
 		if err != nil {
 			return nil, nil, err
 		}
-		if sc.Cycles > s.cfg.MaxCycles {
-			return nil, nil, fmt.Errorf("scenario %q: %d cycles exceeds the per-scenario limit %d", sc.Name, sc.Cycles, s.cfg.MaxCycles)
-		}
-		// Backend resolution: scenario hint, then request default, then
-		// server default. Deliberately after CanonicalKey-relevant fields
-		// are settled — the hint never affects the key.
-		if sc.Backend == "" {
-			sc.Backend = req.Backend
-		}
-		if sc.Backend == "" {
-			sc.Backend = s.cfg.DefaultBackend
-		}
-		if !exec.ValidName(sc.Backend) {
-			return nil, nil, fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|lanes|auto)", sc.Name, sc.Backend)
-		}
-		// Accuracy resolution mirrors the backend chain — scenario, then
-		// request, then server default — but must settle *before* the key
-		// is computed: accuracy is part of the result identity.
-		if sc.Accuracy == "" {
-			sc.Accuracy = req.Accuracy
-		}
-		if sc.Accuracy == "" {
-			sc.Accuracy = s.cfg.DefaultAccuracy
-		}
-		if !engine.ValidAccuracy(sc.Accuracy) {
-			return nil, nil, fmt.Errorf("scenario %q: unknown accuracy %q (want cycle|transaction)", sc.Name, sc.Accuracy)
-		}
-		scenarios[i] = sc
-		keys[i], _ = sc.CanonicalKey()
+		scenarios[i], keys[i] = sc, key
 	}
 	return scenarios, keys, nil
+}
+
+// checkRequest validates what a request sets for its whole batch: the
+// scenario count and the request-level backend and accuracy defaults.
+func (s *Server) checkRequest(req *RunRequest) error {
+	if len(req.Scenarios) == 0 {
+		return errors.New("request has no scenarios")
+	}
+	if len(req.Scenarios) > s.cfg.MaxScenarios {
+		return fmt.Errorf("request has %d scenarios, limit %d", len(req.Scenarios), s.cfg.MaxScenarios)
+	}
+	if !exec.ValidName(req.Backend) {
+		return fmt.Errorf("unknown backend %q (want event|compiled|lanes|auto)", req.Backend)
+	}
+	if !engine.ValidAccuracy(req.Accuracy) {
+		return fmt.Errorf("unknown accuracy %q (want cycle|transaction)", req.Accuracy)
+	}
+	return nil
+}
+
+// resolveScenario resolves scenario i of a checked request into the
+// engine scenario /v1/run executes and its canonical cache key: wire
+// decode, the cycle limit, then the backend and accuracy inherited
+// scenario → request → server default. On error the returned scenario
+// still carries the name.
+func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, string, error) {
+	sc, err := req.Scenarios[i].Scenario(i)
+	if err != nil {
+		return sc, "", err
+	}
+	if sc.Cycles > s.cfg.MaxCycles {
+		return sc, "", fmt.Errorf("scenario %q: %d cycles exceeds the per-scenario limit %d", sc.Name, sc.Cycles, s.cfg.MaxCycles)
+	}
+	// The backend hint never affects the key; accuracy is part of the
+	// result identity, so it must settle before the key is computed.
+	if sc.Backend == "" {
+		sc.Backend = req.Backend
+	}
+	if sc.Backend == "" {
+		sc.Backend = s.cfg.DefaultBackend
+	}
+	if !exec.ValidName(sc.Backend) {
+		return sc, "", fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|lanes|auto)", sc.Name, sc.Backend)
+	}
+	if sc.Accuracy == "" {
+		sc.Accuracy = req.Accuracy
+	}
+	if sc.Accuracy == "" {
+		sc.Accuracy = s.cfg.DefaultAccuracy
+	}
+	if !engine.ValidAccuracy(sc.Accuracy) {
+		return sc, "", fmt.Errorf("scenario %q: unknown accuracy %q (want cycle|transaction)", sc.Name, sc.Accuracy)
+	}
+	key, _ := sc.CanonicalKey()
+	return sc, key, nil
 }
 
 // handleRun serves POST /v1/run.
@@ -577,37 +590,33 @@ func errorWire(err error) ErrorWire {
 }
 
 // handleValidate serves POST /v1/validate: the dry-run path of the same
-// decode + ERC validation /v1/run performs before admission, reported
-// per scenario without consuming a queue slot or executing anything.
-// The report itself answers 200 whether or not the scenarios validate;
-// only an undecodable body is a 400.
+// decode, resolution and ERC validation /v1/run performs before
+// admission, reported per scenario without consuming a queue slot or
+// executing anything. A valid scenario reports the key /v1/run would use.
+// The report answers 200 whether or not the scenarios validate; an
+// undecodable body or a request-level error is a 400, as on /v1/run.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	s.ctr.validateRequests.Add(1)
 	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.ctr.badRequests.Add(1)
-		s.ctr.validateRejects.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorWire(fmt.Errorf("decoding request: %w", err)))
-		return
+	err := s.decode(r, &req)
+	if err == nil {
+		err = s.checkRequest(&req)
 	}
-	if len(req.Scenarios) == 0 {
+	if err != nil {
 		s.ctr.badRequests.Add(1)
 		s.ctr.validateRejects.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorWire(errors.New("request has no scenarios")))
+		writeJSON(w, http.StatusBadRequest, errorWire(err))
 		return
 	}
 	resp := ValidateResponse{Valid: true}
 	for i := range req.Scenarios {
-		sc, err := req.Scenarios[i].Scenario(i)
-		vr := ValidateResult{Name: sc.Name}
+		sc, key, err := s.resolveScenario(&req, i)
+		vr := ValidateResult{Name: sc.Name, Key: key}
 		if err == nil {
 			vr.Valid = true
 			// A clean decode can still carry advisory findings (address-map
 			// gaps, no default master).
 			_, vr.Warnings = topo.Validate(sc.Topology())
-			vr.Key, _ = sc.CanonicalKey()
 		} else {
 			resp.Valid = false
 			vr.Error = err.Error()
@@ -903,15 +912,11 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 			}
 			runner := engine.NewRunner(s.cfg.Workers)
 			runner.OnDone = onDone
-			runner.Retry = s.cfg.Retry
 			res, batch := runner.RunMetered(ctx, miss)
 			release()
 			s.ctr.running.Add(-1)
 			resp.Batch.BatchMetricsWire = batch.Wire()
 			for n := range res {
-				if res[n].Attempts > 1 {
-					s.ctr.scenariosRetried.Add(1)
-				}
 				if res[n].ResumedFrom > 0 {
 					s.ctr.scenariosResumed.Add(1)
 				}

@@ -458,6 +458,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad policy", `{"scenarios":[{"cycles":100,"topology":{"masters":[{}],"slaves":[{"regions":[{"start":0,"size":1024}]}],"policy":"nope"}}]}`},
 		{"system alias", `{"scenarios":[{"cycles":100,"system":{"masters":2,"slaves":1}}]}`},
 		{"bad pattern", `{"scenarios":[{"cycles":100,"workloads":[{"seed":1,"pattern":"nope"}]}]}`},
+		{"fail_first", `{"scenarios":[{"cycles":100,"faults":{"seed":1,"fail_first":1}}]}`},
 		{"not json", `scenario please`},
 	}
 	for _, c := range cases {

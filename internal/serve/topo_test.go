@@ -208,6 +208,43 @@ func TestValidateEndpoint(t *testing.T) {
 	if rr := postPath(h, "/v1/validate", `not json`); rr.Code != http.StatusBadRequest {
 		t.Errorf("garbage validate body: status %d, want 400", rr.Code)
 	}
+
+	// Validate resolves scenarios exactly as run does. (a) A request-level
+	// accuracy reaches the reported key.
+	lim := New(Config{Workers: 1, MaxCycles: 2000}).Handler()
+	txn := `{"accuracy":"transaction","scenarios":[{"name":"txn","cycles":1000}]}`
+	var tv ValidateResponse
+	if err := json.Unmarshal(postPath(lim, "/v1/validate", txn).Body.Bytes(), &tv); err != nil || !tv.Valid {
+		t.Fatalf("request-level accuracy: validate err=%v resp=%+v", err, tv)
+	}
+	var ran wireResult
+	if err := json.Unmarshal(decodeRun(t, post(lim, txn)).Results[0], &ran); err != nil || ran.Error != "" {
+		t.Fatalf("request-level accuracy: run err=%v result=%+v", err, ran)
+	}
+	if tv.Results[0].Key != ran.Key {
+		t.Errorf("validate key %s, run key %s", tv.Results[0].Key, ran.Key)
+	}
+	// (b, c) Request-level backend and accuracy errors are 400s on both.
+	for name, body := range map[string]string{
+		"request backend":  `{"backend":"warp","scenarios":[{"name":"b","cycles":1000}]}`,
+		"request accuracy": `{"accuracy":"exact","scenarios":[{"name":"a","cycles":1000}]}`,
+	} {
+		for _, path := range []string{"/v1/run", "/v1/validate"} {
+			if rr := postPath(lim, path, body); rr.Code != http.StatusBadRequest {
+				t.Errorf("%s on %s: status %d, want 400", name, path, rr.Code)
+			}
+		}
+	}
+	// (d) A scenario over the cycle limit is invalid.
+	over := `{"scenarios":[{"name":"big","cycles":5000}]}`
+	if rr := post(lim, over); rr.Code != http.StatusBadRequest {
+		t.Errorf("cycles over the limit: run status %d, want 400", rr.Code)
+	}
+	var ov ValidateResponse
+	if err := json.Unmarshal(postPath(lim, "/v1/validate", over).Body.Bytes(), &ov); err != nil ||
+		ov.Valid || ov.Results[0].Error == "" || ov.Results[0].Key != "" {
+		t.Errorf("cycles over the limit: validate err=%v resp=%+v", err, ov)
+	}
 }
 
 // TestRegionSizePropagation pins how slave region sizes reach the run:

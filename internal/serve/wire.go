@@ -306,10 +306,6 @@ type ResultWire struct {
 	// ran with an active fault plan. Injection is deterministic, so the
 	// counters are part of the byte-identity guarantee like energies.
 	Faults *fault.Stats `json:"faults,omitempty"`
-	// Attempts is the number of execution attempts (>1 when the runner
-	// retried an injected transient failure). Deterministic for a fixed
-	// server retry policy; omitted for single-attempt runs.
-	Attempts int `json:"attempts,omitempty"`
 	// Accuracy is the accuracy class the numbers in this result actually
 	// have ("cycle"|"transaction"). Part of the deterministic payload:
 	// the class is in the cache key, so cached bytes always agree with it.
@@ -350,9 +346,6 @@ func resultWire(res *engine.Result, key string) ResultWire {
 	w.Counts = res.Counts
 	w.Faults = res.Faults
 	w.Accuracy = res.Accuracy
-	if res.Attempts > 1 {
-		w.Attempts = res.Attempts
-	}
 	for _, v := range res.Violations {
 		w.Violations = append(w.Violations, v.Error())
 	}

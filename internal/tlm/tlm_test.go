@@ -177,7 +177,6 @@ func TestTraitsUnsupported(t *testing.T) {
 	}{
 		{"faults", exec.FeatureActiveFaults},
 		{"setup", exec.FeatureSetup},
-		{"keep-system", exec.FeatureKeepSystem},
 		{"skip-analyzer", exec.FeatureNoAnalyzer},
 		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}})},
 		{"trace-window", exec.AnalyzerFeatures(core.AnalyzerConfig{TraceWindow: 1e-6})},
@@ -192,8 +191,7 @@ func TestTraitsUnsupported(t *testing.T) {
 	}
 	// The estimator honours private-style instrumentation; only its
 	// cycle-accurate prefix run has to pick the event path. Odd clocks and
-	// FailFirst-only fault plans are no features at all: the engine fails
-	// a plan's early attempts before it dispatches to any path.
+	// rules-free fault plans are no features at all.
 	fs := exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate})
 	if r := exec.Blocker(fs, exec.PathTLM); r != "" {
 		t.Errorf("features %#x: Blocker(TLM) = %q, want none", fs, r)

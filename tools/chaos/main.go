@@ -2,11 +2,11 @@
 // randomized-but-seeded fault plans (fault.RandomPlan) through the batch
 // engine, asserting on every run the invariants that must survive any
 // injected fault — energy conservation, no deadline hangs, byte-identical
-// replay — plus control scenarios proving the engine's failure taxonomy:
-// a permanent failure surfaces as a typed per-scenario error without
-// poisoning its batch, and a transient injected failure succeeds after a
-// retry. With -addr it additionally soaks a live ahbserved daemon over
-// HTTP and asserts the same replay identity through the wire format.
+// replay, exactly one execution per scenario — plus a control proving the
+// engine's failure taxonomy: a permanent failure surfaces as a typed
+// per-scenario error, attempted once, without poisoning its batch. With
+// -addr it additionally soaks a live ahbserved daemon over HTTP and
+// asserts the same replay identity through the wire format.
 // With -crash-bin it runs the kill-recovery phase: boot an ahbserved on
 // a durable state dir, SIGKILL it mid-batch, restart it on the same dir
 // and assert every job completes byte-identical to an uninterrupted
@@ -68,7 +68,6 @@ type soakReport struct {
 	Seeds       int      `json:"seeds"`
 	Cycles      uint64   `json:"cycles"`
 	Scenarios   int      `json:"scenarios"`
-	Retried     int      `json:"retried"`
 	FaultEvents uint64   `json:"fault_events"`
 	ReplayOK    bool     `json:"replay_ok"`
 	BackendsOK  bool     `json:"backends_ok"`
@@ -98,8 +97,8 @@ func main() {
 	flag.Parse()
 
 	rep := runSoak(cfg, os.Stdout)
-	fmt.Printf("chaos: %d scenarios over %d seeds, %d retried, %d fault events, replay_ok=%v backends_ok=%v lanes_ok=%v tlm_ok=%v controls_ok=%v",
-		rep.Scenarios, rep.Seeds, rep.Retried, rep.FaultEvents, rep.ReplayOK, rep.BackendsOK, rep.LanesOK, rep.TLMOK, rep.ControlsOK)
+	fmt.Printf("chaos: %d scenarios over %d seeds, %d fault events, replay_ok=%v backends_ok=%v lanes_ok=%v tlm_ok=%v controls_ok=%v",
+		rep.Scenarios, rep.Seeds, rep.FaultEvents, rep.ReplayOK, rep.BackendsOK, rep.LanesOK, rep.TLMOK, rep.ControlsOK)
 	if cfg.addr != "" {
 		fmt.Printf(" daemon_ok=%v", rep.DaemonOK)
 	}
@@ -135,15 +134,10 @@ func runSoak(cfg config, logw io.Writer) soakReport {
 
 	scens, plans := buildScenarios(cfg)
 	rep.Scenarios = len(scens)
-	runner := engine.NewRunner(cfg.workers)
-	runner.Retry = engine.DefaultRetryPolicy()
-	results := runner.Run(context.Background(), scens)
+	results := engine.NewRunner(cfg.workers).Run(context.Background(), scens)
 	for i := range results {
 		res := &results[i]
 		rep.Violations = append(rep.Violations, checkResult(res, plans[i])...)
-		if res.Err == nil && res.Attempts > 1 {
-			rep.Retried++
-		}
 		if res.Faults != nil {
 			rep.FaultEvents += res.Faults.Total()
 		}
@@ -154,9 +148,7 @@ func runSoak(cfg config, logw io.Writer) soakReport {
 	}
 
 	// Replay: the identical batch must reproduce byte-identical outcomes.
-	replay := engine.NewRunner(cfg.workers)
-	replay.Retry = engine.DefaultRetryPolicy()
-	again := replay.Run(context.Background(), buildScenariosOnly(cfg))
+	again := engine.NewRunner(cfg.workers).Run(context.Background(), buildScenariosOnly(cfg))
 	a, b := fingerprint(results), fingerprint(again)
 	rep.ReplayOK = bytes.Equal(a, b)
 	if !rep.ReplayOK {
@@ -246,9 +238,9 @@ func policyFor(seed int64) ahb.ArbPolicy {
 }
 
 // checkResult applies the per-run invariants: the scenario must complete
-// (no hang, no unexpected failure), FailFirst plans must show exactly the
-// expected attempt count, the protocol monitor must stay clean, and both
-// energy decompositions must balance against the total.
+// (no hang, no unexpected failure) in exactly one attempt, the protocol
+// monitor must stay clean, and both energy decompositions must balance
+// against the total.
 func checkResult(res *engine.Result, plan *fault.Plan) []string {
 	var v []string
 	name := res.Scenario.Name
@@ -260,9 +252,8 @@ func checkResult(res *engine.Result, plan *fault.Plan) []string {
 		}
 		return v
 	}
-	want := 1 + plan.FailFirst
-	if res.Attempts != want {
-		v = append(v, fmt.Sprintf("%s: attempts=%d, want %d (fail_first=%d)", name, res.Attempts, want, plan.FailFirst))
+	if res.Attempts != 1 {
+		v = append(v, fmt.Sprintf("%s: attempts=%d, want 1", name, res.Attempts))
 	}
 	// Injected faults (flipped addresses, forced responses) are supposed to
 	// trip the protocol monitor — those show up in the replay fingerprint
@@ -344,9 +335,9 @@ func fingerprint(results []engine.Result) []byte {
 // execution backend pinned per scenario — alternating compiled and event
 // — and asserts the batch fingerprint matches the all-event baseline:
 // which kernel advances the cycles must be invisible in every observable
-// outcome, even with faults injected and retries in play. The soak
-// scenarios use no Setup hooks or delta-level instrumentation, so a
-// compiled pin must actually run compiled; any fallback is a violation.
+// outcome, even with faults injected. The soak scenarios use no Setup
+// hooks or delta-level instrumentation, so a compiled pin must actually
+// run compiled; any fallback is a violation.
 func backendMixPhase(cfg config, baseline []byte) []string {
 	var v []string
 	scens := buildScenariosOnly(cfg)
@@ -359,9 +350,7 @@ func backendMixPhase(cfg config, baseline []byte) []string {
 			scens[i].Backend = "event"
 		}
 	}
-	runner := engine.NewRunner(cfg.workers)
-	runner.Retry = engine.DefaultRetryPolicy()
-	results := runner.Run(context.Background(), scens)
+	results := engine.NewRunner(cfg.workers).Run(context.Background(), scens)
 	ranCompiled := 0
 	for i := range results {
 		res := &results[i]
@@ -499,9 +488,7 @@ func tlmPhase(cfg config, baseline []byte) []string {
 	for i := range scens {
 		scens[i].Accuracy = engine.AccuracyTransaction
 	}
-	fbRunner := engine.NewRunner(cfg.workers)
-	fbRunner.Retry = engine.DefaultRetryPolicy()
-	faulted := fbRunner.Run(context.Background(), scens)
+	faulted := engine.NewRunner(cfg.workers).Run(context.Background(), scens)
 	for i := range faulted {
 		res := &faulted[i]
 		if res.Err != nil {
@@ -522,10 +509,9 @@ func tlmPhase(cfg config, baseline []byte) []string {
 	return v
 }
 
-// controlChecks proves the failure taxonomy on known-bad scenarios: a
-// permanent failure comes back as a typed, classified error while its
-// batch neighbors complete, and a transient injected failure is retried
-// to success.
+// controlChecks proves the failure taxonomy on a known-bad scenario: a
+// permanent failure comes back as a typed, classified error, attempted
+// once, while its batch neighbors complete.
 func controlChecks(cfg config) []string {
 	var v []string
 	good := func(name string, seed int64) engine.Scenario {
@@ -538,12 +524,8 @@ func controlChecks(cfg config) []string {
 		good("ctl-neighbor-a", 1),
 		{Name: "ctl-permanent", System: broken, Cycles: cfg.cycles, Timeout: cfg.timeout},
 		good("ctl-neighbor-b", 2),
-		{Name: "ctl-transient", System: core.PaperSystem(), Cycles: cfg.cycles, Timeout: cfg.timeout,
-			Faults: &fault.Plan{Seed: 3, FailFirst: 1}},
 	}
-	runner := engine.NewRunner(cfg.workers)
-	runner.Retry = engine.DefaultRetryPolicy()
-	results := runner.Run(context.Background(), scens)
+	results := engine.NewRunner(cfg.workers).Run(context.Background(), scens)
 
 	var se *engine.ScenarioError
 	perm := results[1]
@@ -556,8 +538,8 @@ func controlChecks(cfg config) []string {
 		if se.Class != engine.ClassPermanent {
 			v = append(v, fmt.Sprintf("control: permanent failure classified %s", se.Class))
 		}
-		if se.Attempts != 1 {
-			v = append(v, fmt.Sprintf("control: permanent failure attempted %d times", se.Attempts))
+		if perm.Attempts != 1 {
+			v = append(v, fmt.Sprintf("control: permanent failure attempted %d times", perm.Attempts))
 		}
 		if se.Name != "ctl-permanent" || se.Index != 1 {
 			v = append(v, fmt.Sprintf("control: typed error misattributed: name=%q index=%d", se.Name, se.Index))
@@ -566,12 +548,6 @@ func controlChecks(cfg config) []string {
 	if results[0].Err != nil || results[2].Err != nil {
 		v = append(v, fmt.Sprintf("control: batch poisoned by permanent failure: a=%v b=%v",
 			results[0].Err, results[2].Err))
-	}
-	tr := results[3]
-	if tr.Err != nil {
-		v = append(v, fmt.Sprintf("control: transient scenario failed despite retry policy: %v", tr.Err))
-	} else if tr.Attempts != 2 {
-		v = append(v, fmt.Sprintf("control: transient scenario attempts=%d, want 2", tr.Attempts))
 	}
 	return v
 }

@@ -45,8 +45,7 @@ func TestFingerprintDiscriminates(t *testing.T) {
 func TestCheckResultFlagsFailures(t *testing.T) {
 	plan := &fault.Plan{Seed: 1}
 	res := &engine.Result{Scenario: engine.Scenario{Name: "x"},
-		Err: &engine.ScenarioError{Name: "x", Class: engine.ClassPermanent, Attempts: 1,
-			Err: io.ErrUnexpectedEOF}}
+		Err: &engine.ScenarioError{Name: "x", Class: engine.ClassPermanent, Err: io.ErrUnexpectedEOF}}
 	if v := checkResult(res, plan); len(v) != 1 {
 		t.Errorf("failed scenario must yield one violation, got %v", v)
 	}
