@@ -51,7 +51,7 @@ func main() {
 	degradeAt := flag.Float64("degrade-at", 0.75, "queue-pressure fraction that enters degraded mode (negative disables)")
 	backend := flag.String("backend", "", "default execution backend for requests that don't pick one: event, compiled, lanes or auto")
 	accuracy := flag.String("accuracy", "", "default accuracy class for requests that don't pick one: cycle (exact) or transaction (calibrated estimate; part of the cache key)")
-	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate instead of just shedding options (approximate answers; opt-in)")
+	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate (approximate answers; opt-in)")
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal, disk result cache and scenario checkpoints; a daemon restarted on the same directory recovers interrupted jobs (empty: in-memory only)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 250_000, "minimum cycles between persisted scenario checkpoints when -state-dir is set (0 disables checkpointing)")
 	flag.Parse()

@@ -21,16 +21,19 @@ func main() {
 	cfg1 := ahbpower.PaperWorkload(1, 90)
 	cfg1.Pattern = 2 // counter pattern
 
+	// 100 ns power windows, as in Figs. 3-5, split per sub-block.
+	tr, err := ahbpower.NewTrace(ahbpower.TraceConfig{Window: 100e-9, PerBlock: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	const cycles = 8000
 	res := ahbpower.RunScenario(context.Background(), ahbpower.Scenario{
 		Name:      "multimaster",
 		System:    ahbpower.PaperSystem(),
 		Workloads: []ahbpower.WorkloadConfig{cfg0, cfg1},
-		Analyzer: ahbpower.AnalyzerConfig{
-			Style:       ahbpower.StyleGlobal,
-			TraceWindow: 100e-9, // 100 ns power windows, as in Figs. 3-5
-		},
-		Cycles: cycles,
+		Analyzer:  ahbpower.AnalyzerConfig{Style: ahbpower.StyleGlobal, Trace: tr},
+		Cycles:    cycles,
 	})
 	if res.Err != nil {
 		log.Fatal(res.Err)
@@ -45,10 +48,12 @@ func main() {
 	fmt.Println("\n== Sub-block contribution (Fig. 6) ==")
 	fmt.Print(r.FormatBreakdown())
 	fmt.Println("\n== Power traces ==")
+	total := tr.PowerSeries()
 	fmt.Printf("total: mean %s, peak %s over %d windows\n",
-		fmtPower(r.TraceTotal.MeanY()), fmtPower(r.TraceTotal.MaxY()), r.TraceTotal.Len())
+		fmtPower(total.MeanY()), fmtPower(total.MaxY()), total.Len())
 	fmt.Printf("arbiter: mean %s (Fig. 4)  M2S mux: mean %s (Fig. 5)\n",
-		fmtPower(r.TraceARB.MeanY()), fmtPower(r.TraceM2S.MeanY()))
+		fmtPower(tr.BlockPowerSeries(ahbpower.BlockARB).MeanY()),
+		fmtPower(tr.BlockPowerSeries(ahbpower.BlockM2S).MeanY()))
 	fmt.Println()
 	fmt.Println(r.FormatSummary())
 	fmt.Printf("\nbus events: %d transfers, %d handovers, %d wait cycles\n",

@@ -118,7 +118,6 @@ type Master struct {
 	results   []Result
 	keepRes   bool
 	stats     MasterStats
-	onResult  func(Result)
 	onDrive   func(*BeatDrive)
 	splitWait bool
 
@@ -192,9 +191,6 @@ func (m *Master) Enqueue(seqs ...Sequence) {
 
 // KeepResults makes the master record every completed beat (for tests).
 func (m *Master) KeepResults(keep bool) { m.keepRes = keep }
-
-// OnResult registers a callback invoked at every completed beat.
-func (m *Master) OnResult(fn func(Result)) { m.onResult = fn }
 
 // OnDrive registers a callback invoked just before every NONSEQ/SEQ beat is
 // driven onto the address bus, with a mutable BeatDrive. Mutations stick:
@@ -290,6 +286,9 @@ func (m *Master) tick() {
 // completeBeat finalizes one beat.
 func (m *Master) completeBeat(f *flight, resp uint8) {
 	m.stats.Beats++
+	if !m.keepRes {
+		return
+	}
 	r := Result{
 		Write: f.write,
 		Addr:  f.addr,
@@ -301,12 +300,7 @@ func (m *Master) completeBeat(f *flight, resp uint8) {
 	} else {
 		r.Data = m.bus.HRdata.Read()
 	}
-	if m.keepRes {
-		m.results = append(m.results, r)
-	}
-	if m.onResult != nil {
-		m.onResult(r)
-	}
+	m.results = append(m.results, r)
 }
 
 // driveIdle parks the master's address outputs.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/metrics"
@@ -48,9 +49,6 @@ func (s Style) String() string {
 type AnalyzerConfig struct {
 	Style Style
 	Tech  power.Tech
-	// TraceWindow enables windowed power traces with the given window
-	// duration in seconds (0 disables tracing).
-	TraceWindow float64
 	// RecordActivity keeps per-signal switching statistics (the paper's
 	// Activity object); adds memory and time cost.
 	RecordActivity bool
@@ -66,6 +64,29 @@ type AnalyzerConfig struct {
 	// Use one Trace per run. When nil and no other sample observer is
 	// attached, no samples are published and the stream costs nothing.
 	Trace *metrics.Trace
+}
+
+// Validate refuses analyzer constants that would make every reported
+// energy meaningless. The zero Tech selects power.DefaultTech; any other
+// Tech must set VDD, CPD and CO positive and finite. A DPM wake-up energy
+// must be non-negative and finite.
+func (cfg AnalyzerConfig) Validate() error {
+	if t := cfg.Tech; t != (power.Tech{}) {
+		for _, c := range []struct {
+			name string
+			v    float64
+		}{{"VDD", t.VDD}, {"CPD", t.CPD}, {"CO", t.CO}} {
+			if !(c.v > 0) || math.IsInf(c.v, 1) {
+				return fmt.Errorf("core: Tech.%s=%g, want positive and finite", c.name, c.v)
+			}
+		}
+	}
+	if cfg.DPM != nil {
+		if w := cfg.DPM.WakeEnergy; !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: DPM.WakeEnergy=%g J, want non-negative and finite", w)
+		}
+	}
+	return nil
 }
 
 // Analyzer computes, cycle by cycle, the energy of each AHB sub-block from
@@ -95,8 +116,6 @@ type Analyzer struct {
 	// at the end of every System run and before Report.
 	samples   probe.Hub[metrics.Sample]
 	sampleBuf []metrics.Sample
-
-	tTotal, tM2S, tDEC, tARB, tS2M *stats.Windower
 
 	// Previous-cycle snapshot for Hamming distances.
 	havePrev   bool
@@ -129,6 +148,9 @@ type Analyzer struct {
 // Attach builds an analyzer and hooks it into the system. It must be
 // called before the simulation starts.
 func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	bus := sys.Bus
 	tech := cfg.Tech
 	if tech.VDD == 0 {
@@ -159,13 +181,6 @@ func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
 		fsm: power.NewFSM(),
 	}
 	a.cfg.Tech = tech
-	if cfg.TraceWindow > 0 {
-		a.tTotal = stats.NewWindower("AHB total", cfg.TraceWindow)
-		a.tM2S = stats.NewWindower("M2S mux", cfg.TraceWindow)
-		a.tDEC = stats.NewWindower("decoder", cfg.TraceWindow)
-		a.tARB = stats.NewWindower("arbiter", cfg.TraceWindow)
-		a.tS2M = stats.NewWindower("S2M mux", cfg.TraceWindow)
-	}
 	if cfg.RecordActivity {
 		a.activity = power.NewActivity()
 	}
@@ -207,12 +222,6 @@ func (a *Analyzer) FlushSamples() {
 // stream. Call before the simulation starts.
 func (a *Analyzer) ObserveSamples(o probe.Observer[metrics.Sample]) {
 	a.samples.Attach(o)
-}
-
-// OnSample registers a plain function on the per-cycle sample stream; it
-// is the convenience form of ObserveSamples.
-func (a *Analyzer) OnSample(fn func(metrics.Sample)) {
-	a.samples.AttachFunc(fn)
 }
 
 // attachWatchers installs the private-style transition counters directly
@@ -364,15 +373,6 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 	if a.dpm != nil {
 		// Only the clock-tree component is gateable; see DPMConfig.
 		a.dpm.observe(state, a.m2s.ClockEnergy()+a.s2m.ClockEnergy())
-	}
-
-	if a.tTotal != nil {
-		t := ci.Time.Seconds()
-		a.tTotal.Deposit(t, total)
-		a.tM2S.Deposit(t, eM2S)
-		a.tDEC.Deposit(t, eDEC)
-		a.tARB.Deposit(t, eARB)
-		a.tS2M.Deposit(t, eS2M)
 	}
 
 	if a.samples.Len() > 0 {

@@ -9,7 +9,7 @@ import (
 
 // buildAnalyzed creates the paper's system, loads the paper workload and
 // attaches an analyzer of the given style.
-func buildAnalyzed(t *testing.T, style Style, cycles uint64, window float64) (*System, *Analyzer) {
+func buildAnalyzed(t *testing.T, style Style, cycles uint64) (*System, *Analyzer) {
 	t.Helper()
 	sys, err := NewSystem(PaperSystem())
 	if err != nil {
@@ -18,7 +18,7 @@ func buildAnalyzed(t *testing.T, style Style, cycles uint64, window float64) (*S
 	if err := sys.LoadPaperWorkload(cycles); err != nil {
 		t.Fatal(err)
 	}
-	an, err := Attach(sys, AnalyzerConfig{Style: style, TraceWindow: window})
+	an, err := Attach(sys, AnalyzerConfig{Style: style})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPaperSystemShape(t *testing.T) {
 }
 
 func TestPaperRunProtocolClean(t *testing.T) {
-	sys, _ := buildAnalyzed(t, StyleGlobal, 3000, 0)
+	sys, _ := buildAnalyzed(t, StyleGlobal, 3000)
 	for _, e := range sys.Monitor.Errors() {
 		t.Errorf("protocol violation: %v", e)
 	}
@@ -65,7 +65,7 @@ func TestPaperRunProtocolClean(t *testing.T) {
 }
 
 func TestTableOnlyPaperInstructions(t *testing.T) {
-	_, an := buildAnalyzed(t, StyleGlobal, 5000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 5000)
 	r := an.Report()
 	allowed := map[string]bool{}
 	for _, in := range power.PermissibleInstructions() {
@@ -79,7 +79,7 @@ func TestTableOnlyPaperInstructions(t *testing.T) {
 }
 
 func TestReportConservation(t *testing.T) {
-	_, an := buildAnalyzed(t, StyleGlobal, 4000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 4000)
 	r := an.Report()
 	var sum float64
 	for _, row := range r.Table {
@@ -106,7 +106,7 @@ func TestReportConservation(t *testing.T) {
 func TestPaperShapeDataTransferDominates(t *testing.T) {
 	// The paper's headline: most energy in data transfer, ~11% in
 	// arbitration; M2S dominates the sub-blocks and ARB is small.
-	_, an := buildAnalyzed(t, StyleGlobal, 20000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 20000)
 	r := an.Report()
 	if r.DataTransferShare < 0.6 {
 		t.Errorf("data-transfer share=%.1f%%, want >60%%", 100*r.DataTransferShare)
@@ -129,7 +129,7 @@ func TestPaperShapeDataTransferDominates(t *testing.T) {
 func TestAvgInstructionEnergiesInPaperBand(t *testing.T) {
 	// Table 1 reports 14.7-22.4 pJ per instruction; with the calibrated
 	// default technology our averages must land in the same decade.
-	_, an := buildAnalyzed(t, StyleGlobal, 20000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 20000)
 	r := an.Report()
 	for _, row := range r.Table {
 		if row.Count < 50 {
@@ -142,33 +142,48 @@ func TestAvgInstructionEnergiesInPaperBand(t *testing.T) {
 	}
 }
 
-func TestTracesProduced(t *testing.T) {
-	_, an := buildAnalyzed(t, StyleGlobal, 2000, 100e-9)
-	r := an.Report()
-	if r.TraceTotal == nil || r.TraceTotal.Len() == 0 {
-		t.Fatal("total trace missing")
-	}
-	for _, s := range []interface{ Len() int }{r.TraceM2S, r.TraceDEC, r.TraceARB, r.TraceS2M} {
-		if s.Len() == 0 {
-			t.Error("per-block trace missing")
+// TestAnalyzerConfigValidate pins the analyzer constants Attach accepts:
+// the zero Tech means the defaults, any other Tech needs VDD, CPD and CO
+// positive and finite, and a DPM wake-up energy must be non-negative and
+// finite.
+func TestAnalyzerConfigValidate(t *testing.T) {
+	for _, cfg := range []AnalyzerConfig{
+		{},
+		{Tech: power.DefaultTech()},
+		{DPM: &DPMConfig{IdleThreshold: 4}},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 		}
 	}
-	// Trace integral equals total energy.
-	integral := 0.0
-	for _, p := range r.TraceTotal.Points {
-		integral += p.Y * 100e-9
+	sys, err := NewSystem(PaperSystem())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(integral-r.TotalEnergy) > 1e-6*r.TotalEnergy+1e-15 {
-		t.Errorf("trace integral %g != total %g", integral, r.TotalEnergy)
+	for _, cfg := range []AnalyzerConfig{
+		{Tech: power.Tech{VDD: 1.8, CPD: -3.2e-13, CO: 5.3e-13}},
+		{Tech: power.Tech{VDD: 1.2}},
+		{Tech: power.Tech{CPD: 1e-12, CO: 1e-12}},
+		{Tech: power.Tech{VDD: math.NaN(), CPD: 1e-12, CO: 1e-12}},
+		{Tech: power.Tech{VDD: 1.8, CPD: 1e-12, CO: math.Inf(1)}},
+		{DPM: &DPMConfig{IdleThreshold: 4, WakeEnergy: -1e-9}},
+		{DPM: &DPMConfig{WakeEnergy: math.Inf(1)}},
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+		if _, err := Attach(sys, cfg); err == nil {
+			t.Errorf("Attach accepted %+v", cfg)
+		}
 	}
 }
 
 func TestStylesProduceSimilarTotals(t *testing.T) {
 	// The three integration styles are approximations of each other; totals
 	// must agree within a factor of ~2.
-	_, g := buildAnalyzed(t, StyleGlobal, 5000, 0)
-	_, l := buildAnalyzed(t, StyleLocal, 5000, 0)
-	_, p := buildAnalyzed(t, StylePrivate, 5000, 0)
+	_, g := buildAnalyzed(t, StyleGlobal, 5000)
+	_, l := buildAnalyzed(t, StyleLocal, 5000)
+	_, p := buildAnalyzed(t, StylePrivate, 5000)
 	eg := g.Report().TotalEnergy
 	el := l.Report().TotalEnergy
 	ep := p.Report().TotalEnergy
@@ -190,8 +205,8 @@ func TestStylesProduceSimilarTotals(t *testing.T) {
 }
 
 func TestDeterministicReports(t *testing.T) {
-	_, a1 := buildAnalyzed(t, StyleGlobal, 3000, 0)
-	_, a2 := buildAnalyzed(t, StyleGlobal, 3000, 0)
+	_, a1 := buildAnalyzed(t, StyleGlobal, 3000)
+	_, a2 := buildAnalyzed(t, StyleGlobal, 3000)
 	r1, r2 := a1.Report(), a2.Report()
 	if r1.TotalEnergy != r2.TotalEnergy || r1.Cycles != r2.Cycles {
 		t.Error("identical runs must produce identical reports")
@@ -267,7 +282,7 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestReportFormattingSmoke(t *testing.T) {
-	_, an := buildAnalyzed(t, StyleGlobal, 2000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 2000)
 	r := an.Report()
 	if s := r.FormatTable(); len(s) == 0 || s[0] == 0 {
 		t.Error("empty table")

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDPMDisabledByDefault(t *testing.T) {
-	_, an := buildAnalyzed(t, StyleGlobal, 1000, 0)
+	_, an := buildAnalyzed(t, StyleGlobal, 1000)
 	if an.DPM() != nil {
 		t.Error("DPM estimate must be nil when not configured")
 	}

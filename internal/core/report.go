@@ -7,7 +7,6 @@ import (
 
 	"ahbpower/internal/power"
 	"ahbpower/internal/sim"
-	"ahbpower/internal/stats"
 )
 
 // TableRow is one line of the paper's Table 1.
@@ -37,39 +36,22 @@ type Report struct {
 	DataTransferShare float64 // READ/WRITE <-> READ/WRITE instructions
 	ArbitrationShare  float64 // instructions touching IDLE_HO
 	IdleShare         float64 // everything else
-
-	// Windowed power traces (Figs. 3-5), present when tracing was enabled.
-	TraceTotal *stats.Series
-	TraceM2S   *stats.Series
-	TraceDEC   *stats.Series
-	TraceARB   *stats.Series
-	TraceS2M   *stats.Series
 }
 
 // Report finalizes and returns the analysis results.
 func (a *Analyzer) Report() *Report {
 	a.FlushSamples()
-	var traces *ReportTraces
-	if a.tTotal != nil {
-		traces = &ReportTraces{Total: a.tTotal, M2S: a.tM2S, DEC: a.tDEC, ARB: a.tARB, S2M: a.tS2M}
-	}
 	return BuildReport(a.cfg.Style, a.sys.Bus.Clk.Period(), a.fsm.Cycles(), a.fsm.TotalEnergy(),
-		a.fsm.Stats(), &a.bd, traces)
-}
-
-// ReportTraces bundles the per-block power windowers for BuildReport; nil
-// means tracing was disabled.
-type ReportTraces struct {
-	Total, M2S, DEC, ARB, S2M *stats.Windower
+		a.fsm.Stats(), &a.bd)
 }
 
 // BuildReport assembles a Report from finalized accumulator state: the
-// instruction-FSM stats, the block breakdown and the optional trace
-// windowers. It is the single Report constructor shared by the analyzer
-// and by the lane backend (which keeps its own FSM/breakdown accumulators
-// but must produce structurally identical reports).
+// instruction-FSM stats and the block breakdown. It is the single Report
+// constructor shared by the analyzer and by the lane backend (which keeps
+// its own FSM/breakdown accumulators but must produce structurally
+// identical reports).
 func BuildReport(style Style, period sim.Time, cycles uint64, totalEnergy float64,
-	sts []power.InstructionStat, bd *power.Breakdown, traces *ReportTraces) *Report {
+	sts []power.InstructionStat, bd *power.Breakdown) *Report {
 	r := &Report{
 		Style:       style,
 		Cycles:      cycles,
@@ -107,13 +89,6 @@ func BuildReport(style Style, period sim.Time, cycles uint64, totalEnergy float6
 	for _, b := range power.Blocks() {
 		r.BlockEnergy[b.String()] = bd.Energy(b)
 		r.BlockShare[b.String()] = bd.Share(b)
-	}
-	if traces != nil {
-		r.TraceTotal = traces.Total.Series()
-		r.TraceM2S = traces.M2S.Series()
-		r.TraceDEC = traces.DEC.Series()
-		r.TraceARB = traces.ARB.Series()
-		r.TraceS2M = traces.S2M.Series()
 	}
 	return r
 }

@@ -237,10 +237,10 @@ type dpmSnapshot struct {
 }
 
 // SnapshotUnsupported returns the reason this analyzer cannot join a
-// checkpoint snapshot, or "" when it can. Streaming consumers (windowed
-// traces, activity stores, trace recorders) hold unserialized mid-run
-// state; the engine's execution plan runs scenarios using them without
-// checkpointing, and this guard refuses them again.
+// checkpoint snapshot, or "" when it can. Streaming consumers (activity
+// stores, trace recorders) hold unserialized mid-run state; the engine's
+// execution plan runs scenarios using them without checkpointing, and
+// this guard refuses them again.
 func (a *Analyzer) SnapshotUnsupported() string {
 	return a.cfg.SnapshotUnsupported()
 }
@@ -250,8 +250,6 @@ func (a *Analyzer) SnapshotUnsupported() string {
 // configuration it refuses; the engine's planner tests check both agree.
 func (cfg AnalyzerConfig) SnapshotUnsupported() string {
 	switch {
-	case cfg.TraceWindow > 0:
-		return "windowed power trace attached"
 	case cfg.RecordActivity:
 		return "activity recording enabled"
 	case cfg.Trace != nil:

@@ -106,42 +106,6 @@ func TestTraceConservation(t *testing.T) {
 	}
 }
 
-// TestTraceCoexistsWithLegacyTraceWindow checks the new streaming trace
-// and the report's legacy windowed series can run side by side and agree.
-func TestTraceCoexistsWithLegacyTraceWindow(t *testing.T) {
-	const cycles, window = 2000, 100e-9
-	sys, err := NewSystem(PaperSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadPaperWorkload(cycles); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := metrics.NewTrace(metrics.TraceConfig{Window: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := Attach(sys, AnalyzerConfig{Style: StyleGlobal, TraceWindow: window, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(cycles); err != nil {
-		t.Fatal(err)
-	}
-	r := an.Report()
-	if r.TraceTotal == nil {
-		t.Fatal("legacy TraceWindow series missing")
-	}
-	ps := tr.PowerSeries()
-	if ps.Len() == 0 || r.TraceTotal.Len() == 0 {
-		t.Fatal("empty power series")
-	}
-	// Both views of the same run must agree on mean power.
-	if got, want := ps.MeanY(), r.TraceTotal.MeanY(); math.Abs(got-want) > 1e-9*math.Max(want, 1) {
-		t.Errorf("streaming mean power %g, legacy mean power %g", got, want)
-	}
-}
-
 // TestRunContextCancellation checks a single long run stops at a chunk
 // boundary once the context is cancelled, keeps everything simulated so
 // far, and stays resumable.

@@ -157,9 +157,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 	}
 	noopSave := func(uint64, []byte) error { return nil }
 
-	t.Run("trace-window-ineligible", func(t *testing.T) {
+	t.Run("activity-ineligible", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.TraceWindow = 1e-6
+		sc.Analyzer.RecordActivity = true
 		sc.Checkpoint = &CheckpointConfig{Save: func(uint64, []byte) error {
 			t.Error("Save must not run for an ineligible scenario")
 			return nil
@@ -172,9 +172,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 			t.Error("CheckpointFallback empty, want surfaced reason")
 		}
 	})
-	t.Run("trace-window-resume-error", func(t *testing.T) {
+	t.Run("activity-resume-error", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.TraceWindow = 1e-6
+		sc.Analyzer.RecordActivity = true
 		sc.Checkpoint = &CheckpointConfig{Resume: []byte("{}")}
 		if res := RunOne(context.Background(), sc); res.Err == nil {
 			t.Error("resuming an ineligible scenario must fail")

@@ -142,7 +142,8 @@ type Plan struct {
 // blocker in the capability table, prefixed "transaction accuracy: " for
 // an accuracy fallback. Checkpointing is armed unless blocked; resuming a
 // scenario that cannot be checkpointed is an error, since restoring would
-// silently drop state.
+// silently drop state. A scenario with invalid analyzer constants (see
+// core.AnalyzerConfig.Validate) gets no plan.
 func (sc *Scenario) Plan() (Plan, error) {
 	switch {
 	case sc.Cycles == 0:
@@ -153,6 +154,13 @@ func (sc *Scenario) Plan() (Plan, error) {
 	case !exec.ValidName(sc.Backend):
 		return Plan{}, fmt.Errorf("engine: scenario %q: unknown backend %q (want %s|%s|%s|%s)",
 			sc.Name, sc.Backend, exec.NameEvent, exec.NameCompiled, exec.NameAuto, exec.NameLanes)
+	}
+	if !sc.SkipAnalyzer {
+		// Lanes and the estimator never reach core.Attach, so every path
+		// refuses meaningless analyzer constants here.
+		if err := sc.Analyzer.Validate(); err != nil {
+			return Plan{}, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
+		}
 	}
 	fs := sc.features()
 	p := Plan{Path: exec.NameEvent, Accuracy: AccuracyCycle}

@@ -97,7 +97,7 @@ func (sc *Scenario) CanonicalKey() (key string, ok bool) {
 		e.f64(an.Tech.VDD)
 		e.f64(an.Tech.CPD)
 		e.f64(an.Tech.CO)
-		e.f64(an.TraceWindow)
+		e.f64(0) // the retired trace-window slot, kept so v4 keys stay unchanged
 		e.bool(an.RecordActivity)
 		e.bool(an.DPM != nil)
 		if an.DPM != nil {

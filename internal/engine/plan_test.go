@@ -13,6 +13,7 @@ import (
 	"ahbpower/internal/fault"
 	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
+	"ahbpower/internal/power"
 	"ahbpower/internal/tlm"
 )
 
@@ -42,7 +43,6 @@ func planKnobs(t *testing.T) []planKnob {
 		{"no-analyzer", exec.FeatureNoAnalyzer, func(sc *Scenario) { sc.SkipAnalyzer = true }},
 		{"dpm", exec.FeatureDPM, func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8} }},
 		{"private", exec.FeaturePrivateStyle, func(sc *Scenario) { sc.Analyzer.Style = core.StylePrivate }},
-		{"trace-window", exec.FeatureTraceWindow, func(sc *Scenario) { sc.Analyzer.TraceWindow = 1e-6 }},
 		{"activity", exec.FeatureActivity, func(sc *Scenario) { sc.Analyzer.RecordActivity = true }},
 		{"recorder", exec.FeatureTraceRecorder, func(sc *Scenario) {
 			tr, err := metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
@@ -59,8 +59,8 @@ func planKnobs(t *testing.T) []planKnob {
 
 // analyzerFeatures are the features an attached analyzer contributes;
 // SkipAnalyzer masks them.
-const analyzerFeatures = exec.FeatureDPM | exec.FeaturePrivateStyle | exec.FeatureTraceWindow |
-	exec.FeatureActivity | exec.FeatureTraceRecorder
+const analyzerFeatures = exec.FeatureDPM | exec.FeaturePrivateStyle | exec.FeatureActivity |
+	exec.FeatureTraceRecorder
 
 var (
 	planHints      = []string{"", exec.NameEvent, exec.NameCompiled, exec.NameAuto, exec.NameLanes}
@@ -160,8 +160,28 @@ func TestPlanExhaustive(t *testing.T) {
 			}
 		}
 	}
-	if rows != 2304*len(planHints)*len(planAccuracies) {
+	if rows != 1152*len(planHints)*len(planAccuracies) {
 		t.Fatalf("enumerated %d rows", rows)
+	}
+}
+
+// TestPlanRefusesInvalidAnalyzer checks every path refuses meaningless
+// analyzer constants, lanes and the estimator included, which never reach
+// core.Attach. A skipped analyzer is not checked.
+func TestPlanRefusesInvalidAnalyzer(t *testing.T) {
+	sc := planBase()
+	sc.Analyzer.Tech = power.Tech{VDD: 1.2}
+	for _, acc := range planAccuracies {
+		for _, hint := range planHints {
+			sc.Accuracy, sc.Backend = acc, hint
+			if p, err := sc.Plan(); err == nil {
+				t.Errorf("hint %q accuracy %q: planned %+v", hint, acc, p)
+			}
+		}
+	}
+	sc.SkipAnalyzer = true
+	if _, err := sc.Plan(); err != nil {
+		t.Errorf("skipped analyzer: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/tlm"
 )
 
@@ -91,7 +92,9 @@ func TestTransactionAccuracyUnsupportedFeatures(t *testing.T) {
 		want string
 	}{
 		{"setup", func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }, "Setup"},
-		{"trace-window", func(sc *Scenario) { sc.Analyzer.TraceWindow = 1e-6 }, "windowed"},
+		{"trace-recorder", func(sc *Scenario) {
+			sc.Analyzer.Trace, _ = metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
+		}, "recorder"},
 		{"activity", func(sc *Scenario) { sc.Analyzer.RecordActivity = true }, "activity"},
 		{"dpm", func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8} }, "DPM"},
 		{"skip-analyzer", func(sc *Scenario) { sc.SkipAnalyzer = true }, "analyzer"},

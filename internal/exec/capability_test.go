@@ -18,7 +18,6 @@ func TestCapabilityTable(t *testing.T) {
 		noAn    = "no analyzer attached, nothing to estimate"
 		dpm     = "DPM estimator attached"
 		private = "delta-level (private-style) instrumentation"
-		window  = "windowed power trace attached"
 		act     = "activity recording enabled"
 		rec     = "streaming trace recorder attached"
 		ckpt    = "checkpointing requested"
@@ -34,7 +33,6 @@ func TestCapabilityTable(t *testing.T) {
 		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},
 		{FeatureDPM, [4]string{"", dpm, dpm, ""}},
 		{FeaturePrivateStyle, [4]string{private, private, "", ""}},
-		{FeatureTraceWindow, [4]string{"", "", window, window}},
 		{FeatureActivity, [4]string{"", "", act, act}},
 		{FeatureTraceRecorder, [4]string{"", rec, rec, rec}},
 		{FeatureCheckpoint, [4]string{"", ckpt, ckpt, ""}},
@@ -81,12 +79,11 @@ func TestFeatureDerivation(t *testing.T) {
 	}
 	full := core.AnalyzerConfig{
 		Style:          core.StylePrivate,
-		TraceWindow:    1e-6,
 		RecordActivity: true,
 		DPM:            &core.DPMConfig{},
 		Trace:          new(metrics.Trace),
 	}
-	want := FeatureDPM | FeaturePrivateStyle | FeatureTraceWindow | FeatureActivity | FeatureTraceRecorder
+	want := FeatureDPM | FeaturePrivateStyle | FeatureActivity | FeatureTraceRecorder
 	if fs := AnalyzerFeatures(full); fs != want {
 		t.Errorf("full analyzer features %#x, want %#x", fs, want)
 	}

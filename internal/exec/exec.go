@@ -83,7 +83,6 @@ const (
 	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
 	FeatureDPM                               // DPM estimator attached
 	FeaturePrivateStyle                      // private-style (per-delta) instrumentation
-	FeatureTraceWindow                       // windowed power traces
 	FeatureActivity                          // per-signal activity recording
 	FeatureTraceRecorder                     // streaming metrics.Trace subscriber
 	FeatureCheckpoint                        // checkpoint/resume requested
@@ -125,7 +124,6 @@ var capabilities = [...]struct {
 	{FeaturePrivateStyle, PathCompiled | PathLanes, "delta-level (private-style) instrumentation"},
 	// Streaming consumers need per-cycle samples and hold unserialized
 	// mid-run state.
-	{FeatureTraceWindow, PathTLM | PathCheckpoint, "windowed power trace attached"},
 	{FeatureActivity, PathTLM | PathCheckpoint, "activity recording enabled"},
 	{FeatureTraceRecorder, PathLanes | PathTLM | PathCheckpoint, "streaming trace recorder attached"},
 	// Packs and estimates carry no per-scenario kernel state to snapshot.
@@ -152,9 +150,6 @@ func AnalyzerFeatures(cfg core.AnalyzerConfig) Feature {
 	}
 	if cfg.Style == core.StylePrivate {
 		fs |= FeaturePrivateStyle
-	}
-	if cfg.TraceWindow > 0 {
-		fs |= FeatureTraceWindow
 	}
 	if cfg.RecordActivity {
 		fs |= FeatureActivity

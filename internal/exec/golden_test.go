@@ -12,23 +12,34 @@ import (
 	"ahbpower/internal/engine"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/probe"
 	"ahbpower/internal/sim"
 	"ahbpower/internal/workload"
 )
 
 // runPair executes the same scenario on the event and compiled backends
-// and returns both results. It fails the test when either run errors or
+// and returns both results. With traced set, each run gets its own
+// per-block trace recorder. It fails the test when either run errors or
 // when the compiled request fell back.
-func runPair(t *testing.T, sc engine.Scenario) (ev, cp engine.Result) {
+func runPair(t *testing.T, sc engine.Scenario, traced bool) (ev, cp engine.Result) {
 	t.Helper()
-	sc.Backend = exec.NameEvent
-	ev = engine.RunOne(context.Background(), sc)
+	run := func(backend string) engine.Result {
+		sc.Backend = backend
+		if traced {
+			tr, err := metrics.NewTrace(metrics.TraceConfig{Window: 1e-7, PerBlock: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Analyzer.Trace = tr
+		}
+		return engine.RunOne(context.Background(), sc)
+	}
+	ev = run(exec.NameEvent)
 	if ev.Err != nil {
 		t.Fatalf("event backend: %v", ev.Err)
 	}
-	sc.Backend = exec.NameCompiled
-	cp = engine.RunOne(context.Background(), sc)
+	cp = run(exec.NameCompiled)
 	if cp.Err != nil {
 		t.Fatalf("compiled backend: %v", cp.Err)
 	}
@@ -64,6 +75,12 @@ func assertIdentical(t *testing.T, ev, cp engine.Result) {
 	if !reflect.DeepEqual(ev.DPM, cp.DPM) {
 		t.Errorf("DPM diverges:\nevent:    %+v\ncompiled: %+v", ev.DPM, cp.DPM)
 	}
+	if tr := ev.Scenario.Analyzer.Trace; tr != nil {
+		ew, cw := tr.Windows(), cp.Scenario.Analyzer.Trace.Windows()
+		if len(ew) == 0 || !reflect.DeepEqual(ew, cw) {
+			t.Errorf("trace windows empty or diverging:\nevent:    %+v\ncompiled: %+v", ew, cw)
+		}
+	}
 	if (ev.Report == nil) != (cp.Report == nil) {
 		t.Fatalf("Report presence: event=%v compiled=%v", ev.Report != nil, cp.Report != nil)
 	}
@@ -84,21 +101,22 @@ func assertIdentical(t *testing.T, ev, cp engine.Result) {
 
 // TestGoldenEquivalence runs paired event/compiled scenarios across bus
 // shapes, arbitration policies, analyzer styles, wait states, data widths,
-// clock periods, DPM estimators and fault plans, asserting bit-identical
-// results.
+// clock periods, DPM estimators, fault plans and trace recorders, asserting
+// bit-identical results.
 func TestGoldenEquivalence(t *testing.T) {
 	type variant struct {
 		name   string
 		sys    core.SystemConfig
 		an     core.AnalyzerConfig
 		faults *fault.Plan
+		traced bool
 	}
 	base := core.PaperSystem()
 	variants := []variant{
 		{name: "paper_sticky_global", sys: base,
-			an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}},
+			an: core.AnalyzerConfig{Style: core.StyleGlobal}, traced: true},
 		{name: "paper_sticky_local", sys: base,
-			an: core.AnalyzerConfig{Style: core.StyleLocal, TraceWindow: 1e-7}},
+			an: core.AnalyzerConfig{Style: core.StyleLocal}, traced: true},
 	}
 	fixed := base
 	fixed.Policy = ahb.PolicyFixed
@@ -122,7 +140,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	odd := base
 	odd.ClockPeriod = 10_001 * sim.Picosecond
 	variants = append(variants, variant{name: "odd_period_trace", sys: odd,
-		an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}})
+		an: core.AnalyzerConfig{Style: core.StyleGlobal}, traced: true})
 	variants = append(variants, variant{name: "dpm_local", sys: base,
 		an: core.AnalyzerConfig{Style: core.StyleLocal, DPM: &core.DPMConfig{IdleThreshold: 4, WakeEnergy: 1e-12}}})
 	// Fault plans exercise the injector processes (slave response
@@ -156,7 +174,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				Cycles:   3000,
 				Faults:   v.faults,
 			}
-			ev, cp := runPair(t, sc)
+			ev, cp := runPair(t, sc, v.traced)
 			assertIdentical(t, ev, cp)
 		})
 	}
@@ -180,7 +198,7 @@ func TestGoldenEquivalenceWorkloads(t *testing.T) {
 				}},
 				Cycles: 2500,
 			}
-			ev, cp := runPair(t, sc)
+			ev, cp := runPair(t, sc, false)
 			assertIdentical(t, ev, cp)
 		})
 	}

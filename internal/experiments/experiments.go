@@ -14,6 +14,7 @@ import (
 	"ahbpower/internal/charact"
 	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
+	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/stats"
 )
@@ -95,33 +96,35 @@ type FiguresResult struct {
 // the paper) and the sub-block contribution of Fig. 6. window is the
 // power-averaging window in seconds.
 func Figures(cycles uint64, window float64) (*FiguresResult, error) {
-	if window <= 0 {
-		// The analyzer silently drops trace collection for non-positive
-		// windows, which would leave every series nil here.
-		return nil, fmt.Errorf("experiments: figure window=%g s, want > 0", window)
+	tr, err := metrics.NewTrace(metrics.TraceConfig{Window: window, PerBlock: true})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: figure window: %w", err)
 	}
-	res, err := runPaper(cycles, core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: window})
+	res, err := runPaper(cycles, core.AnalyzerConfig{Style: core.StyleGlobal, Trace: tr})
 	if err != nil {
 		return nil, err
 	}
-	r := res.Report
+	fr := &FiguresResult{
+		Report: res.Report,
+		Total:  tr.PowerSeries(),
+		ARB:    tr.BlockPowerSeries(power.BlockARB),
+		M2S:    tr.BlockPowerSeries(power.BlockM2S),
+		DEC:    tr.BlockPowerSeries(power.BlockDEC),
+		S2M:    tr.BlockPowerSeries(power.BlockS2M),
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figs. 3-5 — windowed power traces (%g ns windows)\n", window*1e9)
-	for _, s := range []*stats.Series{r.TraceTotal, r.TraceARB, r.TraceM2S} {
+	for _, f := range []struct {
+		label string
+		s     *stats.Series
+	}{{"AHB total", fr.Total}, {"arbiter", fr.ARB}, {"M2S mux", fr.M2S}} {
 		fmt.Fprintf(&b, "  %-10s points=%-5d mean=%-12s peak=%s\n",
-			s.Name, s.Len(), core.FormatPower(s.MeanY()), core.FormatPower(s.MaxY()))
+			f.label, f.s.Len(), core.FormatPower(f.s.MeanY()), core.FormatPower(f.s.MaxY()))
 	}
 	b.WriteString("\nFig. 6 — sub-block power contribution:\n")
-	b.WriteString(r.FormatBreakdown())
-	return &FiguresResult{
-		Report: r,
-		Total:  r.TraceTotal,
-		ARB:    r.TraceARB,
-		M2S:    r.TraceM2S,
-		DEC:    r.TraceDEC,
-		S2M:    r.TraceS2M,
-		Text:   b.String(),
-	}, nil
+	b.WriteString(fr.Report.FormatBreakdown())
+	fr.Text = b.String()
+	return fr, nil
 }
 
 // OverheadResult reports the §6 claim that power instrumentation roughly

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
+
+	"ahbpower/internal/stats"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -78,10 +83,37 @@ func TestFiguresShape(t *testing.T) {
 	}
 }
 
+// TestFiguresGolden pins every figure series bit for bit: a SHA-256 over
+// each series' little-endian point count, then the Float64bits of each
+// point's X and Y, for Total, ARB, M2S, DEC and S2M in that order.
+func TestFiguresGolden(t *testing.T) {
+	res, err := Figures(4000, 100e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, s := range []*stats.Series{res.Total, res.ARB, res.M2S, res.DEC, res.S2M} {
+		put(uint64(s.Len()))
+		for _, p := range s.Points {
+			put(math.Float64bits(p.X))
+			put(math.Float64bits(p.Y))
+		}
+	}
+	const want = "9fcbda3244570706f8975c3a69f2b3f4d8dbd6d4d7d7cfbce8d8f5785f1fcdb3"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("figure series digest %s, want %s", got, want)
+	}
+}
+
 func TestFiguresRejectsNonPositiveWindow(t *testing.T) {
-	// A non-positive window disables trace collection in the analyzer;
-	// Figures must reject it up front instead of returning nil series.
-	for _, w := range []float64{0, -1e-9} {
+	// A window that is not positive and finite yields no trace; Figures
+	// must reject it up front instead of returning empty or NaN series.
+	for _, w := range []float64{0, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := Figures(400, w); err == nil {
 			t.Errorf("Figures(400, %g) = nil error, want window rejection", w)
 		}

@@ -65,8 +65,6 @@ type laneAnalyzer struct {
 	fsm *power.FSM
 	bd  power.Breakdown
 
-	tTotal, tM2S, tDEC, tARB, tS2M *stats.Windower
-
 	// Previous-cycle snapshot for Hamming distances.
 	havePrev   bool
 	prevDecIn  uint64
@@ -136,26 +134,10 @@ func newLaneAnalyzer(cfg core.AnalyzerConfig, nMasters, nSlaves, dataWidth int, 
 		arb:     models.Arb,
 		fsm:     power.NewFSM(),
 	}
-	if cfg.TraceWindow > 0 {
-		a.tTotal = stats.NewWindower("AHB total", cfg.TraceWindow)
-		a.tM2S = stats.NewWindower("M2S mux", cfg.TraceWindow)
-		a.tDEC = stats.NewWindower("decoder", cfg.TraceWindow)
-		a.tARB = stats.NewWindower("arbiter", cfg.TraceWindow)
-		a.tS2M = stats.NewWindower("S2M mux", cfg.TraceWindow)
-	}
 	if cfg.Style == core.StyleLocal {
 		a.localPrev = make([]uint64, 3*nMasters+2*nSlaves)
 	}
 	return a, nil
-}
-
-// traces bundles the windowers for core.BuildReport (nil when tracing is
-// off).
-func (a *laneAnalyzer) traces() *core.ReportTraces {
-	if a.tTotal == nil {
-		return nil
-	}
-	return &core.ReportTraces{Total: a.tTotal, M2S: a.tM2S, DEC: a.tDEC, ARB: a.tARB, S2M: a.tS2M}
 }
 
 // encodeSel maps a decoded slave index to the decoder-input binary code.
@@ -260,15 +242,6 @@ func (a *laneAnalyzer) observe(ci ahb.CycleInfo, l *laneState) {
 	a.bd.Add(power.BlockARB, eARB)
 
 	a.fsm.Step(state, total)
-
-	if a.tTotal != nil {
-		t := ci.Time.Seconds()
-		a.tTotal.Deposit(t, total)
-		a.tM2S.Deposit(t, eM2S)
-		a.tDEC.Deposit(t, eDEC)
-		a.tARB.Deposit(t, eARB)
-		a.tS2M.Deposit(t, eS2M)
-	}
 }
 
 // localHD updates one slot of the per-port history and returns the

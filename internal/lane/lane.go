@@ -239,7 +239,7 @@ func (p *Pack) finish(i int) {
 		sts := l.an.fsm.Stats()
 		o.Stats = sts
 		o.Report = core.BuildReport(l.an.style, p.period, l.an.fsm.Cycles(), l.an.fsm.TotalEnergy(),
-			sts, &l.an.bd, l.an.traces())
+			sts, &l.an.bd)
 	}
 }
 

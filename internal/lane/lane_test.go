@@ -101,9 +101,9 @@ func TestLaneGoldenEquivalence(t *testing.T) {
 	base := core.PaperSystem()
 	variants := []variant{
 		{name: "paper_sticky_global", sys: base,
-			an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}},
+			an: core.AnalyzerConfig{Style: core.StyleGlobal}},
 		{name: "paper_sticky_local", sys: base,
-			an: core.AnalyzerConfig{Style: core.StyleLocal, TraceWindow: 1e-7}},
+			an: core.AnalyzerConfig{Style: core.StyleLocal}},
 	}
 	fixed := base
 	fixed.Policy = ahb.PolicyFixed
@@ -126,7 +126,7 @@ func TestLaneGoldenEquivalence(t *testing.T) {
 	odd := base
 	odd.ClockPeriod = 10_001 * sim.Picosecond
 	variants = append(variants, variant{name: "odd_period_trace", sys: odd,
-		an: core.AnalyzerConfig{Style: core.StyleGlobal, TraceWindow: 1e-7}})
+		an: core.AnalyzerConfig{Style: core.StyleGlobal}})
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

@@ -145,7 +145,7 @@ type TraceStats struct {
 // NewTrace builds a trace recorder from the configuration.
 func NewTrace(cfg TraceConfig) (*Trace, error) {
 	if cfg.Window <= 0 || math.IsNaN(cfg.Window) || math.IsInf(cfg.Window, 0) {
-		return nil, fmt.Errorf("metrics: TraceConfig.Window=%g, want > 0", cfg.Window)
+		return nil, fmt.Errorf("metrics: TraceConfig.Window=%g, want positive and finite", cfg.Window)
 	}
 	t := &Trace{
 		cfg:   cfg,

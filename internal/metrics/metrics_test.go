@@ -79,6 +79,16 @@ func TestWindowingAndConservation(t *testing.T) {
 	if got, want := wins[0].Power, wins[0].Energy/100e-9; got != want {
 		t.Errorf("window0 power=%g, want %g", got, want)
 	}
+	// The power series has one point per window, at the window centre.
+	ps := tr.PowerSeries()
+	if ps.Len() != len(wins) {
+		t.Fatalf("power series has %d points for %d windows", ps.Len(), len(wins))
+	}
+	for i, mid := range []float64{50e-9, 150e-9, 250e-9} {
+		if p := ps.Points[i]; math.Abs(p.X-mid) > 1e-18 || p.Y != wins[i].Power {
+			t.Errorf("point %d = (%g, %g), want (%g, %g)", i, p.X, p.Y, mid, wins[i].Power)
+		}
+	}
 
 	st := tr.Stats()
 	if st.Cycles != 10 || st.Windows != 3 || st.Energy != tr.Energy() {

@@ -37,53 +37,6 @@ func hasAction(actions []string, prefix string) bool {
 	return false
 }
 
-// TestDegradedModeShedsTraceOptions forces degraded mode through the test
-// seam and asserts trace-heavy analyzer options are shed, the scenario
-// still succeeds, and the envelope + counters report the degradation.
-func TestDegradedModeShedsTraceOptions(t *testing.T) {
-	s := New(Config{Workers: 2})
-	s.degradeHook = func() bool { return true }
-	h := s.Handler()
-
-	body := `{"scenarios":[{"name":"traced","cycles":1500,
-		"analyzer":{"record_activity":true,"trace_window_s":1e-6},
-		"workloads":[{"seed":3,"sequences":3,"pairs_min":2,"pairs_max":5,"idle_min":2,"idle_max":6,"addr_size":4096}]}]}`
-	rr := post(h, body)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	resp := decodeDegrade(t, rr.Body.Bytes())
-	if !resp.Batch.Degraded {
-		t.Error("envelope must flag degraded mode")
-	}
-	if !hasAction(resp.Batch.DegradedActions, "shed_trace_options:1") {
-		t.Errorf("actions %v missing shed_trace_options:1", resp.Batch.DegradedActions)
-	}
-	var res wireResult
-	if err := json.Unmarshal(resp.Results[0], &res); err != nil || res.Error != "" {
-		t.Errorf("shed scenario must still succeed: err=%v wire=%+v", err, res)
-	}
-	if s.ctr.degradedBatches.Value() != 1 || s.ctr.degradedTraceShed.Value() != 1 {
-		t.Errorf("counters degraded_batches=%d degraded_trace_shed=%d, want 1/1",
-			s.ctr.degradedBatches.Value(), s.ctr.degradedTraceShed.Value())
-	}
-
-	// The shed scenario runs (and caches) under the same canonical key as
-	// its explicitly-untraced twin: a later healthy request for the plain
-	// scenario must hit the cache.
-	s.degradeHook = func() bool { return false }
-	plain := `{"scenarios":[{"name":"traced","cycles":1500,
-		"workloads":[{"seed":3,"sequences":3,"pairs_min":2,"pairs_max":5,"idle_min":2,"idle_max":6,"addr_size":4096}]}]}`
-	rr2 := post(h, plain)
-	resp2 := decodeDegrade(t, rr2.Body.Bytes())
-	if resp2.Batch.CacheHits != 1 {
-		t.Errorf("plain twin of shed scenario: hits=%d, want 1 (re-keying broken?)", resp2.Batch.CacheHits)
-	}
-	if resp2.Batch.Degraded {
-		t.Error("healthy batch must not be flagged degraded")
-	}
-}
-
 // TestDegradedModeServesCacheDespiteNoCache warms the cache, then posts
 // the same batch with no_cache under pressure: the server may serve the
 // still-valid cached bytes, and must say so.

@@ -278,26 +278,41 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	st.close()
 }
 
-// TestJournalReplayIgnoresRetiredFields replays an accepted job whose
-// fault plan still carries the retired fail_first knob. Replay decodes
-// leniently, unlike the request decoder, so the job is re-admitted
-// without the field and completes instead of failing the daemon's start.
+// TestJournalReplayIgnoresRetiredFields replays accepted jobs that still
+// carry retired knobs: a fault plan's fail_first, and the analyzer's
+// trace_window_s and record_activity. Replay decodes leniently, unlike
+// the request decoder, so each job is re-admitted without the fields and
+// completes instead of failing the daemon's start; the traced job re-runs
+// under the key of its option-free twin.
 func TestJournalReplayIgnoresRetiredFields(t *testing.T) {
 	dir := t.TempDir()
-	line := `{"t":"accepted","job":"job-000001","req":{"scenarios":[` +
-		`{"name":"old","cycles":1000,"faults":{"seed":1,"fail_first":1}}]}}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(line), 0o644); err != nil {
+	lines := `{"t":"accepted","job":"job-000001","req":{"scenarios":[` +
+		`{"name":"old","cycles":1000,"faults":{"seed":1,"fail_first":1}}]}}` + "\n" +
+		`{"t":"accepted","job":"job-000002","req":{"scenarios":[` +
+		`{"name":"traced","cycles":1000,"analyzer":{"trace_window_s":1e-6,"record_activity":true}}]}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := mustOpen(t, Config{Workers: 1, StateDir: dir})
 	defer s.Drain(time.Second)
-	st := pollJob(t, s.Handler(), "job-000001")
-	if st.Status != JobDone || st.Response == nil || len(st.Response.Results) != 1 {
-		t.Fatalf("recovered job: %+v", st)
-	}
+	h := s.Handler()
 	var res wireResult
-	if err := json.Unmarshal(st.Response.Results[0], &res); err != nil || res.Error != "" {
-		t.Fatalf("recovered scenario: err=%v result=%s", err, st.Response.Results[0])
+	for _, id := range []string{"job-000001", "job-000002"} {
+		st := pollJob(t, h, id)
+		if st.Status != JobDone || st.Response == nil || len(st.Response.Results) != 1 {
+			t.Fatalf("recovered %s: %+v", id, st)
+		}
+		if err := json.Unmarshal(st.Response.Results[0], &res); err != nil || res.Error != "" {
+			t.Fatalf("recovered %s scenario: err=%v result=%s", id, err, st.Response.Results[0])
+		}
+	}
+	var plain ValidateResponse
+	if err := json.Unmarshal(postPath(h, "/v1/validate",
+		`{"scenarios":[{"name":"traced","cycles":1000}]}`).Body.Bytes(), &plain); err != nil || !plain.Valid {
+		t.Fatalf("validate plain twin: err=%v resp=%+v", err, plain)
+	}
+	if res.Key != plain.Results[0].Key {
+		t.Errorf("replayed traced job key %s, option-free key %s", res.Key, plain.Results[0].Key)
 	}
 }
 

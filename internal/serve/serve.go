@@ -53,10 +53,11 @@ type Config struct {
 	// default 256.
 	JobsKeep int
 	// DegradeAt is the queue-pressure fraction (waiting / MaxQueue) at
-	// which the server enters degraded mode: trace-heavy analyzer options
-	// are shed and still-valid cached results may be served even for
-	// no_cache requests, with the degradation reported in the response
-	// envelope. 0 selects the default 0.75; negative disables degradation.
+	// which the server enters degraded mode: still-valid cached results
+	// may be served even for no_cache requests and, with DegradeEstimate,
+	// eligible scenarios are estimated at transaction accuracy, with the
+	// degradation reported in the response envelope. 0 selects the
+	// default 0.75; negative disables degradation.
 	DegradeAt float64
 	// DefaultBackend is the execution backend applied to scenarios whose
 	// request carries no backend of its own: "" or "event" (the default),
@@ -186,7 +187,6 @@ type counters struct {
 	cacheSize        expvar.Int // gauge
 
 	degradedBatches     expvar.Int // batches that ran in degraded mode
-	degradedTraceShed   expvar.Int // scenarios whose trace options were shed
 	degradedCacheServed expvar.Int // cache hits served despite no_cache
 	degradedEstimated   expvar.Int // scenarios downgraded to transaction accuracy under pressure
 
@@ -255,7 +255,6 @@ func Open(cfg Config) (*Server, error) {
 		"cache_size":        &s.ctr.cacheSize,
 
 		"degraded_batches":      &s.ctr.degradedBatches,
-		"degraded_trace_shed":   &s.ctr.degradedTraceShed,
 		"degraded_cache_served": &s.ctr.degradedCacheServed,
 		"degraded_estimated":    &s.ctr.degradedEstimated,
 
@@ -810,34 +809,17 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 	results := make([]json.RawMessage, len(scenarios))
 	var resp RunResponse
 
-	// Degraded mode: under queue pressure the batch sheds load it is
-	// allowed to shed — trace-heavy analyzer options are dropped (the
-	// energy answer is unchanged; only optional instrumentation goes) and
-	// still-valid cached results are served even when the request said
-	// no_cache. With Config.DegradeEstimate, eligible cycle-accuracy
-	// scenarios are additionally downgraded to the transaction-level
-	// estimate: an approximate answer instead of a shed or a long queue
-	// wait. Every action is reported in the response envelope.
+	// Degraded mode: under queue pressure still-valid cached results are
+	// served even when the request said no_cache. With
+	// Config.DegradeEstimate, eligible cycle-accuracy scenarios are also
+	// downgraded to the transaction-level estimate: an approximate answer
+	// instead of a long queue wait. Every action is reported in the
+	// response envelope.
 	degraded := s.degradedNow()
 	cacheOverride := false
 	if degraded {
 		s.ctr.degradedBatches.Add(1)
 		resp.Batch.Degraded = true
-		shed := 0
-		for i := range scenarios {
-			sc := &scenarios[i]
-			if !sc.SkipAnalyzer && (sc.Analyzer.RecordActivity || sc.Analyzer.TraceWindow > 0) {
-				sc.Analyzer.RecordActivity = false
-				sc.Analyzer.TraceWindow = 0
-				keys[i], _ = sc.CanonicalKey() // re-key: the shed scenario is what runs
-				shed++
-			}
-		}
-		if shed > 0 {
-			s.ctr.degradedTraceShed.Add(int64(shed))
-			resp.Batch.DegradedActions = append(resp.Batch.DegradedActions,
-				fmt.Sprintf("shed_trace_options:%d", shed))
-		}
 		if s.cfg.DegradeEstimate {
 			estimated := 0
 			for i := range scenarios {

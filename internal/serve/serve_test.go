@@ -444,6 +444,15 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// badAnalyzerConstants are scenarios whose analyzer constants would make
+// every reported energy meaningless; the decoder refuses each one.
+var badAnalyzerConstants = []struct{ name, body string }{
+	{"negative cpd", `{"scenarios":[{"cycles":100,"analyzer":{"tech":{"vdd_V":1.8,"cpd_F":-3.2e-13,"co_F":5.3e-13}}}]}`},
+	{"partial tech", `{"scenarios":[{"cycles":100,"analyzer":{"tech":{"vdd_V":1.2}}}]}`},
+	{"zero vdd", `{"scenarios":[{"cycles":100,"analyzer":{"tech":{"vdd_V":0,"cpd_F":1e-12,"co_F":1e-12}}}]}`},
+	{"negative wake energy", `{"scenarios":[{"cycles":100,"analyzer":{"dpm":{"idle_threshold":4,"wake_energy_J":-1e-9}}}]}`},
+}
+
 // TestBadRequests covers the 400 paths of decodeRun.
 func TestBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1, MaxCycles: 1000})
@@ -459,8 +468,11 @@ func TestBadRequests(t *testing.T) {
 		{"system alias", `{"scenarios":[{"cycles":100,"system":{"masters":2,"slaves":1}}]}`},
 		{"bad pattern", `{"scenarios":[{"cycles":100,"workloads":[{"seed":1,"pattern":"nope"}]}]}`},
 		{"fail_first", `{"scenarios":[{"cycles":100,"faults":{"seed":1,"fail_first":1}}]}`},
+		{"trace_window_s", `{"scenarios":[{"cycles":100,"analyzer":{"trace_window_s":1e-6}}]}`},
+		{"record_activity", `{"scenarios":[{"cycles":100,"analyzer":{"record_activity":true}}]}`},
 		{"not json", `scenario please`},
 	}
+	cases = append(cases, badAnalyzerConstants...)
 	for _, c := range cases {
 		if rr := post(h, c.body); rr.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", c.name, rr.Code, rr.Body.String())

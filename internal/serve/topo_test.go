@@ -235,15 +235,27 @@ func TestValidateEndpoint(t *testing.T) {
 			}
 		}
 	}
-	// (d) A scenario over the cycle limit is invalid.
-	over := `{"scenarios":[{"name":"big","cycles":5000}]}`
-	if rr := post(lim, over); rr.Code != http.StatusBadRequest {
-		t.Errorf("cycles over the limit: run status %d, want 400", rr.Code)
+	// (d) A scenario over the cycle limit, or with meaningless analyzer
+	// constants, is invalid.
+	bodies := []struct{ name, body string }{{"cycles over the limit", `{"scenarios":[{"name":"big","cycles":5000}]}`}}
+	for _, c := range append(bodies, badAnalyzerConstants...) {
+		if rr := post(lim, c.body); rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: run status %d, want 400", c.name, rr.Code)
+		}
+		var ov ValidateResponse
+		if err := json.Unmarshal(postPath(lim, "/v1/validate", c.body).Body.Bytes(), &ov); err != nil ||
+			ov.Valid || ov.Results[0].Error == "" || ov.Results[0].Key != "" {
+			t.Errorf("%s: validate err=%v resp=%+v", c.name, err, ov)
+		}
 	}
-	var ov ValidateResponse
-	if err := json.Unmarshal(postPath(lim, "/v1/validate", over).Body.Bytes(), &ov); err != nil ||
-		ov.Valid || ov.Results[0].Error == "" || ov.Results[0].Key != "" {
-		t.Errorf("cycles over the limit: validate err=%v resp=%+v", err, ov)
+	// (e) The retired trace options are unknown fields: a 400.
+	for _, body := range []string{
+		`{"scenarios":[{"cycles":1000,"analyzer":{"trace_window_s":1e-6}}]}`,
+		`{"scenarios":[{"cycles":1000,"analyzer":{"record_activity":true}}]}`,
+	} {
+		if rr := postPath(lim, "/v1/validate", body); rr.Code != http.StatusBadRequest {
+			t.Errorf("retired option %s: validate status %d, want 400", body, rr.Code)
+		}
 	}
 }
 

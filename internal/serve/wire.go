@@ -95,7 +95,7 @@ type ScenarioSpec struct {
 	// the server-level default. Part of the cache key: transaction
 	// estimates are approximate by contract and cache separately from
 	// exact results. Scenarios the estimator cannot honor (active fault
-	// plans, per-cycle traces, ...) conservatively run cycle-accurate with
+	// plans, DPM estimators, ...) conservatively run cycle-accurate with
 	// the reason surfaced in the result's backend_fallback.
 	Accuracy string `json:"accuracy,omitempty"`
 }
@@ -104,12 +104,7 @@ type ScenarioSpec struct {
 type AnalyzerSpec struct {
 	Style string    `json:"style,omitempty"` // global|local|private, default global
 	Tech  *TechSpec `json:"tech,omitempty"`
-	// TraceWindow enables windowed power-trace recording with the given
-	// window in seconds. Trace recording is a degradable option: under
-	// queue pressure the server may shed it (see BatchWire.Degraded).
-	TraceWindow    float64  `json:"trace_window_s,omitempty"`
-	RecordActivity bool     `json:"record_activity,omitempty"`
-	DPM            *DPMSpec `json:"dpm,omitempty"`
+	DPM   *DPMSpec  `json:"dpm,omitempty"`
 }
 
 // TechSpec overrides the technology constants.
@@ -201,13 +196,14 @@ func (s *ScenarioSpec) Scenario(index int) (engine.Scenario, error) {
 		if s.Analyzer.Tech != nil {
 			sc.Analyzer.Tech = power.Tech{VDD: s.Analyzer.Tech.VDD, CPD: s.Analyzer.Tech.CPD, CO: s.Analyzer.Tech.CO}
 		}
-		sc.Analyzer.TraceWindow = s.Analyzer.TraceWindow
-		sc.Analyzer.RecordActivity = s.Analyzer.RecordActivity
 		if s.Analyzer.DPM != nil {
 			sc.Analyzer.DPM = &core.DPMConfig{
 				IdleThreshold: s.Analyzer.DPM.IdleThreshold,
 				WakeEnergy:    s.Analyzer.DPM.WakeEnergy,
 			}
+		}
+		if err := sc.Analyzer.Validate(); err != nil {
+			return sc, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 	}
 	if s.Faults != nil {
@@ -402,7 +398,7 @@ type BatchWire struct {
 	Uncacheable int `json:"uncacheable,omitempty"`
 	// Degraded reports that the batch ran in degraded mode (queue pressure
 	// past the configured threshold); DegradedActions lists what the server
-	// actually shed or overrode for this batch.
+	// actually downgraded or overrode for this batch.
 	Degraded        bool     `json:"degraded,omitempty"`
 	DegradedActions []string `json:"degraded_actions,omitempty"`
 	// Backends counts the freshly executed scenarios by the backend that

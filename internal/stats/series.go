@@ -133,58 +133,6 @@ func ParseCSV(r io.Reader) (*Series, error) {
 	return s, nil
 }
 
-// Windower converts a stream of (time, energy) increments into a windowed
-// power series: each window of the configured duration accumulates energy,
-// and P = E/window is emitted once per window. This is how the paper's
-// power plots are produced from per-cycle energy contributions.
-type Windower struct {
-	Window   float64 // window duration in seconds
-	series   *Series
-	start    float64 // start time of the current window
-	acc      float64 // energy accumulated in the current window
-	started  bool
-	finished bool
-}
-
-// NewWindower builds a windower emitting into a fresh series. window is the
-// window duration in seconds.
-func NewWindower(name string, window float64) *Windower {
-	return &Windower{
-		Window: window,
-		series: &Series{Name: name, XUnit: "time_s", YUnit: "power_W"},
-	}
-}
-
-// Deposit records an energy increment (joules) at the given time (seconds).
-// Deposits must arrive in nondecreasing time order.
-func (w *Windower) Deposit(t, energy float64) {
-	if !w.started {
-		w.start = math.Floor(t/w.Window) * w.Window
-		w.started = true
-	}
-	for t >= w.start+w.Window {
-		w.flush()
-	}
-	w.acc += energy
-}
-
-func (w *Windower) flush() {
-	w.series.Add(w.start+w.Window/2, w.acc/w.Window)
-	w.start += w.Window
-	w.acc = 0
-}
-
-// Series finalizes the in-progress window (even if empty, so that
-// parallel windowers fed at the same timestamps stay aligned) and returns
-// the accumulated series. Further deposits after Series are not supported.
-func (w *Windower) Series() *Series {
-	if w.started && !w.finished {
-		w.flush()
-		w.finished = true
-	}
-	return w.series
-}
-
 // Summary holds the usual descriptive statistics for a slice of values.
 type Summary struct {
 	N            int

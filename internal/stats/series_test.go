@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSeriesBasics(t *testing.T) {
@@ -55,64 +54,6 @@ func TestSeriesWriteCSVDefaultHeader(t *testing.T) {
 	}
 	if b.String() != "x,y\n" {
 		t.Errorf("CSV = %q, want default header", b.String())
-	}
-}
-
-func TestWindowerPower(t *testing.T) {
-	w := NewWindower("p", 1.0)
-	// 2 J in window [0,1), 4 J in window [1,2).
-	w.Deposit(0.1, 1)
-	w.Deposit(0.9, 1)
-	w.Deposit(1.5, 4)
-	s := w.Series()
-	if s.Len() != 2 {
-		t.Fatalf("Len=%d, want 2", s.Len())
-	}
-	if s.Points[0].Y != 2 {
-		t.Errorf("window 0 power=%v, want 2", s.Points[0].Y)
-	}
-	if s.Points[1].Y != 4 {
-		t.Errorf("window 1 power=%v, want 4", s.Points[1].Y)
-	}
-	if s.Points[0].X != 0.5 || s.Points[1].X != 1.5 {
-		t.Errorf("window centers = %v,%v", s.Points[0].X, s.Points[1].X)
-	}
-}
-
-func TestWindowerGapEmitsEmptyWindows(t *testing.T) {
-	w := NewWindower("p", 1.0)
-	w.Deposit(0.5, 1)
-	w.Deposit(3.5, 1)
-	s := w.Series()
-	if s.Len() != 4 {
-		t.Fatalf("Len=%d, want 4 (two filled, two empty windows)", s.Len())
-	}
-	if s.Points[1].Y != 0 || s.Points[2].Y != 0 {
-		t.Error("gap windows must carry zero power")
-	}
-}
-
-func TestWindowerEnergyConservation(t *testing.T) {
-	// Total energy deposited equals the integral of the windowed power.
-	f := func(raw []uint8) bool {
-		w := NewWindower("p", 0.25)
-		total := 0.0
-		tcur := 0.0
-		for _, r := range raw {
-			tcur += float64(r%16) / 16.0
-			e := float64(r) / 255.0
-			w.Deposit(tcur, e)
-			total += e
-		}
-		s := w.Series()
-		integral := 0.0
-		for _, p := range s.Points {
-			integral += p.Y * w.Window
-		}
-		return math.Abs(integral-total) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

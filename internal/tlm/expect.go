@@ -221,6 +221,6 @@ func (cal *calibration) report(ct *topo.Topology, az core.AnalyzerConfig,
 		}
 		return sts[i].Instruction.String() < sts[j].Instruction.String()
 	})
-	rep := core.BuildReport(az.Style, ct.ClockPeriod(), cycles, total, sts, &bd, nil)
+	rep := core.BuildReport(az.Style, ct.ClockPeriod(), cycles, total, sts, &bd)
 	return rep, sts
 }

@@ -179,7 +179,6 @@ func TestTraitsUnsupported(t *testing.T) {
 		{"setup", exec.FeatureSetup},
 		{"skip-analyzer", exec.FeatureNoAnalyzer},
 		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}})},
-		{"trace-window", exec.AnalyzerFeatures(core.AnalyzerConfig{TraceWindow: 1e-6})},
 		{"activity", exec.AnalyzerFeatures(core.AnalyzerConfig{RecordActivity: true})},
 		{"trace-recorder", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)})},
 		{"checkpoint", exec.FeatureCheckpoint},

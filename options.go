@@ -28,17 +28,10 @@ func WithModels(m *Models) AttachOption {
 }
 
 // WithTrace subscribes a streaming power-trace recorder (see NewTrace)
-// to the analyzer's per-cycle sample stream. Use one Trace per run.
+// to the analyzer's per-cycle sample stream; its windowed power series
+// are the paper's Figs. 3-5. Use one Trace per run.
 func WithTrace(rec *Trace) AttachOption {
 	return func(cfg *AnalyzerConfig) { cfg.Trace = rec }
-}
-
-// WithTraceWindow enables the report's built-in windowed power traces
-// (Report.TraceTotal and friends, the paper's Figs. 3-5) with the given
-// window duration in seconds. For streaming access, exporters and
-// per-instruction series, use WithTrace instead.
-func WithTraceWindow(seconds float64) AttachOption {
-	return func(cfg *AnalyzerConfig) { cfg.TraceWindow = seconds }
 }
 
 // WithActivity keeps per-signal switching statistics (the paper's
