@@ -174,20 +174,17 @@ type Bus struct {
 	defReady *sim.Signal[bool]
 	defResp  *sim.Signal[uint8]
 
-	splitMask uint16 // masters currently split-masked from arbitration
-
-	// defErrCycle is the default slave's two-cycle-ERROR latch; a Bus
-	// field (not a closure local) so snapshots can carry it.
-	defErrCycle bool
+	// st is the bus's dynamic state outside the signals — the split mask,
+	// cycle counter, handover latch and default-slave ERROR latch — and
+	// exactly what its snapshot serializes.
+	st BusState
 
 	// combWaves holds the bus's combinational processes in topological
 	// evaluation order (mux wave, then the decoder that reads the muxed
 	// address), for straight-line execution by a flat stepper.
 	combWaves [][]*sim.Process
 
-	hub        probe.Hub[CycleInfo]
-	cycles     uint64
-	lastMaster uint8
+	hub probe.Hub[CycleInfo]
 }
 
 // DataMask returns the valid-bit mask of the configured data width.
@@ -256,7 +253,7 @@ func New(k *sim.Kernel, cfg Config) (*Bus, error) {
 	b.HReady = sim.NewBool(k, n+".hready", true)
 	b.defReady = sim.NewBool(k, n+".defready", true)
 	b.defResp = sim.NewSignal[uint8](k, n+".defresp", RespOkay)
-	b.lastMaster = uint8(cfg.DefaultMaster)
+	b.st.LastMaster = uint8(cfg.DefaultMaster)
 
 	decoder := b.buildDecoder()
 	m2sAddr, m2sWdata := b.buildM2S()
@@ -406,7 +403,7 @@ func (b *Bus) arbitrate(cur int) int {
 		return cur
 	}
 	req := func(m int) bool {
-		return b.M[m].BusReq.Read() && b.splitMask&(1<<uint(m)) == 0
+		return b.M[m].BusReq.Read() && b.st.SplitMask&(1<<uint(m)) == 0
 	}
 	switch b.Cfg.Policy {
 	case PolicySticky:
@@ -441,10 +438,10 @@ func (b *Bus) arbitrate(cur int) int {
 func (b *Bus) buildDefaultSlave() {
 	b.K.MethodNoInit(b.Cfg.Name+".defslave", func() {
 		if !b.HReady.Read() {
-			if b.defErrCycle {
+			if b.st.DefErrCycle {
 				// Second cycle of the two-cycle ERROR.
 				b.defReady.Write(true)
-				b.defErrCycle = false
+				b.st.DefErrCycle = false
 			}
 			return
 		}
@@ -452,7 +449,7 @@ func (b *Bus) buildDefaultSlave() {
 		if b.SelIdx.Read() == -2 && (t == TransNonseq || t == TransSeq) {
 			b.defReady.Write(false)
 			b.defResp.Write(RespError)
-			b.defErrCycle = true
+			b.st.DefErrCycle = true
 		} else {
 			b.defReady.Write(true)
 			b.defResp.Write(RespOkay)
@@ -461,13 +458,13 @@ func (b *Bus) buildDefaultSlave() {
 }
 
 // SplitMask exposes the arbiter's split mask (for monitors and tests).
-func (b *Bus) SplitMask() uint16 { return b.splitMask }
+func (b *Bus) SplitMask() uint16 { return b.st.SplitMask }
 
 // MaskSplit records that master m received a SPLIT and must not be granted
 // until resumed. Split-capable slaves (and the fault injector) call it on
 // the cycle they issue the SPLIT response.
 func (b *Bus) MaskSplit(m uint8) {
-	b.splitMask |= 1 << uint(m)
+	b.st.SplitMask |= 1 << uint(m)
 }
 
 // WatchSplitResume wires slave s's split-resume signal (HSPLITx) into the
@@ -476,6 +473,6 @@ func (b *Bus) MaskSplit(m uint8) {
 // watcher.
 func (b *Bus) WatchSplitResume(s int) {
 	b.S[s].SplitRes.Watch(func(_, now uint16) {
-		b.splitMask &^= now
+		b.st.SplitMask &^= now
 	})
 }

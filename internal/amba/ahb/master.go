@@ -101,25 +101,19 @@ type Master struct {
 	idx   int
 	ports *masterPorts
 
-	script  []Sequence
-	seqIdx  int
-	opIdx   int
-	beat    int
-	idleCnt int
+	script []Sequence
+	// regs is the script cursor, flags and counters: the scalar part of
+	// the master's snapshot (see MasterState).
+	regs masterRegs
 
 	// addrPhase / dataPhase describe in-flight beats.
 	addrPhase *flight
 	dataPhase *flight
 	rewind    []*flight // beats to re-issue after RETRY/SPLIT/preemption
-	// mustNonseq forces the next driven beat to NONSEQ (burst rebuilt
-	// after losing the bus or after a canceled transfer).
-	mustNonseq bool
 
-	results   []Result
-	keepRes   bool
-	stats     MasterStats
-	onDrive   func(*BeatDrive)
-	splitWait bool
+	results []Result
+	keepRes bool
+	onDrive func(*BeatDrive)
 
 	// spare recycles completed flights: one flight is consumed per data
 	// beat, and allocating each one dominates the master's per-cycle cost
@@ -201,12 +195,12 @@ func (m *Master) OnDrive(fn func(*BeatDrive)) { m.onDrive = fn }
 func (m *Master) Results() []Result { return m.results }
 
 // Stats returns the master's protocol counters.
-func (m *Master) Stats() MasterStats { return m.stats }
+func (m *Master) Stats() MasterStats { return m.regs.Stats }
 
 // Done reports whether the script is fully executed and no beat is in
 // flight.
 func (m *Master) Done() bool {
-	return m.seqIdx >= len(m.script) && m.addrPhase == nil && m.dataPhase == nil && len(m.rewind) == 0
+	return m.regs.SeqIdx >= len(m.script) && m.addrPhase == nil && m.dataPhase == nil && len(m.rewind) == 0
 }
 
 // tick advances the master by one clock edge.
@@ -224,10 +218,10 @@ func (m *Master) tick() {
 				// address phase, drive IDLE, and queue both the failed
 				// beat and the canceled address-phase beat for re-issue.
 				if resp == RespRetry {
-					m.stats.Retries++
+					m.regs.Stats.Retries++
 				} else {
-					m.stats.Splits++
-					m.splitWait = true
+					m.regs.Stats.Splits++
+					m.regs.SplitWait = true
 				}
 				m.rewind = append(m.rewind, m.dataPhase)
 				if m.addrPhase != nil && (m.addrPhase.trans == TransNonseq || m.addrPhase.trans == TransSeq) {
@@ -235,14 +229,14 @@ func (m *Master) tick() {
 				}
 				m.dataPhase = nil
 				m.addrPhase = nil
-				m.mustNonseq = true
+				m.regs.MustNonseq = true
 				m.driveIdle()
 			case RespError:
 				// First cycle of a two-cycle ERROR: transfer will be
 				// abandoned at the second cycle.
-				m.stats.WaitCycle++
+				m.regs.Stats.WaitCycle++
 			default:
-				m.stats.WaitCycle++
+				m.regs.Stats.WaitCycle++
 			}
 		} else {
 			f := m.dataPhase
@@ -252,7 +246,7 @@ func (m *Master) tick() {
 				m.completeBeat(f, RespOkay)
 				m.recycle(f)
 			case RespError:
-				m.stats.Errors++
+				m.regs.Stats.Errors++
 				m.completeBeat(f, RespError)
 				m.recycle(f)
 			default:
@@ -285,7 +279,7 @@ func (m *Master) tick() {
 
 // completeBeat finalizes one beat.
 func (m *Master) completeBeat(f *flight, resp uint8) {
-	m.stats.Beats++
+	m.regs.Stats.Beats++
 	if !m.keepRes {
 		return
 	}
@@ -314,11 +308,11 @@ func (m *Master) driveNext(granted bool) {
 	// Request logic: request while work remains in the current sequence
 	// (including a beat to re-issue) and not waiting for a split resume.
 	wantBus := m.hasWork()
-	if m.splitWait {
-		if m.bus.splitMask&(1<<uint(m.idx)) != 0 {
+	if m.regs.SplitWait {
+		if m.bus.st.SplitMask&(1<<uint(m.idx)) != 0 {
 			wantBus = false
 		} else {
-			m.splitWait = false
+			m.regs.SplitWait = false
 		}
 	}
 	m.ports.BusReq.Write(wantBus)
@@ -328,7 +322,7 @@ func (m *Master) driveNext(granted bool) {
 		if wantBus {
 			// Lost or awaiting the bus mid-sequence: any burst in
 			// progress must be rebuilt with NONSEQ when regained.
-			m.mustNonseq = true
+			m.regs.MustNonseq = true
 		} else {
 			m.advanceIdle()
 		}
@@ -355,10 +349,10 @@ func (m *Master) driveNext(granted bool) {
 	}
 
 	// BUSY insertion before this beat.
-	if op.BusyBefore != nil && m.beat > 0 {
-		if left := op.BusyBefore[m.beat]; left > 0 {
-			op.BusyBefore[m.beat] = left - 1
-			m.stats.BusyCycle++
+	if op.BusyBefore != nil && m.regs.Beat > 0 {
+		if left := op.BusyBefore[m.regs.Beat]; left > 0 {
+			op.BusyBefore[m.regs.Beat] = left - 1
+			m.regs.Stats.BusyCycle++
 			m.ports.Trans.Write(TransBusy)
 			return
 		}
@@ -366,15 +360,21 @@ func (m *Master) driveNext(granted bool) {
 
 	f := m.flightFor(op)
 	m.driveFlight(f)
-	m.beat++
-	if m.beat >= op.beats() {
-		m.beat = 0
-		m.opIdx++
-		if m.opIdx >= len(m.script[m.seqIdx].Ops) {
-			m.opIdx = 0
-			m.idleCnt = m.script[m.seqIdx].IdleAfter
-			m.seqIdx++
-		}
+	m.regs.Beat++
+	if m.regs.Beat >= op.beats() {
+		m.nextOp()
+	}
+}
+
+// nextOp moves the script cursor past the current op, entering the
+// sequence's idle gap after its last op.
+func (m *Master) nextOp() {
+	m.regs.Beat = 0
+	m.regs.OpIdx++
+	if m.regs.OpIdx >= len(m.script[m.regs.SeqIdx].Ops) {
+		m.regs.OpIdx = 0
+		m.regs.IdleCnt = m.script[m.regs.SeqIdx].IdleAfter
+		m.regs.SeqIdx++
 	}
 }
 
@@ -384,7 +384,7 @@ func (m *Master) hasWork() bool {
 	if len(m.rewind) > 0 || m.addrPhase != nil {
 		return true
 	}
-	if m.idleCnt > 0 {
+	if m.regs.IdleCnt > 0 {
 		return false
 	}
 	op := m.currentOp()
@@ -393,37 +393,31 @@ func (m *Master) hasWork() bool {
 
 // currentOp returns the op at the script cursor, or nil when exhausted.
 func (m *Master) currentOp() *Op {
-	if m.seqIdx >= len(m.script) {
+	if m.regs.SeqIdx >= len(m.script) {
 		return nil
 	}
-	seq := &m.script[m.seqIdx]
-	if m.opIdx >= len(seq.Ops) {
+	seq := &m.script[m.regs.SeqIdx]
+	if m.regs.OpIdx >= len(seq.Ops) {
 		return nil
 	}
-	return &seq.Ops[m.opIdx]
+	return &seq.Ops[m.regs.OpIdx]
 }
 
 // advanceIdle consumes one idle cycle if an idle gap or OpIdle is active.
 func (m *Master) advanceIdle() {
-	m.stats.IdleCycle++
-	if m.idleCnt > 0 {
-		m.idleCnt--
+	m.regs.Stats.IdleCycle++
+	if m.regs.IdleCnt > 0 {
+		m.regs.IdleCnt--
 		return
 	}
 	op := m.currentOp()
 	if op != nil && op.Kind == OpIdle {
-		if m.beat == 0 {
-			m.beat = op.IdleCycles
+		if m.regs.Beat == 0 {
+			m.regs.Beat = op.IdleCycles
 		}
-		m.beat--
-		if m.beat <= 0 {
-			m.beat = 0
-			m.opIdx++
-			if m.opIdx >= len(m.script[m.seqIdx].Ops) {
-				m.opIdx = 0
-				m.idleCnt = m.script[m.seqIdx].IdleAfter
-				m.seqIdx++
-			}
+		m.regs.Beat--
+		if m.regs.Beat <= 0 {
+			m.nextOp()
 		}
 	}
 }
@@ -431,15 +425,15 @@ func (m *Master) advanceIdle() {
 // flightFor builds the flight for the current beat of op.
 func (m *Master) flightFor(op *Op) *flight {
 	f := m.newFlight()
-	f.op, f.beatIdx, f.write, f.size = op, m.beat, op.Kind == OpWrite, op.Size
+	f.op, f.beatIdx, f.write, f.size = op, m.regs.Beat, op.Kind == OpWrite, op.Size
 	if f.size == 0 && m.bus.Cfg.DataWidth == 32 {
 		f.size = Size32
 	}
 	f.burst = op.burstCode()
-	if m.beat == 0 {
+	if m.regs.Beat == 0 {
 		f.addr = op.Addr
 		f.trans = TransNonseq
-	} else if m.mustNonseq {
+	} else if m.regs.MustNonseq {
 		// Burst rebuilt after losing the bus: restart as NONSEQ/INCR.
 		f.trans = TransNonseq
 		f.burst = BurstIncr
@@ -448,17 +442,17 @@ func (m *Master) flightFor(op *Op) *flight {
 		f.trans = TransSeq
 		f.addr = m.nextAddr(op)
 	}
-	m.mustNonseq = false
-	if f.write && m.beat < len(op.Data) {
-		f.data = op.Data[m.beat] & m.bus.DataMask()
+	m.regs.MustNonseq = false
+	if f.write && m.regs.Beat < len(op.Data) {
+		f.data = op.Data[m.regs.Beat] & m.bus.DataMask()
 	}
 	return f
 }
 
-// nextAddr computes the address of beat m.beat of op.
+// nextAddr computes the address of beat m.regs.Beat of op.
 func (m *Master) nextAddr(op *Op) uint32 {
 	addr := op.Addr
-	for i := 0; i < m.beat; i++ {
+	for i := 0; i < m.regs.Beat; i++ {
 		addr = NextBurstAddr(addr, op.burstCode(), m.sizeOf(op))
 	}
 	return addr

@@ -55,9 +55,9 @@ func (b *Bus) EndOfTimestep(t sim.Time) {
 	if !b.Clk.Signal().Read() {
 		return
 	}
-	b.cycles++
+	b.st.Cycles++
 	ci := CycleInfo{
-		Cycle:      b.cycles,
+		Cycle:      b.st.Cycles,
 		Time:       t,
 		Trans:      b.HTrans.Read(),
 		Addr:       b.HAddr.Read(),
@@ -80,8 +80,8 @@ func (b *Bus) EndOfTimestep(t sim.Time) {
 			ci.Requests |= 1 << uint(m)
 		}
 	}
-	ci.Handover = ci.Master != b.lastMaster
-	b.lastMaster = ci.Master
+	ci.Handover = ci.Master != b.st.LastMaster
+	b.st.LastMaster = ci.Master
 	b.hub.Publish(ci)
 }
 
@@ -97,7 +97,7 @@ func (b *Bus) OnCycle(fn func(CycleInfo)) {
 }
 
 // Cycles returns the number of observed bus cycles.
-func (b *Bus) Cycles() uint64 { return b.cycles }
+func (b *Bus) Cycles() uint64 { return b.st.Cycles }
 
 // ProtocolError describes a violation detected by the Monitor.
 type ProtocolError struct {
@@ -114,25 +114,13 @@ func (e ProtocolError) Error() string {
 // the "complete set of testbenches to observe all the different activity
 // states" needs a referee. Violations are collected, not fatal.
 type Monitor struct {
-	bus       *Bus
-	errs      []ProtocolError
-	prev      CycleInfo
-	havePrev  bool
-	counts    monitorCounts
-	burstBase uint32
-}
-
-// monitorCounts holds the per-event counters as plain fields: the monitor
-// bumps one or two of them every settled cycle, and a map increment on
-// that path (hash + lookup per event) is measurable across a whole sweep.
-// Counts materializes the map form.
-type monitorCounts struct {
-	idle, busy, nonseq, seq, handover, wait uint64
+	// st is the monitor's whole state, as its snapshot serializes it.
+	st MonitorState
 }
 
 // NewMonitor attaches a protocol monitor to the bus-cycle stream.
 func NewMonitor(b *Bus) *Monitor {
-	m := &Monitor{bus: b}
+	m := &Monitor{}
 	b.Observe(m)
 	return m
 }
@@ -147,7 +135,7 @@ func NewDetachedMonitor() *Monitor {
 }
 
 // Errors returns the violations detected so far.
-func (m *Monitor) Errors() []ProtocolError { return m.errs }
+func (m *Monitor) Errors() []ProtocolError { return m.st.Errs }
 
 // Counts returns per-event counters (transfers, waits, handovers, ...).
 // Only events observed at least once appear, matching map-increment
@@ -158,12 +146,12 @@ func (m *Monitor) Counts() map[string]uint64 {
 		name string
 		n    uint64
 	}{
-		{"idle", m.counts.idle},
-		{"busy", m.counts.busy},
-		{"nonseq", m.counts.nonseq},
-		{"seq", m.counts.seq},
-		{"handover", m.counts.handover},
-		{"wait", m.counts.wait},
+		{"idle", m.st.Counts.Idle},
+		{"busy", m.st.Counts.Busy},
+		{"nonseq", m.st.Counts.Nonseq},
+		{"seq", m.st.Counts.Seq},
+		{"handover", m.st.Counts.Handover},
+		{"wait", m.st.Counts.Wait},
 	} {
 		if c.n > 0 {
 			out[c.name] = c.n
@@ -173,7 +161,7 @@ func (m *Monitor) Counts() map[string]uint64 {
 }
 
 func (m *Monitor) fail(c uint64, rule, format string, args ...any) {
-	m.errs = append(m.errs, ProtocolError{Cycle: c, Rule: rule, Desc: fmt.Sprintf(format, args...)})
+	m.st.Errs = append(m.st.Errs, ProtocolError{Cycle: c, Rule: rule, Desc: fmt.Sprintf(format, args...)})
 }
 
 // ObserveCycle implements probe.Observer: it checks one settled bus cycle
@@ -181,19 +169,19 @@ func (m *Monitor) fail(c uint64, rule, format string, args ...any) {
 func (m *Monitor) ObserveCycle(ci CycleInfo) {
 	switch ci.Trans {
 	case TransIdle:
-		m.counts.idle++
+		m.st.Counts.Idle++
 	case TransBusy:
-		m.counts.busy++
+		m.st.Counts.Busy++
 	case TransNonseq:
-		m.counts.nonseq++
+		m.st.Counts.Nonseq++
 	case TransSeq:
-		m.counts.seq++
+		m.st.Counts.Seq++
 	}
 	if ci.Handover {
-		m.counts.handover++
+		m.st.Counts.Handover++
 	}
 	if !ci.Ready {
-		m.counts.wait++
+		m.st.Counts.Wait++
 	}
 
 	// Alignment rule: active transfers must be size-aligned.
@@ -203,11 +191,11 @@ func (m *Monitor) ObserveCycle(ci CycleInfo) {
 		}
 	}
 
-	if !m.havePrev {
-		m.prev, m.havePrev = ci, true
+	if !m.st.HavePrev {
+		m.st.Prev, m.st.HavePrev = ci, true
 		return
 	}
-	p := &m.prev
+	p := &m.st.Prev
 
 	// A response other than OKAY must be a two-cycle response: first
 	// cycle with HREADY low.
@@ -251,15 +239,15 @@ func (m *Monitor) ObserveCycle(ci CycleInfo) {
 	// Bursts must not cross a 1 KB boundary: a SEQ beat must stay in the
 	// 1 KB block of the burst's first (NONSEQ) beat.
 	if ci.Trans == TransNonseq {
-		m.burstBase = ci.Addr
+		m.st.BurstBase = ci.Addr
 	}
-	if ci.Trans == TransSeq && ci.Addr>>10 != m.burstBase>>10 {
-		m.fail(ci.Cycle, "kb-boundary", "burst from %#x reached %#x across a 1KB boundary", m.burstBase, ci.Addr)
+	if ci.Trans == TransSeq && ci.Addr>>10 != m.st.BurstBase>>10 {
+		m.fail(ci.Cycle, "kb-boundary", "burst from %#x reached %#x across a 1KB boundary", m.st.BurstBase, ci.Addr)
 	}
 
 	// Ownership handover requires HREADY high in the previous cycle.
 	if ci.Handover && !p.Ready {
 		m.fail(ci.Cycle, "handover-wait", "HMASTER changed while HREADY low")
 	}
-	m.prev = ci
+	m.st.Prev = ci
 }

@@ -2,13 +2,6 @@ package ahb
 
 import "fmt"
 
-// latched is an address phase captured by a slave.
-type latched struct {
-	addr  uint32
-	write bool
-	size  uint8
-}
-
 // MemorySlave is a word-addressable memory responding OKAY with a
 // configurable number of wait states per transfer.
 type MemorySlave struct {
@@ -19,7 +12,7 @@ type MemorySlave struct {
 	Waits int // wait states per data phase
 
 	mem      map[uint32]uint32
-	pending  *latched
+	pending  *LatchedState
 	waitLeft int
 
 	stats SlaveStats
@@ -71,8 +64,8 @@ func (s *MemorySlave) tick() {
 		}
 		if hready {
 			// Data phase completed at this edge.
-			if s.pending.write {
-				s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+			if s.pending.Write {
+				s.mem[s.pending.Addr>>2] = s.bus.HWdata.Read()
 				s.stats.Writes++
 			} else {
 				s.stats.Reads++
@@ -88,10 +81,10 @@ func (s *MemorySlave) tick() {
 	// Latch a new address phase if selected with an active transfer.
 	t := s.bus.HTrans.Read()
 	if s.bus.Sel[s.idx].Read() && (t == TransNonseq || t == TransSeq) {
-		s.pending = &latched{
-			addr:  s.bus.HAddr.Read(),
-			write: s.bus.HWrite.Read(),
-			size:  s.bus.HSize.Read(),
+		s.pending = &LatchedState{
+			Addr:  s.bus.HAddr.Read(),
+			Write: s.bus.HWrite.Read(),
+			Size:  s.bus.HSize.Read(),
 		}
 		s.ports.Resp.Write(RespOkay)
 		if s.Waits > 0 {
@@ -109,8 +102,8 @@ func (s *MemorySlave) tick() {
 // finishPhase drives the final data cycle: ready high plus read data.
 func (s *MemorySlave) finishPhase() {
 	s.ports.ReadyOut.Write(true)
-	if !s.pending.write {
-		s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+	if !s.pending.Write {
+		s.ports.Rdata.Write(s.mem[s.pending.Addr>>2])
 	}
 }
 
@@ -163,7 +156,7 @@ type RetrySlave struct {
 	Retries int // RETRYs issued per transfer before acceptance
 
 	mem      map[uint32]uint32
-	pending  *latched
+	pending  *LatchedState
 	tryCount int
 	twoCycle bool
 	Issued   uint64
@@ -192,8 +185,8 @@ func (s *RetrySlave) tick() {
 	}
 	// Complete an accepted data phase.
 	if s.pending != nil && s.ports.Resp.Read() == RespOkay {
-		if s.pending.write {
-			s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+		if s.pending.Write {
+			s.mem[s.pending.Addr>>2] = s.bus.HWdata.Read()
 		}
 		s.pending = nil
 	}
@@ -208,14 +201,14 @@ func (s *RetrySlave) tick() {
 			return
 		}
 		s.tryCount = 0
-		s.pending = &latched{
-			addr:  s.bus.HAddr.Read(),
-			write: s.bus.HWrite.Read(),
+		s.pending = &LatchedState{
+			Addr:  s.bus.HAddr.Read(),
+			Write: s.bus.HWrite.Read(),
 		}
 		s.ports.ReadyOut.Write(true)
 		s.ports.Resp.Write(RespOkay)
-		if !s.pending.write {
-			s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+		if !s.pending.Write {
+			s.ports.Rdata.Write(s.mem[s.pending.Addr>>2])
 		}
 	} else {
 		s.ports.ReadyOut.Write(true)
@@ -232,7 +225,7 @@ type SplitSlave struct {
 	HoldCycles int
 
 	mem      map[uint32]uint32
-	pending  *latched
+	pending  *LatchedState
 	twoCycle bool
 	holding  int // countdown to split resume
 	heldMask uint16
@@ -277,8 +270,8 @@ func (s *SplitSlave) tick() {
 		return
 	}
 	if s.pending != nil && s.ports.Resp.Read() == RespOkay {
-		if s.pending.write {
-			s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+		if s.pending.Write {
+			s.mem[s.pending.Addr>>2] = s.bus.HWdata.Read()
 		}
 		s.pending = nil
 	}
@@ -298,14 +291,14 @@ func (s *SplitSlave) tick() {
 			return
 		}
 		s.primed = false
-		s.pending = &latched{
-			addr:  s.bus.HAddr.Read(),
-			write: s.bus.HWrite.Read(),
+		s.pending = &LatchedState{
+			Addr:  s.bus.HAddr.Read(),
+			Write: s.bus.HWrite.Read(),
 		}
 		s.ports.ReadyOut.Write(true)
 		s.ports.Resp.Write(RespOkay)
-		if !s.pending.write {
-			s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+		if !s.pending.Write {
+			s.ports.Rdata.Write(s.mem[s.pending.Addr>>2])
 		}
 	} else {
 		s.ports.ReadyOut.Write(true)

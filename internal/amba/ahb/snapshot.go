@@ -2,16 +2,22 @@ package ahb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
 // Snapshot state for the bus components. Every struct here is plain
-// serializable data (JSON-friendly, exported fields only): capture walks
-// the component's private state into it, restore writes it back onto a
-// freshly constructed, structurally identical component. Restores assume
-// the kernel's signal values have already been restored (silently), so
-// they only move component-resident state — cursors, latches, counters,
-// masks — and never drive signals.
+// serializable data (JSON-friendly, exported fields only), and the
+// components run on it: the bus on BusState, the monitor on MonitorState,
+// a master on the scalar part of MasterState and the slaves on
+// LatchedState. Capture is therefore a copy and restore an assignment
+// onto a freshly constructed, structurally identical component; only the
+// in-flight beats (stored as script positions) and the memory contents
+// (a sorted cell list) are converted. Restores assume the kernel's signal
+// values have already been restored (silently), so they only move
+// component-resident state — cursors, latches, counters, masks — and
+// never drive signals.
 
 // BusState is the interconnect's dynamic state outside the signals: the
 // arbiter's split mask, the settled-cycle counter, the handover latch
@@ -24,22 +30,10 @@ type BusState struct {
 }
 
 // CaptureState serializes the bus-level dynamic state.
-func (b *Bus) CaptureState() BusState {
-	return BusState{
-		SplitMask:   b.splitMask,
-		Cycles:      b.cycles,
-		LastMaster:  b.lastMaster,
-		DefErrCycle: b.defErrCycle,
-	}
-}
+func (b *Bus) CaptureState() BusState { return b.st }
 
 // RestoreState writes a captured bus state back.
-func (b *Bus) RestoreState(st BusState) {
-	b.splitMask = st.SplitMask
-	b.cycles = st.Cycles
-	b.lastMaster = st.LastMaster
-	b.defErrCycle = st.DefErrCycle
-}
+func (b *Bus) RestoreState(st BusState) { b.st = st }
 
 // FlightState is the serialized form of one in-flight beat. The script
 // op it references is stored as its (sequence, op) position — restore
@@ -61,13 +55,7 @@ type FlightState struct {
 // remaining BUSY insertions (decremented in place as they are consumed)
 // and the protocol counters.
 type MasterState struct {
-	SeqIdx     int         `json:"seq_idx"`
-	OpIdx      int         `json:"op_idx"`
-	Beat       int         `json:"beat"`
-	IdleCnt    int         `json:"idle_cnt"`
-	MustNonseq bool        `json:"must_nonseq,omitempty"`
-	SplitWait  bool        `json:"split_wait,omitempty"`
-	Stats      MasterStats `json:"stats"`
+	masterRegs
 
 	AddrPhase *FlightState  `json:"addr_phase,omitempty"`
 	DataPhase *FlightState  `json:"data_phase,omitempty"`
@@ -76,6 +64,21 @@ type MasterState struct {
 	// BusyLeft is the current op's partially consumed BusyBefore map;
 	// nil when the op has none.
 	BusyLeft map[int]int `json:"busy_left,omitempty"`
+}
+
+// masterRegs is the scalar state a master runs on: the script cursor,
+// the idle countdown, the NONSEQ-restart and split-wait flags and the
+// protocol counters.
+type masterRegs struct {
+	SeqIdx  int `json:"seq_idx"`
+	OpIdx   int `json:"op_idx"`
+	Beat    int `json:"beat"`
+	IdleCnt int `json:"idle_cnt"`
+	// MustNonseq forces the next driven beat to NONSEQ (burst rebuilt
+	// after losing the bus or after a canceled transfer).
+	MustNonseq bool        `json:"must_nonseq,omitempty"`
+	SplitWait  bool        `json:"split_wait,omitempty"`
+	Stats      MasterStats `json:"stats"`
 }
 
 // opPosition locates op in the master's script by pointer identity.
@@ -131,13 +134,7 @@ func (m *Master) restoreFlight(st FlightState) (*flight, error) {
 
 // CaptureState serializes the master's dynamic state.
 func (m *Master) CaptureState() (MasterState, error) {
-	st := MasterState{
-		SeqIdx: m.seqIdx, OpIdx: m.opIdx,
-		Beat: m.beat, IdleCnt: m.idleCnt,
-		MustNonseq: m.mustNonseq, SplitWait: m.splitWait,
-		Stats: m.stats,
-	}
-	var err error
+	st := MasterState{masterRegs: m.regs}
 	if m.addrPhase != nil {
 		f, e := m.captureFlight(m.addrPhase)
 		if e != nil {
@@ -159,22 +156,16 @@ func (m *Master) CaptureState() (MasterState, error) {
 		}
 		st.Rewind = append(st.Rewind, f)
 	}
-	if op := m.currentOp(); op != nil && op.BusyBefore != nil {
-		st.BusyLeft = make(map[int]int, len(op.BusyBefore))
-		for k, v := range op.BusyBefore {
-			st.BusyLeft[k] = v
-		}
+	if op := m.currentOp(); op != nil {
+		st.BusyLeft = maps.Clone(op.BusyBefore)
 	}
-	return st, err
+	return st, nil
 }
 
 // RestoreState writes a captured master state back onto a master holding
 // the identical script.
 func (m *Master) RestoreState(st MasterState) error {
-	m.seqIdx, m.opIdx = st.SeqIdx, st.OpIdx
-	m.beat, m.idleCnt = st.Beat, st.IdleCnt
-	m.mustNonseq, m.splitWait = st.MustNonseq, st.SplitWait
-	m.stats = st.Stats
+	m.regs = st.masterRegs
 	m.addrPhase, m.dataPhase, m.rewind = nil, nil, nil
 	if st.AddrPhase != nil {
 		f, err := m.restoreFlight(*st.AddrPhase)
@@ -202,10 +193,7 @@ func (m *Master) RestoreState(st MasterState) error {
 		if op == nil {
 			return fmt.Errorf("ahb: BusyLeft captured with no current op on master %d", m.idx)
 		}
-		op.BusyBefore = make(map[int]int, len(st.BusyLeft))
-		for k, v := range st.BusyLeft {
-			op.BusyBefore[k] = v
-		}
+		op.BusyBefore = maps.Clone(st.BusyLeft)
 	}
 	return nil
 }
@@ -216,7 +204,7 @@ type MemCell struct {
 	Val  uint32 `json:"v"`
 }
 
-// LatchedState is a slave's captured address phase.
+// LatchedState is an address phase a slave latched for its data phase.
 type LatchedState struct {
 	Addr  uint32 `json:"addr"`
 	Write bool   `json:"write,omitempty"`
@@ -244,7 +232,8 @@ func (s *MemorySlave) CaptureState() MemorySlaveState {
 		sort.Slice(st.Mem, func(i, j int) bool { return st.Mem[i].Addr < st.Mem[j].Addr })
 	}
 	if s.pending != nil {
-		st.Pending = &LatchedState{Addr: s.pending.addr, Write: s.pending.write, Size: s.pending.size}
+		p := *s.pending
+		st.Pending = &p
 	}
 	return st
 }
@@ -257,14 +246,17 @@ func (s *MemorySlave) RestoreState(st MemorySlaveState) {
 	}
 	s.pending = nil
 	if st.Pending != nil {
-		s.pending = &latched{addr: st.Pending.Addr, write: st.Pending.Write, size: st.Pending.Size}
+		p := *st.Pending
+		s.pending = &p
 	}
 	s.waitLeft = st.WaitLeft
 	s.stats = st.Stats
 }
 
-// MonitorCountsState is the serialized form of the monitor's per-event
-// counters.
+// MonitorCountsState is the monitor's per-event counters, kept as plain
+// fields: the monitor bumps one or two of them every settled cycle, and a
+// map increment on that path (hash + lookup per event) is measurable
+// across a whole sweep. Monitor.Counts materializes the map form.
 type MonitorCountsState struct {
 	Idle     uint64 `json:"idle,omitempty"`
 	Busy     uint64 `json:"busy,omitempty"`
@@ -287,28 +279,13 @@ type MonitorState struct {
 
 // CaptureState serializes the monitor's dynamic state.
 func (m *Monitor) CaptureState() MonitorState {
-	return MonitorState{
-		Errs:     append([]ProtocolError(nil), m.errs...),
-		Prev:     m.prev,
-		HavePrev: m.havePrev,
-		Counts: MonitorCountsState{
-			Idle: m.counts.idle, Busy: m.counts.busy,
-			Nonseq: m.counts.nonseq, Seq: m.counts.seq,
-			Handover: m.counts.handover, Wait: m.counts.wait,
-		},
-		BurstBase: m.burstBase,
-	}
+	st := m.st
+	st.Errs = slices.Clone(m.st.Errs)
+	return st
 }
 
 // RestoreState writes a captured monitor state back.
 func (m *Monitor) RestoreState(st MonitorState) {
-	m.errs = append([]ProtocolError(nil), st.Errs...)
-	m.prev = st.Prev
-	m.havePrev = st.HavePrev
-	m.counts = monitorCounts{
-		idle: st.Counts.Idle, busy: st.Counts.Busy,
-		nonseq: st.Counts.Nonseq, seq: st.Counts.Seq,
-		handover: st.Counts.Handover, wait: st.Counts.Wait,
-	}
-	m.burstBase = st.BurstBase
+	m.st = st
+	m.st.Errs = slices.Clone(st.Errs)
 }

@@ -117,32 +117,41 @@ type Analyzer struct {
 	samples   probe.Hub[metrics.Sample]
 	sampleBuf []metrics.Sample
 
-	// Previous-cycle snapshot for Hamming distances.
-	havePrev   bool
-	prevDecIn  uint64
-	prevAddr   uint32
-	prevCtrl   uint64
-	prevWdata  uint32
-	prevRdata  uint32
-	prevS2MCtl uint64
-	prevM2SSel uint64
-	prevS2MSel uint64
-	prevReq    uint16
-	prevGrant  uint16
+	// regs is the per-cycle register file; it is also what the analyzer's
+	// snapshot serializes (see analyzerState).
+	regs analyzerRegs
+}
 
-	lastActiveMaster uint8
-	haveActive       bool
+// analyzerRegs is the analyzer's per-cycle register file: the previous
+// cycle's values the macromodels take Hamming distances against, the
+// classifier's last transferring master, the private style's glitch
+// accumulators (filled by signal watchers, drained once per cycle) and
+// the local style's per-port history. The analyzer runs on this struct
+// and its snapshot embeds it, so a register added here is checkpointed
+// with no further code.
+type analyzerRegs struct {
+	HavePrev   bool   `json:"have_prev,omitempty"`
+	PrevDecIn  uint64 `json:"prev_dec_in,omitempty"`
+	PrevAddr   uint32 `json:"prev_addr,omitempty"`
+	PrevCtrl   uint64 `json:"prev_ctrl,omitempty"`
+	PrevWdata  uint32 `json:"prev_wdata,omitempty"`
+	PrevRdata  uint32 `json:"prev_rdata,omitempty"`
+	PrevS2MCtl uint64 `json:"prev_s2m_ctl,omitempty"`
+	PrevM2SSel uint64 `json:"prev_m2s_sel,omitempty"`
+	PrevS2MSel uint64 `json:"prev_s2m_sel,omitempty"`
+	PrevReq    uint16 `json:"prev_req,omitempty"`
+	PrevGrant  uint16 `json:"prev_grant,omitempty"`
 
-	// Private-style glitch accumulators, filled by signal watchers and
-	// drained once per cycle.
-	privM2S int
-	privS2M int
-	privDec int
-	privArb int
+	LastActiveMaster uint8 `json:"last_active_master,omitempty"`
+	HaveActive       bool  `json:"have_active,omitempty"`
 
-	// Local-style per-port history (previous sampled values).
-	localPrev  []uint64
-	localFirst bool
+	PrivM2S int `json:"priv_m2s,omitempty"`
+	PrivS2M int `json:"priv_s2m,omitempty"`
+	PrivDec int `json:"priv_dec,omitempty"`
+	PrivArb int `json:"priv_arb,omitempty"`
+
+	LocalPrev  []uint64 `json:"local_prev,omitempty"`
+	LocalFirst bool     `json:"local_first,omitempty"`
 }
 
 // Attach builds an analyzer and hooks it into the system. It must be
@@ -191,7 +200,7 @@ func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
 		a.attachWatchers()
 	}
 	if cfg.Style == StyleLocal {
-		a.localPrev = make([]uint64, 3*len(bus.M)+2*len(bus.S))
+		a.regs.LocalPrev = make([]uint64, 3*len(bus.M)+2*len(bus.S))
 	}
 	if cfg.Trace != nil {
 		a.samples.Attach(cfg.Trace)
@@ -228,19 +237,19 @@ func (a *Analyzer) ObserveSamples(o probe.Observer[metrics.Sample]) {
 // on the component output signals.
 func (a *Analyzer) attachWatchers() {
 	bus := a.sys.Bus
-	bus.HAddr.Watch(func(o, n uint32) { a.privM2S += stats.Hamming32(o, n) })
-	bus.HWdata.Watch(func(o, n uint32) { a.privM2S += stats.Hamming32(o, n) })
-	bus.HTrans.Watch(func(o, n uint8) { a.privM2S += stats.Hamming(uint64(o), uint64(n)) })
-	bus.HWrite.Watch(func(o, n bool) { a.privM2S += stats.HammingBool(o, n) })
-	bus.HSize.Watch(func(o, n uint8) { a.privM2S += stats.Hamming(uint64(o), uint64(n)) })
-	bus.HBurst.Watch(func(o, n uint8) { a.privM2S += stats.Hamming(uint64(o), uint64(n)) })
-	bus.HRdata.Watch(func(o, n uint32) { a.privS2M += stats.Hamming32(o, n) })
-	bus.HResp.Watch(func(o, n uint8) { a.privS2M += stats.Hamming(uint64(o), uint64(n)) })
-	bus.HReady.Watch(func(o, n bool) { a.privS2M += stats.HammingBool(o, n) })
-	bus.SelIdx.Watch(func(o, n int) { a.privDec += stats.Hamming(a.encodeSel(o), a.encodeSel(n)) })
+	bus.HAddr.Watch(func(o, n uint32) { a.regs.PrivM2S += stats.Hamming32(o, n) })
+	bus.HWdata.Watch(func(o, n uint32) { a.regs.PrivM2S += stats.Hamming32(o, n) })
+	bus.HTrans.Watch(func(o, n uint8) { a.regs.PrivM2S += stats.Hamming(uint64(o), uint64(n)) })
+	bus.HWrite.Watch(func(o, n bool) { a.regs.PrivM2S += stats.HammingBool(o, n) })
+	bus.HSize.Watch(func(o, n uint8) { a.regs.PrivM2S += stats.Hamming(uint64(o), uint64(n)) })
+	bus.HBurst.Watch(func(o, n uint8) { a.regs.PrivM2S += stats.Hamming(uint64(o), uint64(n)) })
+	bus.HRdata.Watch(func(o, n uint32) { a.regs.PrivS2M += stats.Hamming32(o, n) })
+	bus.HResp.Watch(func(o, n uint8) { a.regs.PrivS2M += stats.Hamming(uint64(o), uint64(n)) })
+	bus.HReady.Watch(func(o, n bool) { a.regs.PrivS2M += stats.HammingBool(o, n) })
+	bus.SelIdx.Watch(func(o, n int) { a.regs.PrivDec += stats.Hamming(a.encodeSel(o), a.encodeSel(n)) })
 	for m := range bus.Grant {
-		bus.Grant[m].Watch(func(o, n bool) { a.privArb += stats.HammingBool(o, n) })
-		bus.M[m].BusReq.Watch(func(o, n bool) { a.privArb += stats.HammingBool(o, n) })
+		bus.Grant[m].Watch(func(o, n bool) { a.regs.PrivArb += stats.HammingBool(o, n) })
+		bus.M[m].BusReq.Watch(func(o, n bool) { a.regs.PrivArb += stats.HammingBool(o, n) })
 	}
 }
 
@@ -270,13 +279,13 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 	bus := a.sys.Bus
 	state := a.classify(ci)
 
-	if a.cfg.Style == StyleLocal && !a.havePrev {
+	if a.cfg.Style == StyleLocal && !a.regs.HavePrev {
 		// Prime the per-port history so the first measured cycle does not
 		// count transitions from the zero state.
-		a.localFirst = true
+		a.regs.LocalFirst = true
 		a.localM2SInputHD()
 		a.localS2MInputHD()
-		a.localFirst = false
+		a.regs.LocalFirst = false
 	}
 
 	decIn := a.encodeSel(ci.SelIdx)
@@ -304,17 +313,17 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 	}
 
 	var eDEC, eM2S, eS2M, eARB float64
-	if a.havePrev {
-		hdDec := stats.Hamming(a.prevDecIn, decIn)
-		hdAddr := stats.Hamming32(a.prevAddr, ci.Addr)
-		hdCtrl := stats.Hamming(a.prevCtrl, ctrl)
-		hdWdata := stats.Hamming32(a.prevWdata, ci.Wdata)
-		hdRdata := stats.Hamming32(a.prevRdata, ci.Rdata)
-		hdS2MCtl := stats.Hamming(a.prevS2MCtl, s2mCtl)
-		hdM2SSel := stats.Hamming(a.prevM2SSel, m2sSel)
-		hdS2MSel := stats.Hamming(a.prevS2MSel, s2mSel)
-		hdReq := stats.Hamming(uint64(a.prevReq), uint64(ci.Requests))
-		hdGrant := stats.Hamming(uint64(a.prevGrant), uint64(grant))
+	if a.regs.HavePrev {
+		hdDec := stats.Hamming(a.regs.PrevDecIn, decIn)
+		hdAddr := stats.Hamming32(a.regs.PrevAddr, ci.Addr)
+		hdCtrl := stats.Hamming(a.regs.PrevCtrl, ctrl)
+		hdWdata := stats.Hamming32(a.regs.PrevWdata, ci.Wdata)
+		hdRdata := stats.Hamming32(a.regs.PrevRdata, ci.Rdata)
+		hdS2MCtl := stats.Hamming(a.regs.PrevS2MCtl, s2mCtl)
+		hdM2SSel := stats.Hamming(a.regs.PrevM2SSel, m2sSel)
+		hdS2MSel := stats.Hamming(a.regs.PrevS2MSel, s2mSel)
+		hdReq := stats.Hamming(uint64(a.regs.PrevReq), uint64(ci.Requests))
+		hdGrant := stats.Hamming(uint64(a.regs.PrevGrant), uint64(grant))
 
 		m2sOut := hdAddr + hdCtrl + hdWdata
 		s2mOut := hdRdata + hdS2MCtl
@@ -337,12 +346,12 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 			s2mIn = a.localS2MInputHD()
 		case StylePrivate:
 			// Watchers counted every transition including glitches.
-			m2sIn, m2sOut = a.privM2S, a.privM2S
-			s2mIn, s2mOut = a.privS2M, a.privS2M
-			hdDec = a.privDec
+			m2sIn, m2sOut = a.regs.PrivM2S, a.regs.PrivM2S
+			s2mIn, s2mOut = a.regs.PrivS2M, a.regs.PrivS2M
+			hdDec = a.regs.PrivDec
 			hdReq = 0 // folded into privArb
-			hdGrant = a.privArb
-			a.privM2S, a.privS2M, a.privDec, a.privArb = 0, 0, 0, 0
+			hdGrant = a.regs.PrivArb
+			a.regs.PrivM2S, a.regs.PrivS2M, a.regs.PrivDec, a.regs.PrivArb = 0, 0, 0, 0
 		}
 
 		eDEC = a.dec.Energy(hdDec)
@@ -351,17 +360,17 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 		eARB = a.arb.Energy(hdReq, hdGrant, ci.Handover, state == power.IdleHO)
 	}
 
-	a.prevDecIn = decIn
-	a.prevAddr = ci.Addr
-	a.prevCtrl = ctrl
-	a.prevWdata = ci.Wdata
-	a.prevRdata = ci.Rdata
-	a.prevS2MCtl = s2mCtl
-	a.prevM2SSel = m2sSel
-	a.prevS2MSel = s2mSel
-	a.prevReq = ci.Requests
-	a.prevGrant = grant
-	a.havePrev = true
+	a.regs.PrevDecIn = decIn
+	a.regs.PrevAddr = ci.Addr
+	a.regs.PrevCtrl = ctrl
+	a.regs.PrevWdata = ci.Wdata
+	a.regs.PrevRdata = ci.Rdata
+	a.regs.PrevS2MCtl = s2mCtl
+	a.regs.PrevM2SSel = m2sSel
+	a.regs.PrevS2MSel = s2mSel
+	a.regs.PrevReq = ci.Requests
+	a.regs.PrevGrant = grant
+	a.regs.HavePrev = true
 
 	total := eDEC + eM2S + eS2M + eARB
 	a.bd.Add(power.BlockDEC, eDEC)
@@ -396,10 +405,10 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 // Hamming distance to the previous sample.
 func (a *Analyzer) localHD(slot int, v uint64) int {
 	hd := 0
-	if !a.localFirst {
-		hd = stats.Hamming(a.localPrev[slot], v)
+	if !a.regs.LocalFirst {
+		hd = stats.Hamming(a.regs.LocalPrev[slot], v)
 	}
-	a.localPrev[slot] = v
+	a.regs.LocalPrev[slot] = v
 	return hd
 }
 
@@ -443,18 +452,18 @@ func (a *Analyzer) localS2MInputHD() int {
 // plain IDLE.
 func (a *Analyzer) classify(ci ahb.CycleInfo) power.State {
 	if ci.Trans == ahb.TransNonseq || ci.Trans == ahb.TransSeq {
-		a.lastActiveMaster = ci.Master
-		a.haveActive = true
+		a.regs.LastActiveMaster = ci.Master
+		a.regs.HaveActive = true
 		if ci.Write {
 			return power.Write
 		}
 		return power.Read
 	}
-	if !a.haveActive {
+	if !a.regs.HaveActive {
 		return power.Idle
 	}
-	released := ci.Requests&(1<<a.lastActiveMaster) == 0
-	if ci.Handover || released || ci.Master != a.lastActiveMaster {
+	released := ci.Requests&(1<<a.regs.LastActiveMaster) == 0
+	if ci.Handover || released || ci.Master != a.regs.LastActiveMaster {
 		return power.IdleHO
 	}
 	return power.Idle
@@ -475,6 +484,6 @@ func (a *Analyzer) DPM() *DPMEstimate {
 	if a.dpm == nil {
 		return nil
 	}
-	est := a.dpm.estimate()
+	est := a.dpm.Estimate
 	return &est
 }

@@ -53,19 +53,20 @@ func (d *DPMEstimate) String() string {
 		FormatEnergy(d.GrossSaved), FormatEnergy(d.WakeCost), FormatEnergy(d.NetSaved()))
 }
 
-// dpmState is the per-analyzer streak tracker.
+// dpmState is the per-analyzer streak tracker, serialized as is into the
+// analyzer snapshot. JSON round-trips the estimate's float64 energies
+// exactly (shortest round-trip formatting).
 type dpmState struct {
-	cfg    DPMConfig
-	est    DPMEstimate
-	streak int
-	gated  bool
+	Estimate DPMEstimate `json:"estimate"`
+	Streak   int         `json:"streak"`
+	Gated    bool        `json:"gated,omitempty"`
 }
 
 func newDPMState(cfg DPMConfig) *dpmState {
 	if cfg.IdleThreshold < 1 {
 		cfg.IdleThreshold = 1
 	}
-	return &dpmState{cfg: cfg, est: DPMEstimate{Config: cfg}}
+	return &dpmState{Estimate: DPMEstimate{Config: cfg}}
 }
 
 // observe accounts one cycle: the activity state and the datapath energy
@@ -73,22 +74,19 @@ func newDPMState(cfg DPMConfig) *dpmState {
 func (d *dpmState) observe(state power.State, datapathEnergy float64) {
 	idle := state == power.Idle || state == power.IdleHO
 	if idle {
-		d.streak++
-		if d.streak > d.cfg.IdleThreshold {
+		d.Streak++
+		if d.Streak > d.Estimate.Config.IdleThreshold {
 			// Gated from the cycle after the threshold is crossed.
-			d.gated = true
-			d.est.GatedCycles++
-			d.est.GrossSaved += datapathEnergy
+			d.Gated = true
+			d.Estimate.GatedCycles++
+			d.Estimate.GrossSaved += datapathEnergy
 		}
 		return
 	}
-	if d.gated {
-		d.est.Wakeups++
-		d.est.WakeCost += d.cfg.WakeEnergy
+	if d.Gated {
+		d.Estimate.Wakeups++
+		d.Estimate.WakeCost += d.Estimate.Config.WakeEnergy
 	}
-	d.gated = false
-	d.streak = 0
+	d.Gated = false
+	d.Streak = 0
 }
-
-// estimate returns the accumulated estimate.
-func (d *dpmState) estimate() DPMEstimate { return d.est }

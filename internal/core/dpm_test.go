@@ -62,8 +62,8 @@ func TestDPMObservesGapsAndWakes(t *testing.T) {
 
 func TestDPMThresholdClamped(t *testing.T) {
 	d := newDPMState(DPMConfig{IdleThreshold: 0})
-	if d.cfg.IdleThreshold != 1 {
-		t.Errorf("threshold clamped to %d, want 1", d.cfg.IdleThreshold)
+	if d.Estimate.Config.IdleThreshold != 1 {
+		t.Errorf("threshold clamped to %d, want 1", d.Estimate.Config.IdleThreshold)
 	}
 }
 

@@ -195,45 +195,14 @@ func (s *System) SetCheckpointHook(every uint64, fn func(done uint64) error) {
 	s.ckptFn = fn
 }
 
-// analyzerState is the analyzer's serialized dynamic state. Energies are
-// bit patterns; the per-port local history and private-style glitch
-// accumulators ride along so every style restores exactly.
+// analyzerState is the analyzer's serialized dynamic state: the FSM and
+// breakdown accumulators as bit patterns, the register file every style
+// runs on, and the DPM streak.
 type analyzerState struct {
 	FSM       power.FSMState       `json:"fsm"`
 	Breakdown power.BreakdownState `json:"breakdown"`
-
-	HavePrev   bool   `json:"have_prev,omitempty"`
-	PrevDecIn  uint64 `json:"prev_dec_in,omitempty"`
-	PrevAddr   uint32 `json:"prev_addr,omitempty"`
-	PrevCtrl   uint64 `json:"prev_ctrl,omitempty"`
-	PrevWdata  uint32 `json:"prev_wdata,omitempty"`
-	PrevRdata  uint32 `json:"prev_rdata,omitempty"`
-	PrevS2MCtl uint64 `json:"prev_s2m_ctl,omitempty"`
-	PrevM2SSel uint64 `json:"prev_m2s_sel,omitempty"`
-	PrevS2MSel uint64 `json:"prev_s2m_sel,omitempty"`
-	PrevReq    uint16 `json:"prev_req,omitempty"`
-	PrevGrant  uint16 `json:"prev_grant,omitempty"`
-
-	LastActiveMaster uint8 `json:"last_active_master,omitempty"`
-	HaveActive       bool  `json:"have_active,omitempty"`
-
-	PrivM2S int `json:"priv_m2s,omitempty"`
-	PrivS2M int `json:"priv_s2m,omitempty"`
-	PrivDec int `json:"priv_dec,omitempty"`
-	PrivArb int `json:"priv_arb,omitempty"`
-
-	LocalPrev  []uint64 `json:"local_prev,omitempty"`
-	LocalFirst bool     `json:"local_first,omitempty"`
-
-	DPM *dpmSnapshot `json:"dpm,omitempty"`
-}
-
-// dpmSnapshot is the DPM estimator's streak state. JSON round-trips the
-// estimate's float64 energies exactly (shortest round-trip formatting).
-type dpmSnapshot struct {
-	Estimate DPMEstimate `json:"estimate"`
-	Streak   int         `json:"streak"`
-	Gated    bool        `json:"gated,omitempty"`
+	analyzerRegs
+	DPM *dpmState `json:"dpm,omitempty"`
 }
 
 // SnapshotUnsupported returns the reason this analyzer cannot join a
@@ -263,37 +232,12 @@ func (a *Analyzer) CaptureSnapshot() (json.RawMessage, error) {
 	if reason := a.SnapshotUnsupported(); reason != "" {
 		return nil, fmt.Errorf("core: analyzer not snapshottable: %s", reason)
 	}
-	st := analyzerState{
-		FSM:       a.fsm.CaptureState(),
-		Breakdown: a.bd.CaptureState(),
-
-		HavePrev:   a.havePrev,
-		PrevDecIn:  a.prevDecIn,
-		PrevAddr:   a.prevAddr,
-		PrevCtrl:   a.prevCtrl,
-		PrevWdata:  a.prevWdata,
-		PrevRdata:  a.prevRdata,
-		PrevS2MCtl: a.prevS2MCtl,
-		PrevM2SSel: a.prevM2SSel,
-		PrevS2MSel: a.prevS2MSel,
-		PrevReq:    a.prevReq,
-		PrevGrant:  a.prevGrant,
-
-		LastActiveMaster: a.lastActiveMaster,
-		HaveActive:       a.haveActive,
-
-		PrivM2S: a.privM2S,
-		PrivS2M: a.privS2M,
-		PrivDec: a.privDec,
-		PrivArb: a.privArb,
-
-		LocalPrev:  append([]uint64(nil), a.localPrev...),
-		LocalFirst: a.localFirst,
-	}
-	if d := a.dpm; d != nil {
-		st.DPM = &dpmSnapshot{Estimate: d.est, Streak: d.streak, Gated: d.gated}
-	}
-	return json.Marshal(st)
+	return json.Marshal(analyzerState{
+		FSM:          a.fsm.CaptureState(),
+		Breakdown:    a.bd.CaptureState(),
+		analyzerRegs: a.regs,
+		DPM:          a.dpm,
+	})
 }
 
 // RestoreSnapshot implements Snapshotter.
@@ -305,10 +249,10 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("core: decoding analyzer snapshot: %w", err)
 	}
-	if len(st.LocalPrev) != len(a.localPrev) {
-		return fmt.Errorf("core: analyzer snapshot has %d local-history slots, analyzer has %d", len(st.LocalPrev), len(a.localPrev))
+	if len(st.LocalPrev) != len(a.regs.LocalPrev) {
+		return fmt.Errorf("core: analyzer snapshot has %d local-history slots, analyzer has %d", len(st.LocalPrev), len(a.regs.LocalPrev))
 	}
-	if (st.DPM != nil) != (a.dpm != nil) || st.DPM != nil && st.DPM.Estimate.Config != a.dpm.cfg {
+	if (st.DPM != nil) != (a.dpm != nil) || st.DPM != nil && st.DPM.Estimate.Config != a.dpm.Estimate.Config {
 		return fmt.Errorf("core: analyzer snapshot and analyzer disagree on the DPM estimator")
 	}
 	if err := a.fsm.RestoreState(st.FSM); err != nil {
@@ -317,27 +261,6 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 	if err := a.bd.RestoreState(st.Breakdown); err != nil {
 		return err
 	}
-	a.havePrev = st.HavePrev
-	a.prevDecIn = st.PrevDecIn
-	a.prevAddr = st.PrevAddr
-	a.prevCtrl = st.PrevCtrl
-	a.prevWdata = st.PrevWdata
-	a.prevRdata = st.PrevRdata
-	a.prevS2MCtl = st.PrevS2MCtl
-	a.prevM2SSel = st.PrevM2SSel
-	a.prevS2MSel = st.PrevS2MSel
-	a.prevReq = st.PrevReq
-	a.prevGrant = st.PrevGrant
-	a.lastActiveMaster = st.LastActiveMaster
-	a.haveActive = st.HaveActive
-	a.privM2S = st.PrivM2S
-	a.privS2M = st.PrivS2M
-	a.privDec = st.PrivDec
-	a.privArb = st.PrivArb
-	copy(a.localPrev, st.LocalPrev)
-	a.localFirst = st.LocalFirst
-	if d := st.DPM; d != nil {
-		a.dpm.est, a.dpm.streak, a.dpm.gated = d.Estimate, d.Streak, d.Gated
-	}
+	a.regs, a.dpm = st.analyzerRegs, st.DPM
 	return nil
 }

@@ -58,23 +58,34 @@ func PaperSystem() SystemConfig {
 // explicit topology twin build byte-identical simulations and share one
 // canonical cache key.
 func (cfg SystemConfig) Topology() topo.Topology {
-	return topo.Canonicalize(topo.Counts{
-		Masters:       cfg.NumActiveMasters,
-		DefaultMaster: cfg.WithDefaultMaster,
-		Slaves:        cfg.NumSlaves,
-		SlaveWaits:    cfg.SlaveWaits,
-		ClockPeriod:   cfg.ClockPeriod,
+	rs := cfg.SlaveRegionSize
+	if rs == 0 {
+		rs = topo.DefaultRegionSize
+	}
+	t := topo.Topology{
+		ClockPeriodPS: uint64(cfg.ClockPeriod / sim.Picosecond),
 		DataWidth:     cfg.DataWidth,
-		Policy:        cfg.Policy,
-		RegionSize:    cfg.SlaveRegionSize,
-	})
+		Policy:        cfg.Policy.String(),
+	}
+	for m := 0; m < cfg.NumActiveMasters; m++ {
+		t.Masters = append(t.Masters, topo.Master{})
+	}
+	if cfg.WithDefaultMaster {
+		t.Masters = append(t.Masters, topo.Master{Default: true})
+	}
+	for s := 0; s < cfg.NumSlaves; s++ {
+		t.Slaves = append(t.Slaves, topo.Slave{
+			Waits:   cfg.SlaveWaits,
+			Regions: []topo.AddrRange{{Start: uint32(s) * rs, Size: rs}},
+		})
+	}
+	return t.Canonical()
 }
 
 // System is a fully built simulation: kernel, bus, masters and slaves.
 type System struct {
-	Cfg SystemConfig
 	// Topo is the canonical topology the system was built from; for
-	// count-based construction it is Cfg.Topology().
+	// count-based construction it is SystemConfig.Topology().
 	Topo    topo.Topology
 	K       *sim.Kernel
 	Bus     *ahb.Bus
@@ -110,21 +121,7 @@ func (s *System) onRunEnd(fn func()) {
 // the default master (when configured) sits on the last port. Prefer
 // NewSystemTopo for anything the counts cannot express.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	sys, err := NewSystemTopo(cfg.Topology())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SlaveRegionSize == 0 {
-		cfg.SlaveRegionSize = 0x1000
-	}
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = sys.Topo.ClockPeriod()
-	}
-	if cfg.DataWidth == 0 {
-		cfg.DataWidth = sys.Topo.DataWidth
-	}
-	sys.Cfg = cfg
-	return sys, nil
+	return NewSystemTopo(cfg.Topology())
 }
 
 // NewSystemTopo builds a system from a declarative topology. The
@@ -158,16 +155,6 @@ func NewSystemTopo(t topo.Topology) (*System, error) {
 		return nil, err
 	}
 	sys := &System{
-		Cfg: SystemConfig{
-			NumActiveMasters:  ct.ActiveMasters(),
-			WithDefaultMaster: ct.HasDefaultMaster(),
-			NumSlaves:         len(ct.Slaves),
-			SlaveWaits:        ct.MaxWaits(),
-			ClockPeriod:       ct.ClockPeriod(),
-			DataWidth:         ct.DataWidth,
-			Policy:            policy,
-			SlaveRegionSize:   0x1000,
-		},
 		Topo:    ct,
 		K:       k,
 		Bus:     bus,

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"ahbpower/internal/amba/ahb"
+	"ahbpower/internal/sim"
 	"ahbpower/internal/topo"
 )
 
@@ -117,5 +120,55 @@ func TestNewSystemTopoNonUniform(t *testing.T) {
 	}
 	if regions[2].Slave != 1 || regions[2].Start != 0x2800 {
 		t.Errorf("region 2 = %+v, want slave 1 at 0x2800", regions[2])
+	}
+}
+
+// TestSystemConfigTopology pins the count-based expansion: active
+// masters first, the default master on the last port, and one
+// DefaultRegionSize region per slave at slave*size.
+func TestSystemConfigTopology(t *testing.T) {
+	tp := PaperSystem().Topology()
+	if len(tp.Masters) != 3 {
+		t.Fatalf("masters=%d, want 3 (2 active + default)", len(tp.Masters))
+	}
+	if !tp.Masters[2].Default || tp.Masters[0].Default || tp.Masters[1].Default {
+		t.Errorf("default master must be the last port: %+v", tp.Masters)
+	}
+	if tp.DefaultMasterIndex() != 2 {
+		t.Errorf("DefaultMasterIndex=%d, want 2", tp.DefaultMasterIndex())
+	}
+	if len(tp.Slaves) != 3 {
+		t.Fatalf("slaves=%d, want 3", len(tp.Slaves))
+	}
+	for i, s := range tp.Slaves {
+		want := topo.AddrRange{Start: uint32(i) * topo.DefaultRegionSize, Size: topo.DefaultRegionSize}
+		if len(s.Regions) != 1 || s.Regions[0] != want {
+			t.Errorf("slave %d regions=%v, want [%v]", i, s.Regions, want)
+		}
+	}
+	if tp.ClockPeriodPS != 10_000 {
+		t.Errorf("ClockPeriodPS=%d, want 10000", tp.ClockPeriodPS)
+	}
+	if tp.ClockPeriod() != 10*sim.Nanosecond {
+		t.Errorf("ClockPeriod()=%v, want 10ns", tp.ClockPeriod())
+	}
+	if base, size := tp.AddrSpan(); base != 0 || size != 3*topo.DefaultRegionSize {
+		t.Errorf("AddrSpan=(%#x,%#x), want (0,%#x)", base, size, 3*topo.DefaultRegionSize)
+	}
+	if tp.ActiveMasters() != 2 || !tp.HasDefaultMaster() {
+		t.Errorf("ActiveMasters=%d HasDefaultMaster=%v", tp.ActiveMasters(), tp.HasDefaultMaster())
+	}
+}
+
+// TestSystemConfigTopologyRegions checks a non-default region size
+// flattens into the bus address map.
+func TestSystemConfigTopologyRegions(t *testing.T) {
+	tp := SystemConfig{NumActiveMasters: 1, NumSlaves: 2, SlaveRegionSize: 0x800}.Topology()
+	want := []ahb.Region{
+		{Start: 0x0000, Size: 0x800, Slave: 0},
+		{Start: 0x0800, Size: 0x800, Slave: 1},
+	}
+	if got := tp.Regions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Regions=%v, want %v", got, want)
 	}
 }

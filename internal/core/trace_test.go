@@ -120,7 +120,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from inside the simulation, a few hundred cycles in.
-	sys.K.Schedule(300*sys.Cfg.ClockPeriod, func() { cancel() })
+	sys.K.Schedule(300*sys.Topo.ClockPeriod(), func() { cancel() })
 
 	err = sys.RunContext(ctx, cycles)
 	if !errors.Is(err, context.Canceled) {

@@ -75,7 +75,7 @@ func TestCancelledRunFlushesTraceSamples(t *testing.T) {
 		Cycles:   500000,
 		Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal, Trace: tr},
 		Setup: func(sys *core.System) error {
-			sys.K.Schedule(100*sys.Cfg.ClockPeriod, func() { cancel() })
+			sys.K.Schedule(100*sys.Topo.ClockPeriod(), func() { cancel() })
 			return nil
 		},
 	}

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
@@ -206,4 +209,53 @@ func TestCheckpointFallbacks(t *testing.T) {
 				res.Accuracy, res.BackendFallback)
 		}
 	})
+}
+
+// snapshotGoldenDigest is the SHA-256 over every snapshot blob the four
+// scenarios of TestCheckpointSnapshotGolden save. It pins the on-disk
+// checkpoint format: a daemon must resume the checkpoints an older
+// binary with the same core.SnapshotVersion left in its state dir, so a
+// change here needs a SnapshotVersion bump, not a new digest.
+const snapshotGoldenDigest = "8e13c73500f52243480fb7bfb37c0f8e5f2794df681592b24795119538f04ce2"
+
+// TestCheckpointSnapshotGolden hashes the snapshots persisted by four
+// fixed scenarios that together reach every checkpointed component: the
+// bus, masters, slaves and monitor; the analyzer in all three styles with
+// its DPM streak; and the fault injector's interceptors.
+func TestCheckpointSnapshotGolden(t *testing.T) {
+	paper := func(policy ahb.ArbPolicy) core.SystemConfig {
+		cfg := core.PaperSystem()
+		cfg.SlaveWaits = 1
+		cfg.Policy = policy
+		return cfg
+	}
+	scenarios := []Scenario{
+		{Name: "global-sticky-compiled", System: paper(ahb.PolicySticky),
+			Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal}, Backend: exec.NameCompiled},
+		{Name: "local-dpm-rr", System: paper(ahb.PolicyRoundRobin),
+			Analyzer: core.AnalyzerConfig{Style: core.StyleLocal, DPM: &core.DPMConfig{IdleThreshold: 4, WakeEnergy: 1e-12}}},
+		{Name: "private-fixed", System: paper(ahb.PolicyFixed),
+			Analyzer: core.AnalyzerConfig{Style: core.StylePrivate}},
+		{Name: "faults", System: paper(ahb.PolicySticky),
+			Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal}, Faults: fault.RandomPlan(7)},
+	}
+	h := sha256.New()
+	for _, sc := range scenarios {
+		sc.Cycles = 3000
+		saved := 0
+		sc.Checkpoint = &CheckpointConfig{Every: 1024, Save: func(cycle uint64, snapshot []byte) error {
+			saved++
+			h.Write(snapshot)
+			return nil
+		}}
+		if res := RunOne(context.Background(), sc); res.Err != nil {
+			t.Fatalf("%s: %v", sc.Name, res.Err)
+		}
+		if saved == 0 {
+			t.Fatalf("%s saved no snapshot", sc.Name)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != snapshotGoldenDigest {
+		t.Errorf("snapshot digest %s, want %s: the checkpoint encoding moved", got, snapshotGoldenDigest)
+	}
 }

@@ -247,9 +247,6 @@ type Result struct {
 	Violations []ahb.ProtocolError
 	// DPM is the dynamic-power-management estimate, when enabled.
 	DPM *core.DPMEstimate
-	// RunDuration is the wall-clock time of the simulation loop alone
-	// (excluding system construction and workload generation).
-	RunDuration time.Duration
 	// Metrics are the run's engine-level performance figures: cycles
 	// simulated, kernel delta cycles, build and run wall times and the
 	// resulting throughput. Populated on success.
@@ -605,8 +602,7 @@ func simulate(ctx context.Context, res *Result, plan Plan) {
 		fail(err)
 		return
 	}
-	res.RunDuration = time.Since(start)
-	res.Metrics = metrics.NewRunMetrics(sys.Bus.Cycles(), sys.K.DeltaCycles(), build, res.RunDuration)
+	res.Metrics = metrics.NewRunMetrics(sys.Bus.Cycles(), sys.K.DeltaCycles(), build, time.Since(start))
 	if an != nil {
 		res.Report = an.Report()
 		res.Stats = an.FSM().Stats()

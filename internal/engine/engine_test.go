@@ -145,7 +145,7 @@ func TestCancellationStopsSingleScenarioMidRun(t *testing.T) {
 		System: core.PaperSystem(),
 		Cycles: cycles,
 		Setup: func(sys *core.System) error {
-			sys.K.Schedule(100*sys.Cfg.ClockPeriod, func() { cancel() })
+			sys.K.Schedule(100*sys.Topo.ClockPeriod(), func() { cancel() })
 			sys.Bus.OnCycle(func(ahb.CycleInfo) { reached++ })
 			return nil
 		},

@@ -135,7 +135,6 @@ func scatterOutcome(res *Result, o lane.Outcome, build, run time.Duration) {
 	res.Beats = o.Beats
 	res.Counts = o.Counts
 	res.Violations = o.Violations
-	res.RunDuration = run
 	res.Metrics = metrics.NewRunMetrics(o.Cycles, 0, build, run)
 }
 

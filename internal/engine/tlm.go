@@ -56,11 +56,10 @@ func estimate(ctx context.Context, res *Result) {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		return
 	}
-	res.RunDuration = time.Since(start)
 	// Only the calibration prefix actually turned the kernel over; the
 	// rest of the horizon was estimated, which is the whole point — the
 	// throughput figure reflects estimated cycles per wall-clock second.
-	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, 0, res.RunDuration)
+	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, 0, time.Since(start))
 	res.Report = out.Report
 	res.Stats = out.Stats
 	res.Beats = out.Beats

@@ -137,7 +137,7 @@ type OverheadResult struct {
 }
 
 // Overhead measures wall-clock simulation time without power analysis and
-// with each analyzer style, using the engine's RunDuration (simulation
+// with each analyzer style, using the engine's Metrics.Run (simulation
 // loop only, excluding construction and workload generation) on a
 // single-worker runner so runs never contend for the CPU. Each
 // configuration is run three times and the minimum is reported, to
@@ -157,7 +157,7 @@ func Overhead(cycles uint64) (*OverheadResult, error) {
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			ms := float64(res.RunDuration.Microseconds()) / 1000
+			ms := float64(res.Metrics.Run.Microseconds()) / 1000
 			if rep == 0 || ms < best {
 				best = ms
 			}

@@ -166,22 +166,27 @@ type slaveInjector struct {
 	idx   int
 	rng   *countingRNG
 	rules []*ruleState
+	// rt is the interceptor's runtime, as its snapshot serializes it.
+	rt slaveRuntime
+}
 
-	// Forced-response window: lowLeft more not-ready cycles, then one
-	// release cycle driving resp with HREADY high.
-	active  bool
-	lowLeft int
-	resp    uint8
+// slaveRuntime is the dynamic state a slave interceptor runs on.
+type slaveRuntime struct {
+	// Forced-response window: LowLeft more not-ready cycles, then one
+	// release cycle driving Resp with HREADY high.
+	Active  bool  `json:"active,omitempty"`
+	LowLeft int   `json:"low_left,omitempty"`
+	Resp    uint8 `json:"resp,omitempty"`
 
-	// pendingRetries continues a KindRetry firing across the master's
+	// PendingRetries continues a KindRetry firing across the master's
 	// re-attempts without fresh probability draws.
-	pendingRetries int
+	PendingRetries int `json:"pending_retries,omitempty"`
 
-	// Split-resume bookkeeping: after resumeIn cycles, pulse SplitRes
-	// with resumeMask for one cycle.
-	resumeIn   int
-	resumeMask uint16
-	clearRes   bool
+	// Split-resume bookkeeping: after ResumeIn cycles, pulse SplitRes
+	// with ResumeMask for one cycle.
+	ResumeIn   int    `json:"resume_in,omitempty"`
+	ResumeMask uint16 `json:"resume_mask,omitempty"`
+	ClearRes   bool   `json:"clear_res,omitempty"`
 }
 
 func (si *slaveInjector) tick() {
@@ -189,30 +194,30 @@ func (si *slaveInjector) tick() {
 	ports := &b.S[si.idx]
 
 	// Split-resume countdown runs independently of the response window.
-	if si.resumeIn > 0 {
-		si.resumeIn--
-		if si.resumeIn == 0 {
-			ports.SplitRes.Write(si.resumeMask)
-			si.resumeMask = 0
-			si.clearRes = true
+	if si.rt.ResumeIn > 0 {
+		si.rt.ResumeIn--
+		if si.rt.ResumeIn == 0 {
+			ports.SplitRes.Write(si.rt.ResumeMask)
+			si.rt.ResumeMask = 0
+			si.rt.ClearRes = true
 		}
-	} else if si.clearRes {
+	} else if si.rt.ClearRes {
 		ports.SplitRes.Write(0)
-		si.clearRes = false
+		si.rt.ClearRes = false
 	}
 
-	if si.active {
-		if si.lowLeft > 0 {
-			si.lowLeft--
+	if si.rt.Active {
+		if si.rt.LowLeft > 0 {
+			si.rt.LowLeft--
 			ports.ReadyOut.Write(false)
-			ports.Resp.Write(si.resp)
+			ports.Resp.Write(si.rt.Resp)
 			return
 		}
 		// Release: second cycle of a two-cycle response (resp held) or the
 		// end of a wait stretch (resp OKAY).
 		ports.ReadyOut.Write(true)
-		ports.Resp.Write(si.resp)
-		si.active = false
+		ports.Resp.Write(si.rt.Resp)
+		si.rt.Active = false
 		return
 	}
 
@@ -226,8 +231,8 @@ func (si *slaveInjector) tick() {
 	if !b.Sel[si.idx].Read() || (t != ahb.TransNonseq && t != ahb.TransSeq) {
 		return
 	}
-	if si.pendingRetries > 0 {
-		si.pendingRetries--
+	if si.rt.PendingRetries > 0 {
+		si.rt.PendingRetries--
 		si.begin(ahb.RespRetry, 0)
 		si.in.stats.Retries++
 		return
@@ -243,13 +248,13 @@ func (si *slaveInjector) tick() {
 			si.in.stats.Errors++
 		case KindRetry:
 			si.begin(ahb.RespRetry, 0)
-			si.pendingRetries = rs.retries() - 1
+			si.rt.PendingRetries = rs.retries() - 1
 			si.in.stats.Retries++
 		case KindSplit:
 			si.begin(ahb.RespSplit, 0)
 			b.MaskSplit(m)
-			si.resumeMask |= 1 << uint(m)
-			si.resumeIn = rs.hold()
+			si.rt.ResumeMask |= 1 << uint(m)
+			si.rt.ResumeIn = rs.hold()
 			si.in.stats.Splits++
 		case KindWaits:
 			w := rs.waits()
@@ -266,9 +271,9 @@ func (si *slaveInjector) begin(resp uint8, lowExtra int) {
 	ports := &si.bus.S[si.idx]
 	ports.ReadyOut.Write(false)
 	ports.Resp.Write(resp)
-	si.resp = resp
-	si.lowLeft = lowExtra
-	si.active = true
+	si.rt.Resp = resp
+	si.rt.LowLeft = lowExtra
+	si.rt.Active = true
 }
 
 // retries returns the effective per-firing retry count of a KindRetry rule.

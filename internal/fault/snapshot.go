@@ -30,15 +30,9 @@ func (in *Injector) RestoreSnapshot(blob json.RawMessage) error {
 
 // SlaveInjectorState is the runtime of one slave-side interceptor.
 type SlaveInjectorState struct {
-	Idx            int    `json:"idx"`
-	Active         bool   `json:"active,omitempty"`
-	LowLeft        int    `json:"low_left,omitempty"`
-	Resp           uint8  `json:"resp,omitempty"`
-	PendingRetries int    `json:"pending_retries,omitempty"`
-	ResumeIn       int    `json:"resume_in,omitempty"`
-	ResumeMask     uint16 `json:"resume_mask,omitempty"`
-	ClearRes       bool   `json:"clear_res,omitempty"`
-	Draws          uint64 `json:"draws"`
+	Idx int `json:"idx"`
+	slaveRuntime
+	Draws uint64 `json:"draws"`
 }
 
 // MasterInjectorState is the runtime of one master-side interceptor.
@@ -62,17 +56,7 @@ func (in *Injector) CaptureState() InjectorState {
 		st.RuleFired = append(st.RuleFired, rs.fired)
 	}
 	for _, si := range in.slaves {
-		st.Slaves = append(st.Slaves, SlaveInjectorState{
-			Idx:            si.idx,
-			Active:         si.active,
-			LowLeft:        si.lowLeft,
-			Resp:           si.resp,
-			PendingRetries: si.pendingRetries,
-			ResumeIn:       si.resumeIn,
-			ResumeMask:     si.resumeMask,
-			ClearRes:       si.clearRes,
-			Draws:          si.rng.draws,
-		})
+		st.Slaves = append(st.Slaves, SlaveInjectorState{Idx: si.idx, slaveRuntime: si.rt, Draws: si.rng.draws})
 	}
 	for _, mi := range in.masters {
 		st.Masters = append(st.Masters, MasterInjectorState{Idx: mi.idx, Draws: mi.rng.draws})
@@ -99,13 +83,7 @@ func (in *Injector) RestoreState(st InjectorState) error {
 		if si.idx != ss.Idx {
 			return fmt.Errorf("fault: slave interceptor %d targets slave %d, snapshot has %d", i, si.idx, ss.Idx)
 		}
-		si.active = ss.Active
-		si.lowLeft = ss.LowLeft
-		si.resp = ss.Resp
-		si.pendingRetries = ss.PendingRetries
-		si.resumeIn = ss.ResumeIn
-		si.resumeMask = ss.ResumeMask
-		si.clearRes = ss.ClearRes
+		si.rt = ss.slaveRuntime
 		si.rng = newCountingRNG(subSeed(in.plan.Seed, tagSlave, uint64(si.idx)))
 		for si.rng.draws < ss.Draws {
 			si.rng.Float64()

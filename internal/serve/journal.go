@@ -27,7 +27,9 @@ import (
 //     produced it.
 //   - checkpoints/<key>.ckpt — the latest engine checkpoint snapshot of
 //     each in-progress scenario, replaced as the run advances and
-//     deleted when the scenario completes.
+//     deleted when the scenario completes. A snapshot that does not
+//     decode is deleted too, counted as state_corrupt, and its scenario
+//     runs from cycle 0.
 //
 // On startup the journal is replayed: retired jobs are restored
 // queryable with their original responses, and accepted-but-unretired

@@ -211,6 +211,70 @@ func TestCrashRecoveryResumesJob(t *testing.T) {
 	s.Drain(time.Second)
 }
 
+// TestCorruptCheckpointRunsFresh plants checkpoints that do not decode
+// — a torn write and one from an unknown snapshot version — under a
+// scenario's key. The scenario must not fail on them: the server deletes
+// the file, counts it as state_corrupt and runs from cycle 0, answering
+// byte-identically to a fresh run.
+func TestCorruptCheckpointRunsFresh(t *testing.T) {
+	const spec = `{"name":"torn","cycles":3000,"workloads":[{"seed":5,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]}`
+	var req RunRequest
+	if err := json.Unmarshal([]byte(`{"scenarios":[`+spec+`]}`), &req); err != nil {
+		t.Fatalf("decoding request: %v", err)
+	}
+	sc, err := req.Scenarios[0].Scenario(0)
+	if err != nil {
+		t.Fatalf("resolving scenario: %v", err)
+	}
+	key, ok := sc.CanonicalKey()
+	if !ok {
+		t.Fatal("scenario not cacheable")
+	}
+	var blob []byte
+	stop := errors.New("captured")
+	sc.Checkpoint = &engine.CheckpointConfig{Every: 512, Save: func(_ uint64, snapshot []byte) error {
+		blob = snapshot
+		return stop
+	}}
+	if res := engine.RunOne(context.Background(), sc); !errors.Is(res.Err, stop) {
+		t.Fatalf("checkpoint capture run: %v", res.Err)
+	}
+	want := decodeRun(t, post(New(Config{Workers: 1}).Handler(), `{"scenarios":[`+spec+`]}`)).Results[0]
+
+	for name, planted := range map[string][]byte{
+		"truncated": blob[:len(blob)/2],
+		"version-0": []byte(`{"version":0,"cycle":1024}`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := openState(dir)
+			if err != nil {
+				t.Fatalf("openState: %v", err)
+			}
+			if err := st.storeCheckpoint(key, planted); err != nil {
+				t.Fatalf("storeCheckpoint: %v", err)
+			}
+			st.close()
+
+			s := mustOpen(t, Config{Workers: 1, StateDir: dir, CheckpointEvery: 512})
+			defer s.Drain(time.Second)
+			got := decodeRun(t, post(s.Handler(), `{"scenarios":[`+spec+`]}`)).Results[0]
+			if string(got) != string(want) {
+				t.Errorf("result over a corrupt checkpoint differs from a fresh run:\ngot  %s\nwant %s", got, want)
+			}
+			if n := metricInt(t, s, "state_corrupt"); n != 1 {
+				t.Errorf("state_corrupt = %d, want 1", n)
+			}
+			if n := metricInt(t, s, "scenarios_resumed"); n != 0 {
+				t.Errorf("scenarios_resumed = %d, want 0", n)
+			}
+			if _, err := os.Stat(st.checkpointPath(key)); !os.IsNotExist(err) {
+				t.Errorf("corrupt checkpoint still on disk (err=%v)", err)
+			}
+		})
+	}
+}
+
 // TestDrainJournalsCancelledJob pins the drain satellite: a SIGTERM-style
 // drain that interrupts an async job must journal the cancelled terminal
 // state, so a restarted daemon reports the job cancelled instead of

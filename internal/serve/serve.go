@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/tlm"
@@ -43,15 +44,10 @@ type Config struct {
 	// admission-time guard: a request that would pin a worker for
 	// minutes is rejected up front, not cancelled halfway.
 	MaxCycles uint64
-	// MaxBodyBytes bounds the request body; default 16 MB.
-	MaxBodyBytes int64
 	// DefaultTimeout and MaxTimeout bound the per-request deadline
 	// (defaults 60s and 10m). A request's timeout_ms is clamped to
 	// MaxTimeout; 0 selects DefaultTimeout.
 	DefaultTimeout, MaxTimeout time.Duration
-	// JobsKeep bounds how many finished async jobs stay queryable;
-	// default 256.
-	JobsKeep int
 	// DegradeAt is the queue-pressure fraction (waiting / MaxQueue) at
 	// which the server enters degraded mode: still-valid cached results
 	// may be served even for no_cache requests and, with DegradeEstimate,
@@ -101,6 +97,13 @@ type Config struct {
 	DegradeEstimate bool
 }
 
+// maxBodyBytes bounds a request body; jobsKeep bounds how many finished
+// async jobs stay queryable.
+const (
+	maxBodyBytes = 16 << 20
+	jobsKeep     = 256
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -120,17 +123,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 50_000_000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.JobsKeep <= 0 {
-		c.JobsKeep = 256
 	}
 	if c.DegradeAt == 0 {
 		c.DegradeAt = 0.75
@@ -204,6 +201,7 @@ type counters struct {
 	checkpointsSaved    expvar.Int // scenario snapshots persisted to the state dir
 	scenariosResumed    expvar.Int // scenarios resumed from a persisted checkpoint
 	checkpointFallbacks expvar.Int // scenarios that could not checkpoint (reason surfaced)
+	stateCorrupt        expvar.Int // persisted checkpoints that did not decode, deleted
 	journalErrors       expvar.Int // best-effort state-dir writes that failed
 	jobsRecovered       expvar.Int // interrupted jobs re-admitted by journal replay
 	diskCacheHits       expvar.Int // results served from the disk cache tier
@@ -232,7 +230,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: newCache(cfg.CacheEntries),
-		jobs:  newJobRegistry(cfg.JobsKeep),
+		jobs:  newJobRegistry(jobsKeep),
 		slots: make(chan struct{}, cfg.MaxConcurrent),
 	}
 	s.runCtx, s.cancelRuns = context.WithCancel(context.Background())
@@ -272,6 +270,7 @@ func Open(cfg Config) (*Server, error) {
 		"checkpoints_saved":    &s.ctr.checkpointsSaved,
 		"scenarios_resumed":    &s.ctr.scenariosResumed,
 		"checkpoint_fallbacks": &s.ctr.checkpointFallbacks,
+		"state_corrupt":        &s.ctr.stateCorrupt,
 		"journal_errors":       &s.ctr.journalErrors,
 		"jobs_recovered":       &s.ctr.jobsRecovered,
 		"disk_cache_hits":      &s.ctr.diskCacheHits,
@@ -440,7 +439,7 @@ func (s *Server) timeout(ms int64) time.Duration {
 // decode reads a request body under the body bound, refusing unknown
 // fields.
 func (s *Server) decode(r *http.Request, req *RunRequest) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
@@ -726,7 +725,10 @@ func (s *Server) cachePut(key string, b []byte) {
 // under its canonical key, and it picks up whatever snapshot a crashed
 // predecessor left there — the resumed tail is Float64bits-identical to
 // a from-scratch run, so the cached result is too. Saving is best-effort
-// (a state-dir write failure is counted, never fatal). Scenarios planned
+// (a state-dir write failure is counted, never fatal). A persisted
+// snapshot that does not decode (a torn write, another snapshot version)
+// is deleted and counted as state_corrupt, and the scenario runs from
+// cycle 0 instead of failing on it at every request. Scenarios planned
 // onto a lane pack or the estimator run unarmed rather than forcing a
 // fallback just to snapshot; those the plan cannot checkpoint run unarmed
 // and are counted.
@@ -738,6 +740,14 @@ func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 		return
 	}
 	st := s.state
+	resume := st.loadCheckpoint(key)
+	if resume != nil {
+		if _, err := core.DecodeSnapshot(resume); err != nil {
+			st.dropCheckpoint(key)
+			s.ctr.stateCorrupt.Add(1)
+			resume = nil
+		}
+	}
 	sc.Checkpoint = &engine.CheckpointConfig{
 		Every: s.cfg.CheckpointEvery,
 		Save: func(cycle uint64, snapshot []byte) error {
@@ -748,7 +758,7 @@ func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 			s.ctr.checkpointsSaved.Add(1)
 			return nil
 		},
-		Resume: st.loadCheckpoint(key),
+		Resume: resume,
 	}
 	if p, err := sc.Plan(); err != nil || !p.Checkpoint {
 		sc.Checkpoint = nil
@@ -901,9 +911,6 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 			for n := range res {
 				if res[n].ResumedFrom > 0 {
 					s.ctr.scenariosResumed.Add(1)
-				}
-				if res[n].CheckpointFallback != "" {
-					s.ctr.checkpointFallbacks.Add(1)
 				}
 				// Backend accounting counts completed runs only: a lane-pack
 				// member that errored (or a pack whose build failed) still

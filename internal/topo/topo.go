@@ -7,7 +7,7 @@
 //
 // Topology is also the wire form: the serving layer accepts it verbatim
 // as the "topology" object of a scenario, and the count-based legacy
-// form (core.SystemConfig) canonicalizes into it through Canonicalize, so
+// form (core.SystemConfig) expands into it (SystemConfig.Topology), so
 // both API generations build the same systems byte for byte.
 //
 // Validate is the ERC (electrical-rule-check-style) compliance pass that
@@ -147,60 +147,6 @@ type Topology struct {
 	Masters []Master `json:"masters"`
 	// Slaves in port order.
 	Slaves []Slave `json:"slaves"`
-}
-
-// Counts is the count-based legacy description: the fields of
-// core.SystemConfig, which Canonicalize expands into an explicit
-// Topology ("N equal slaves in equal contiguous regions", default master
-// on the last port).
-type Counts struct {
-	// Masters is the number of workload-driven masters.
-	Masters int
-	// DefaultMaster appends the paper's idle default master after them.
-	DefaultMaster bool
-	// Slaves is the number of slaves, each owning one RegionSize-sized
-	// region at index*RegionSize.
-	Slaves int
-	// SlaveWaits applies to every slave.
-	SlaveWaits int
-	// ClockPeriod is the bus clock period; 0 means 10 ns.
-	ClockPeriod sim.Time
-	// DataWidth is the data width in bits; 0 means 32.
-	DataWidth int
-	// Policy is the arbitration policy.
-	Policy ahb.ArbPolicy
-	// RegionSize is the bytes per slave region; 0 means 4 KB.
-	RegionSize uint32
-}
-
-// Canonicalize expands a count-based description into its canonical
-// topology. This is the compatibility contract the legacy API rides on:
-// core.NewSystem decodes through here, so a count-based system and its
-// explicit topology twin build byte-identical simulations and share one
-// canonical cache key.
-func Canonicalize(c Counts) Topology {
-	rs := c.RegionSize
-	if rs == 0 {
-		rs = DefaultRegionSize
-	}
-	t := Topology{
-		ClockPeriodPS: uint64(c.ClockPeriod / sim.Picosecond),
-		DataWidth:     c.DataWidth,
-		Policy:        c.Policy.String(),
-	}
-	for m := 0; m < c.Masters; m++ {
-		t.Masters = append(t.Masters, Master{})
-	}
-	if c.DefaultMaster {
-		t.Masters = append(t.Masters, Master{Default: true})
-	}
-	for s := 0; s < c.Slaves; s++ {
-		t.Slaves = append(t.Slaves, Slave{
-			Waits:   c.SlaveWaits,
-			Regions: []AddrRange{{Start: uint32(s) * rs, Size: rs}},
-		})
-	}
-	return t.Canonical()
 }
 
 // Canonical returns the normalized deep copy every consumer (builder,

@@ -3,55 +3,7 @@ package topo
 import (
 	"reflect"
 	"testing"
-
-	"ahbpower/internal/amba/ahb"
-	"ahbpower/internal/sim"
 )
-
-func paperCounts() Counts {
-	return Counts{
-		Masters:       2,
-		DefaultMaster: true,
-		Slaves:        3,
-		ClockPeriod:   10 * sim.Nanosecond,
-		DataWidth:     32,
-		Policy:        ahb.PolicySticky,
-	}
-}
-
-func TestCanonicalizeCounts(t *testing.T) {
-	tp := Canonicalize(paperCounts())
-	if len(tp.Masters) != 3 {
-		t.Fatalf("masters=%d, want 3 (2 active + default)", len(tp.Masters))
-	}
-	if !tp.Masters[2].Default || tp.Masters[0].Default || tp.Masters[1].Default {
-		t.Errorf("default master must be the last port: %+v", tp.Masters)
-	}
-	if tp.DefaultMasterIndex() != 2 {
-		t.Errorf("DefaultMasterIndex=%d, want 2", tp.DefaultMasterIndex())
-	}
-	if len(tp.Slaves) != 3 {
-		t.Fatalf("slaves=%d, want 3", len(tp.Slaves))
-	}
-	for i, s := range tp.Slaves {
-		want := AddrRange{Start: uint32(i) * DefaultRegionSize, Size: DefaultRegionSize}
-		if len(s.Regions) != 1 || s.Regions[0] != want {
-			t.Errorf("slave %d regions=%v, want [%v]", i, s.Regions, want)
-		}
-	}
-	if tp.ClockPeriodPS != 10_000 {
-		t.Errorf("ClockPeriodPS=%d, want 10000", tp.ClockPeriodPS)
-	}
-	if tp.ClockPeriod() != 10*sim.Nanosecond {
-		t.Errorf("ClockPeriod()=%v, want 10ns", tp.ClockPeriod())
-	}
-	if base, size := tp.AddrSpan(); base != 0 || size != 3*DefaultRegionSize {
-		t.Errorf("AddrSpan=(%#x,%#x), want (0,%#x)", base, size, 3*DefaultRegionSize)
-	}
-	if tp.ActiveMasters() != 2 || !tp.HasDefaultMaster() {
-		t.Errorf("ActiveMasters=%d HasDefaultMaster=%v", tp.ActiveMasters(), tp.HasDefaultMaster())
-	}
-}
 
 func TestCanonicalIdempotent(t *testing.T) {
 	tp := Topology{
@@ -88,17 +40,6 @@ func TestCanonicalIdempotent(t *testing.T) {
 	// The input must not be mutated (Canonical deep-copies).
 	if tp.Masters[0].Name != "" || tp.Slaves[0].Regions[0].Start != 0x2000 {
 		t.Errorf("Canonical mutated its receiver: %+v", tp)
-	}
-}
-
-func TestRegionsFlattening(t *testing.T) {
-	tp := Canonicalize(Counts{Masters: 1, Slaves: 2, RegionSize: 0x800})
-	want := []ahb.Region{
-		{Start: 0x0000, Size: 0x800, Slave: 0},
-		{Start: 0x0800, Size: 0x800, Slave: 1},
-	}
-	if got := tp.Regions(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Regions=%v, want %v", got, want)
 	}
 }
 
