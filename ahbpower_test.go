@@ -232,9 +232,11 @@ func TestPublicModelRoundTrip(t *testing.T) {
 	if err := sys.LoadPaperWorkload(500); err != nil {
 		t.Fatal(err)
 	}
-	// Models for a 2x2 system attached to a 3x3 bus still validate
-	// structurally (dimension mismatch is the caller's responsibility),
-	// so build matching ones instead.
+	// Attach refuses models characterized for a 2x2 bus on the paper's
+	// 3x3 bus, so characterize ones for its shape.
+	if _, err := ahbpower.Attach(sys, ahbpower.WithModels(loaded)); err == nil {
+		t.Error("models for a 2x2 bus attached to the 3x3 paper bus")
+	}
 	fitted, err := ahbpower.Characterize(ahbpower.CharacterizationConfig{
 		NumMasters: 3, NumSlaves: 3, DataWidth: 32, Vectors: 500, Seed: 4, Tech: tech,
 	})

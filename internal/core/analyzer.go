@@ -161,24 +161,9 @@ func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
 		return nil, err
 	}
 	bus := sys.Bus
-	tech := cfg.Tech
-	if tech.VDD == 0 {
-		tech = power.DefaultTech()
-	}
-	models := cfg.Models
-	if models == nil {
-		var err error
-		models, err = power.DefaultModels(bus.Cfg.NumMasters, bus.Cfg.NumSlaves, bus.Cfg.DataWidth, tech)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := models.Validate(); err != nil {
+	models, err := power.ResolveModels(cfg.Models, bus.Cfg.NumMasters, bus.Cfg.NumSlaves, bus.Cfg.DataWidth, cfg.Tech)
+	if err != nil {
 		return nil, err
-	} else {
-		// The macromodels memoize energies in place; clone user-supplied
-		// models so concurrent runs sharing one characterized Models value
-		// never share mutable memo state.
-		models = models.Clone()
 	}
 	a := &Analyzer{
 		cfg: cfg,
@@ -189,7 +174,6 @@ func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
 		arb: models.Arb,
 		fsm: power.NewFSM(),
 	}
-	a.cfg.Tech = tech
 	if cfg.RecordActivity {
 		a.activity = power.NewActivity()
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ahbpower/internal/power"
@@ -175,6 +176,36 @@ func TestAnalyzerConfigValidate(t *testing.T) {
 		if _, err := Attach(sys, cfg); err == nil {
 			t.Errorf("Attach accepted %+v", cfg)
 		}
+	}
+}
+
+// TestAttachRefusesModelsForAnotherShape attaches a model set
+// characterized for the paper's 3-master, 3-slave, 32-bit bus to an
+// 8-slave, 16-bit bus: Attach must refuse it, naming the first dimension
+// that differs, instead of evaluating a 3-output decoder for 8 slaves.
+// The same set attaches to the paper system it was built for.
+func TestAttachRefusesModelsForAnotherShape(t *testing.T) {
+	models, err := power.ResolveModels(nil, 3, 3, 32, power.Tech{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := NewSystem(PaperSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Attach(paper, AnalyzerConfig{Models: models}); err != nil {
+		t.Fatalf("paper-shape models on the paper system: %v", err)
+	}
+	cfg := PaperSystem()
+	cfg.NumSlaves = 8
+	cfg.DataWidth = 16
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Attach(sys, AnalyzerConfig{Models: models})
+	if err == nil || !strings.Contains(err.Error(), "decoder.NO=3") {
+		t.Fatalf("Attach = %v, want a refusal naming decoder.NO", err)
 	}
 }
 

@@ -379,7 +379,7 @@ func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) 
 					r.OnStart(i)
 				}
 				results[i] = Execute(ctx, i, scenarios[i])
-				typeErr(&results[i])
+				typeErr(ctx, &results[i])
 				executed[i] = true
 				if r.OnDone != nil {
 					r.OnDone(results[i])

@@ -77,9 +77,17 @@ func Classify(err error) FailureClass {
 
 // typeErr wraps a failed result's error in a *ScenarioError. Raw context
 // sentinels mean the scenario never started (the pre-start check) and
-// stay untouched, matching the abandoned-scenario contract of Run.
-func typeErr(res *Result) {
-	if res.Err != nil && res.Err != context.Canceled && res.Err != context.DeadlineExceeded {
-		res.Err = &ScenarioError{Name: res.Scenario.Name, Index: res.Index, Class: Classify(res.Err), Err: res.Err}
+// stay untouched, matching the abandoned-scenario contract of Run. An
+// expired deadline is the scenario's own Timeout only while the batch
+// context is live; once the batch context has ended (drain, Ctrl-C, a
+// request deadline) the failure is classed canceled.
+func typeErr(ctx context.Context, res *Result) {
+	if res.Err == nil || res.Err == context.Canceled || res.Err == context.DeadlineExceeded {
+		return
 	}
+	class := Classify(res.Err)
+	if class == ClassTimeout && ctx.Err() != nil {
+		class = ClassCanceled
+	}
+	res.Err = &ScenarioError{Name: res.Scenario.Name, Index: res.Index, Class: class, Err: res.Err}
 }

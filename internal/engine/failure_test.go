@@ -71,6 +71,35 @@ func TestScenarioTimeoutClassified(t *testing.T) {
 	}
 }
 
+// TestBatchDeadlineClassifiedCanceled runs the same long scenario as
+// TestScenarioTimeoutClassified, but with no Timeout of its own, in a
+// batch whose context carries a 50-ms deadline. The deadline belongs to
+// the caller, not the scenario, so the failure must be classed canceled,
+// not timeout.
+func TestBatchDeadlineClassifiedCanceled(t *testing.T) {
+	sc := Scenario{
+		Name:   "slow",
+		System: core.PaperSystem(),
+		Workloads: []workload.Config{
+			{Seed: 1, NumSequences: 2, PairsMin: 1, PairsMax: 2, AddrSize: 64},
+		},
+		Cycles: 200_000_000,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res := NewRunner(1).Run(ctx, []Scenario{sc})[0]
+	var se *ScenarioError
+	if !errors.As(res.Err, &se) {
+		t.Fatalf("want *ScenarioError, got %v", res.Err)
+	}
+	if se.Class != ClassCanceled || Classify(res.Err) != ClassCanceled {
+		t.Errorf("class=%v, want canceled", se.Class)
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Errorf("want the batch deadline in the chain, got %v", res.Err)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error

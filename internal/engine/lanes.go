@@ -157,7 +157,7 @@ func (r *Runner) runPack(ctx context.Context, scenarios []Scenario, members []in
 	for j, i := range members {
 		res := Result{Index: i, Scenario: scenarios[i], Attempts: 1, Backend: lane.Name, Lanes: lanes, Accuracy: AccuracyCycle}
 		scatterOutcome(&res, outs[j], build, run)
-		typeErr(&res)
+		typeErr(ctx, &res)
 		results[i] = res
 		executed[i] = true
 		if r.OnDone != nil {

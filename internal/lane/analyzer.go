@@ -2,48 +2,12 @@ package lane
 
 import (
 	"fmt"
-	"math"
 
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/power"
 	"ahbpower/internal/stats"
 )
-
-// modelKey identifies one resolved macromodel set: the resolved technology
-// point (as bit patterns, so ±0/NaN coincidences never alias) and the
-// config's explicit model set, if any. The bus shape is pack-invariant, so
-// it is not part of the key.
-type modelKey struct {
-	vdd, cpd, co uint64
-	models       *power.Models
-}
-
-// modelCache shares one resolved macromodel set among the lanes of a pack
-// whose analyzer configs resolve to the same coefficients. The models'
-// only mutable state is memoization filled by exact, deterministic
-// formulas of the coefficients, and a pack runs its lanes sequentially in
-// one goroutine — so sharing cannot change any lane's energies, while it
-// shrinks the pack's per-cycle memo working set from one table set per
-// lane to one per distinct configuration.
-type modelCache struct {
-	keys []modelKey
-	sets []*power.Models
-}
-
-func (c *modelCache) get(k modelKey) *power.Models {
-	for i := range c.keys {
-		if c.keys[i] == k {
-			return c.sets[i]
-		}
-	}
-	return nil
-}
-
-func (c *modelCache) put(k modelKey, m *power.Models) {
-	c.keys = append(c.keys, k)
-	c.sets = append(c.sets, m)
-}
 
 // laneAnalyzer is the per-lane transcription of core.Analyzer's cycle
 // hook: the same activity words, the same Hamming distances against the
@@ -86,12 +50,9 @@ type laneAnalyzer struct {
 	localFirst bool
 }
 
-// newLaneAnalyzer mirrors core.Attach's model resolution: explicit
-// characterized models are validated and cloned (the macromodels memoize
-// in place), otherwise the structural defaults are built for this bus
-// shape. Lanes whose configs resolve identically share one set through
-// the pack's modelCache.
-func newLaneAnalyzer(cfg core.AnalyzerConfig, nMasters, nSlaves, dataWidth int, mc *modelCache) (*laneAnalyzer, error) {
+// newLaneAnalyzer resolves the lane's macromodels exactly as core.Attach
+// does (power.ResolveModels) and builds its per-lane analyzer state.
+func newLaneAnalyzer(cfg core.AnalyzerConfig, nMasters, nSlaves, dataWidth int) (*laneAnalyzer, error) {
 	switch {
 	case cfg.Style == core.StylePrivate:
 		return nil, fmt.Errorf("lane: private-style instrumentation is not lane-executable")
@@ -100,30 +61,9 @@ func newLaneAnalyzer(cfg core.AnalyzerConfig, nMasters, nSlaves, dataWidth int, 
 	case cfg.Trace != nil:
 		return nil, fmt.Errorf("lane: streaming trace recorder is not lane-executable")
 	}
-	tech := cfg.Tech
-	if tech.VDD == 0 {
-		tech = power.DefaultTech()
-	}
-	key := modelKey{
-		vdd:    math.Float64bits(tech.VDD),
-		cpd:    math.Float64bits(tech.CPD),
-		co:     math.Float64bits(tech.CO),
-		models: cfg.Models,
-	}
-	models := mc.get(key)
-	if models == nil {
-		var err error
-		if cfg.Models == nil {
-			models, err = power.DefaultModels(nMasters, nSlaves, dataWidth, tech)
-			if err != nil {
-				return nil, err
-			}
-		} else if err = cfg.Models.Validate(); err != nil {
-			return nil, err
-		} else {
-			models = cfg.Models.Clone()
-		}
-		mc.put(key, models)
+	models, err := power.ResolveModels(cfg.Models, nMasters, nSlaves, dataWidth, cfg.Tech)
+	if err != nil {
+		return nil, err
 	}
 	a := &laneAnalyzer{
 		style:   cfg.Style,

@@ -111,7 +111,7 @@ type laneState struct {
 // topology, mirroring core.NewSystemTopo plus the engine's workload
 // resolution (explicit configs, then topology hints, then the paper
 // workload sized to Cycles).
-func newLaneState(idx int, spec Spec, ct topo.Topology, mc *modelCache) (*laneState, error) {
+func newLaneState(idx int, spec Spec, ct topo.Topology) (*laneState, error) {
 	policy, err := ct.ArbPolicy()
 	if err != nil {
 		return nil, err
@@ -174,7 +174,7 @@ func newLaneState(idx int, spec Spec, ct topo.Topology, mc *modelCache) (*laneSt
 	}
 	l.monitor = ahb.NewDetachedMonitor()
 	if !spec.SkipAnalyzer {
-		l.an, err = newLaneAnalyzer(spec.Analyzer, l.nMasters, l.nSlaves, ct.DataWidth, mc)
+		l.an, err = newLaneAnalyzer(spec.Analyzer, l.nMasters, l.nSlaves, ct.DataWidth)
 		if err != nil {
 			return nil, err
 		}

@@ -131,7 +131,6 @@ func BuildPack(specs []Spec) (*Pack, error) {
 		return nil, fmt.Errorf("lane: %d specs exceed the %d-lane pack width", len(specs), MaxLanes)
 	}
 	p := &Pack{outs: make([]Outcome, len(specs))}
-	mc := &modelCache{}
 	for i := range specs {
 		ct := specs[i].Topo.Canonical()
 		k := Key(ct)
@@ -152,7 +151,7 @@ func BuildPack(specs []Spec) (*Pack, error) {
 		} else if k != p.key {
 			return nil, fmt.Errorf("lane: %s: structural key mismatch within pack", specs[i].Name)
 		}
-		l, err := newLaneState(i, specs[i], ct, mc)
+		l, err := newLaneState(i, specs[i], ct)
 		if err != nil {
 			p.outs[i].Err = fmt.Errorf("lane: %s: %w", specs[i].Name, err)
 			p.lanes = append(p.lanes, nil)

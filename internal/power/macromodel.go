@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"ahbpower/internal/stats"
 )
@@ -25,51 +24,6 @@ type DecoderModel struct {
 	// input-change event) — the result of a gate-level fit.
 	CHD    float64 `json:",omitempty"`
 	CEvent float64 `json:",omitempty"`
-
-	// lut memoizes Energy for every input Hamming distance; each entry is
-	// produced by the exact formula in energyCold, so a memoized lookup is
-	// bit-identical to a cold evaluation. The coefficient snapshot detects
-	// post-construction refits (internal/charact writes CHD/CEvent/Tech
-	// directly) and rebuilds the table lazily.
-	lut     [maxHD + 1]float64
-	lutSnap decoderCoef
-	lutOK   bool
-}
-
-// maxHD is the largest Hamming distance the memo tables cover: bus values
-// are at most 64 bits wide, and the mux input term sums at most two 32-bit
-// buses plus the packed control word.
-const maxHD = 127
-
-// decoderCoef snapshots every value Energy depends on, as bit patterns:
-// the per-call refit check is then a handful of integer compares. A
-// coefficient rewritten to a bit-identical value is treated as unchanged,
-// which is exact — the rebuilt table would be identical.
-type decoderCoef struct {
-	no, ni      int
-	tech        techBits
-	chd, cevent uint64
-}
-
-// techBits is a Tech snapshot as bit patterns, comparable word-wise.
-type techBits struct {
-	vdd, cpd, co uint64
-}
-
-func (t Tech) bits() techBits {
-	return techBits{
-		vdd: math.Float64bits(t.VDD),
-		cpd: math.Float64bits(t.CPD),
-		co:  math.Float64bits(t.CO),
-	}
-}
-
-func (m *DecoderModel) coef() decoderCoef {
-	return decoderCoef{
-		no: m.NO, ni: m.NI, tech: m.Tech.bits(),
-		chd:    math.Float64bits(m.CHD),
-		cevent: math.Float64bits(m.CEvent),
-	}
 }
 
 // NewDecoderModel builds the model for a decoder with nO outputs.
@@ -82,28 +36,8 @@ func NewDecoderModel(nO int, tech Tech) (*DecoderModel, error) {
 
 // Energy returns the dynamic energy for one input transition with the
 // given input Hamming distance. Characterized coefficients (CHD/CEvent)
-// take precedence over the closed form when set. Results are memoized per
-// Hamming distance; a memoized value is bit-identical to a cold
-// evaluation because the table is filled by the same formula.
+// take precedence over the closed form when set.
 func (m *DecoderModel) Energy(hdIn int) float64 {
-	if hdIn <= 0 {
-		return 0
-	}
-	if hdIn > maxHD {
-		return m.energyCold(hdIn)
-	}
-	if snap := m.coef(); !m.lutOK || m.lutSnap != snap {
-		for hd := range m.lut {
-			m.lut[hd] = m.energyCold(hd)
-		}
-		m.lutSnap = snap
-		m.lutOK = true
-	}
-	return m.lut[hdIn]
-}
-
-// energyCold is the unmemoized closed-form evaluation.
-func (m *DecoderModel) energyCold(hdIn int) float64 {
 	if hdIn <= 0 {
 		return 0
 	}
@@ -139,34 +73,6 @@ type MuxModel struct {
 	// the datapath a clock-gating controller can switch off while the bus
 	// idles (the run-time power-management extension of §4).
 	CClkCycle float64
-
-	// cache is a direct-mapped memo over (HD_IN, HD_SEL, HD_OUT) triples:
-	// bus traffic repeats a small set of activity patterns (idle cycles
-	// are all zeros, bursts repeat stride-dependent distances), so the
-	// same triples recur for thousands of cycles. Entries are filled by
-	// the exact formula in energyCold, making hits bit-identical to cold
-	// evaluations. The coefficient snapshot invalidates the cache when
-	// internal/charact refits CIn/CSel/COut in place.
-	cache     [muxCacheSize]muxCacheEntry
-	cacheSnap muxCoef
-	cacheOK   bool
-	clkE      float64 // memoized ClockEnergy for cacheSnap
-}
-
-// muxCacheSize is the direct-mapped memo size; must be a power of two.
-const muxCacheSize = 512
-
-// muxCacheEntry is one memo slot; key < 0 marks an empty slot.
-type muxCacheEntry struct {
-	key int32
-	e   float64
-}
-
-// muxCoef snapshots every value Energy depends on, as bit patterns (see
-// decoderCoef).
-type muxCoef struct {
-	tech                  techBits
-	cin, csel, cout, cclk uint64
 }
 
 // NewMuxModel builds a mux macromodel with structural default
@@ -198,53 +104,9 @@ func NewMuxModel(w, n int, tech Tech) (*MuxModel, error) {
 	}, nil
 }
 
-func (m *MuxModel) muxCoef() muxCoef {
-	return muxCoef{
-		tech: m.Tech.bits(),
-		cin:  math.Float64bits(m.CIn),
-		csel: math.Float64bits(m.CSel),
-		cout: math.Float64bits(m.COut),
-		cclk: math.Float64bits(m.CClkCycle),
-	}
-}
-
-// revalidate resets the memo when the coefficients changed since it was
-// filled; it returns false when any Energy argument is outside the memo
-// range.
-func (m *MuxModel) revalidate(hdIn, hdSel, hdOut int) bool {
-	if snap := m.muxCoef(); !m.cacheOK || m.cacheSnap != snap {
-		for i := range m.cache {
-			m.cache[i].key = -1
-		}
-		m.cacheSnap = snap
-		m.clkE = m.Tech.EnergyPerCap(m.CClkCycle)
-		m.cacheOK = true
-	}
-	return hdIn >= 0 && hdSel >= 0 && hdOut >= 0 &&
-		hdIn <= maxHD && hdSel <= maxHD && hdOut <= maxHD
-}
-
 // Energy returns the dynamic energy for one cycle given the Hamming
-// distances of the data inputs, select inputs and outputs. Repeated
-// activity triples hit a direct-mapped memo whose entries are computed by
-// the exact cold formula, so memoized and cold results are bit-identical.
+// distances of the data inputs, select inputs and outputs.
 func (m *MuxModel) Energy(hdIn, hdSel, hdOut int) float64 {
-	if !m.revalidate(hdIn, hdSel, hdOut) {
-		return m.energyCold(hdIn, hdSel, hdOut)
-	}
-	key := int32(hdIn) | int32(hdSel)<<7 | int32(hdOut)<<14
-	slot := &m.cache[(key^key>>5)&(muxCacheSize-1)]
-	if slot.key == key {
-		return slot.e
-	}
-	e := m.energyCold(hdIn, hdSel, hdOut)
-	slot.key = key
-	slot.e = e
-	return e
-}
-
-// energyCold is the unmemoized evaluation.
-func (m *MuxModel) energyCold(hdIn, hdSel, hdOut int) float64 {
 	c := m.CIn*float64(hdIn) + m.CSel*float64(hdSel) + m.COut*float64(hdOut)
 	return m.Tech.EnergyPerCap(c)
 }
@@ -252,10 +114,7 @@ func (m *MuxModel) energyCold(hdIn, hdSel, hdOut int) float64 {
 // ClockEnergy returns the per-cycle clocking energy of the mux's registers
 // and keepers, paid whether or not data moves (unless gated).
 func (m *MuxModel) ClockEnergy() float64 {
-	if snap := m.muxCoef(); !m.cacheOK || m.cacheSnap != snap {
-		m.revalidate(0, 0, 0)
-	}
-	return m.clkE
+	return m.Tech.EnergyPerCap(m.CClkCycle)
 }
 
 // ArbiterModel is the energy-annotated FSM macromodel of the bus arbiter
@@ -278,28 +137,6 @@ type ArbiterModel struct {
 	// datapath churning even though no data moves. The default is
 	// calibrated to land IDLE_HO instructions in that band.
 	CActive float64
-
-	// lut memoizes Energy over (hdReq, hdGrant, handover, arbitrating):
-	// request and grant lines span at most 16 masters, so the full domain
-	// is small enough to tabulate. Entries come from the exact formula in
-	// energyCold; the snapshot invalidates the table on coefficient
-	// refits.
-	lut     [(arbMaxHD + 1) * (arbMaxHD + 1) * 4]float64
-	lutSnap arbCoef
-	lutOK   bool
-}
-
-// arbMaxHD bounds the tabulated request/grant Hamming distances: a bus
-// carries at most 16 masters, so at most 16 request or grant lines can
-// toggle. Private-style glitch counts can exceed it and fall back to the
-// cold path.
-const arbMaxHD = 16
-
-// arbCoef snapshots every value Energy depends on, as bit patterns (see
-// decoderCoef).
-type arbCoef struct {
-	tech                    techBits
-	creq, cgrant, cho, cact uint64
 }
 
 // NewArbiterModel builds the arbiter macromodel with structural defaults:
@@ -320,93 +157,17 @@ func NewArbiterModel(n int, tech Tech) (*ArbiterModel, error) {
 	}, nil
 }
 
-func (m *ArbiterModel) arbCoef() arbCoef {
-	return arbCoef{
-		tech:   m.Tech.bits(),
-		creq:   math.Float64bits(m.CReq),
-		cgrant: math.Float64bits(m.CGrant),
-		cho:    math.Float64bits(m.CHandover),
-		cact:   math.Float64bits(m.CActive),
-	}
-}
-
 // Energy returns the dynamic energy of one arbiter cycle: hdReq request
 // line toggles, hdGrant grant line toggles, whether a bus handover (grant
 // change) occurred, and whether the FSM spent the cycle actively
-// re-arbitrating. The full (hdReq, hdGrant, flags) domain is memoized in
-// a lookup table filled by the exact cold formula, so memoized results
-// are bit-identical to cold ones.
+// re-arbitrating.
 func (m *ArbiterModel) Energy(hdReq, hdGrant int, handover, arbitrating bool) float64 {
-	if hdReq < 0 || hdReq > arbMaxHD || hdGrant < 0 || hdGrant > arbMaxHD {
-		return m.energyCold(hdReq, hdGrant, handover, arbitrating)
-	}
-	if snap := m.arbCoef(); !m.lutOK || m.lutSnap != snap {
-		i := 0
-		for r := 0; r <= arbMaxHD; r++ {
-			for g := 0; g <= arbMaxHD; g++ {
-				m.lut[i] = m.energyCold(r, g, false, false)
-				m.lut[i+1] = m.energyCold(r, g, true, false)
-				m.lut[i+2] = m.energyCold(r, g, false, true)
-				m.lut[i+3] = m.energyCold(r, g, true, true)
-				i += 4
-			}
-		}
-		m.lutSnap = snap
-		m.lutOK = true
-	}
-	idx := (hdReq*(arbMaxHD+1) + hdGrant) * 4
-	if handover {
-		idx++
-	}
-	if arbitrating {
-		idx += 2
-	}
-	return m.lut[idx]
-}
-
-// energyCold is the unmemoized evaluation.
-func (m *ArbiterModel) energyCold(hdReq, hdGrant int, handover, arbitrating bool) float64 {
 	c := m.CReq*float64(hdReq) + m.CGrant*float64(hdGrant)
 	if handover {
 		c += m.CHandover
 	}
 	if arbitrating {
 		c += m.CActive
-	}
-	return m.Tech.EnergyPerCap(c)
-}
-
-// RegisterModel is a macromodel for a w-bit clocked register bank: a fixed
-// clock-tree term per active cycle plus a data-dependent term, used for
-// the pipeline registers of slaves and for dynamic-power-management
-// studies (an optional extension mentioned in the paper's §4).
-type RegisterModel struct {
-	W    int
-	Tech Tech
-
-	CClkPerBit float64 // clock-tree capacitance per bit per cycle
-	CDataBit   float64 // per toggling data bit
-}
-
-// NewRegisterModel builds a register macromodel with structural defaults.
-func NewRegisterModel(w int, tech Tech) (*RegisterModel, error) {
-	if w < 1 {
-		return nil, fmt.Errorf("power: register model needs w>=1, got %d", w)
-	}
-	return &RegisterModel{
-		W:          w,
-		Tech:       tech,
-		CClkPerBit: tech.CPD * 0.2,
-		CDataBit:   tech.CPD * 2, // master and slave latch nodes
-	}, nil
-}
-
-// Energy returns the energy of one clocked cycle with hdIn input bits
-// toggling; clocked=false models a gated clock (no clock-tree term).
-func (m *RegisterModel) Energy(hdIn int, clocked bool) float64 {
-	c := m.CDataBit * float64(hdIn)
-	if clocked {
-		c += m.CClkPerBit * float64(m.W)
 	}
 	return m.Tech.EnergyPerCap(c)
 }

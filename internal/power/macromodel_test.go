@@ -175,28 +175,6 @@ func TestArbiterModelRejectsBadSize(t *testing.T) {
 	}
 }
 
-func TestRegisterModelClockGating(t *testing.T) {
-	m, err := NewRegisterModel(32, testTech())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Energy(0, true) <= 0 {
-		t.Error("clocked register must pay the clock tree even with no data change")
-	}
-	if m.Energy(0, false) != 0 {
-		t.Error("gated register with no data change must cost nothing")
-	}
-	if m.Energy(5, true) <= m.Energy(5, false) {
-		t.Error("clocked must cost more than gated at equal data activity")
-	}
-}
-
-func TestRegisterModelRejectsBadWidth(t *testing.T) {
-	if _, err := NewRegisterModel(0, testTech()); err == nil {
-		t.Error("w=0 must fail")
-	}
-}
-
 func TestDefaultTechCalibration(t *testing.T) {
 	tech := DefaultTech()
 	if tech.VDD != 1.8 {

@@ -10,6 +10,8 @@ import (
 // A Models value is the reusable "power model of the IP" the paper's §2
 // motivates: produced once by characterization, serialized alongside the
 // core, and loaded by anyone integrating it — no re-characterization.
+// Each macromodel is a closed-form function of its coefficients and its
+// Hamming-distance arguments; it holds no state of its own.
 type Models struct {
 	Dec *DecoderModel `json:"decoder"`
 	M2S *MuxModel     `json:"m2s"`
@@ -44,29 +46,40 @@ func DefaultModels(numMasters, numSlaves, dataWidth int, tech Tech) (*Models, er
 	return &Models{Dec: dec, M2S: m2s, S2M: s2m, Arb: arb}, nil
 }
 
-// Clone returns a deep copy of the model set. The macromodels carry
-// per-instance memoization state that Energy fills in place, so a shared
-// Models value must be cloned before being attached to concurrent runs;
-// core.Attach does this automatically.
-func (m *Models) Clone() *Models {
-	c := &Models{}
-	if m.Dec != nil {
-		d := *m.Dec
-		c.Dec = &d
+// ResolveModels returns the model set a run on a bus of the given shape
+// evaluates: the structural defaults when m is nil, otherwise m itself
+// once it is complete and characterized for that shape. The zero Tech
+// selects DefaultTech for the defaults; a caller's set carries its own.
+// Energy evaluation only reads a model set, so any number of concurrent
+// runs may share one.
+func ResolveModels(m *Models, numMasters, numSlaves, dataWidth int, tech Tech) (*Models, error) {
+	if tech.VDD == 0 {
+		tech = DefaultTech()
 	}
-	if m.M2S != nil {
-		x := *m.M2S
-		c.M2S = &x
+	def, err := DefaultModels(numMasters, numSlaves, dataWidth, tech)
+	if m == nil || err != nil {
+		return def, err
 	}
-	if m.S2M != nil {
-		x := *m.S2M
-		c.S2M = &x
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
-	if m.Arb != nil {
-		a := *m.Arb
-		c.Arb = &a
+	for _, d := range []struct {
+		field     string
+		got, want int
+	}{
+		{"decoder.NO", m.Dec.NO, def.Dec.NO},
+		{"m2s.N", m.M2S.N, def.M2S.N},
+		{"m2s.W", m.M2S.W, def.M2S.W},
+		{"s2m.N", m.S2M.N, def.S2M.N},
+		{"s2m.W", m.S2M.W, def.S2M.W},
+		{"arbiter.N", m.Arb.N, def.Arb.N},
+	} {
+		if d.got != d.want {
+			return nil, fmt.Errorf("power: model set has %s=%d, but a %d-master %d-slave %d-bit bus needs %d",
+				d.field, d.got, numMasters, numSlaves, dataWidth, d.want)
+		}
 	}
-	return c
+	return m, nil
 }
 
 // Validate checks that a loaded model set is complete and plausible.

@@ -3,24 +3,26 @@ package stats
 import (
 	"bytes"
 	"math"
-	"math/bits"
 	"strings"
 	"testing"
 )
 
-// FuzzHamming cross-checks every Hamming-distance formulation against a
-// naive bit loop and verifies the metric's algebraic identities.
+// FuzzHamming checks both Hamming-distance widths against a naive bit
+// loop and verifies the metric's algebraic identities.
 func FuzzHamming(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint64(^uint64(0)))
-	f.Add(uint64(0xdeadbeef), uint64(0xbeefdead), uint64(0xffff))
-	f.Add(^uint64(0), uint64(0), uint64(1)<<63)
-	f.Fuzz(func(t *testing.T, a, b, mask uint64) {
-		naive := 0
-		for x := a ^ b; x != 0; x >>= 1 {
-			naive += int(x & 1)
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(0xdeadbeef), uint64(0xbeefdead))
+	f.Add(^uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		naive := func(x uint64) int {
+			n := 0
+			for ; x != 0; x >>= 1 {
+				n += int(x & 1)
+			}
+			return n
 		}
-		if got := Hamming(a, b); got != naive {
-			t.Fatalf("Hamming(%#x,%#x)=%d, naive=%d", a, b, got, naive)
+		if got, want := Hamming(a, b), naive(a^b); got != want {
+			t.Fatalf("Hamming(%#x,%#x)=%d, naive=%d", a, b, got, want)
 		}
 		if Hamming(a, b) != Hamming(b, a) {
 			t.Fatalf("Hamming not symmetric for %#x,%#x", a, b)
@@ -28,23 +30,9 @@ func FuzzHamming(f *testing.F) {
 		if Hamming(a, a) != 0 {
 			t.Fatalf("Hamming(%#x, same) != 0", a)
 		}
-		if got := HammingMasked(a, b, ^uint64(0)); got != naive {
-			t.Fatalf("HammingMasked full mask=%d, want %d", got, naive)
-		}
-		if got, want := HammingMasked(a, b, mask), bits.OnesCount64((a^b)&mask); got != want {
-			t.Fatalf("HammingMasked(%#x,%#x,%#x)=%d, want %d", a, b, mask, got, want)
-		}
-		// Masked distance never exceeds the unmasked one.
-		if HammingMasked(a, b, mask) > naive {
-			t.Fatalf("masked HD exceeds full HD for %#x,%#x,%#x", a, b, mask)
-		}
 		a32, b32 := uint32(a), uint32(b)
-		if Hamming32(a32, b32) != Hamming32LUT(a32, b32) {
-			t.Fatalf("Hamming32(%#x,%#x)=%d, LUT=%d",
-				a32, b32, Hamming32(a32, b32), Hamming32LUT(a32, b32))
-		}
-		if Hamming32(a32, b32) != HammingMasked(uint64(a32), uint64(b32), Mask(32)) {
-			t.Fatalf("Hamming32 disagrees with 32-bit masked Hamming for %#x,%#x", a32, b32)
+		if got, want := Hamming32(a32, b32), naive(uint64(a32^b32)); got != want {
+			t.Fatalf("Hamming32(%#x,%#x)=%d, naive=%d", a32, b32, got, want)
 		}
 	})
 }

@@ -22,38 +22,12 @@ func Hamming32(a, b uint32) int {
 	return bits.OnesCount32(a ^ b)
 }
 
-// popcount8 is a 256-entry byte popcount table, the classic formulation of
-// Hamming-distance extraction in power-macromodel tooling.
-var popcount8 = func() (t [256]uint8) {
-	for i := range t {
-		t[i] = uint8(bits.OnesCount8(uint8(i)))
-	}
-	return t
-}()
-
-// Hamming32LUT returns the Hamming distance between two 32-bit values via
-// the byte-sliced popcount table. It is exactly equivalent to Hamming32
-// (the fuzz targets cross-check the two) and exists for callers that want
-// a table-driven formulation independent of math/bits intrinsics.
-func Hamming32LUT(a, b uint32) int {
-	x := a ^ b
-	return int(popcount8[x&0xff]) + int(popcount8[x>>8&0xff]) +
-		int(popcount8[x>>16&0xff]) + int(popcount8[x>>24])
-}
-
 // HammingBool returns 1 if the two boolean signal values differ, else 0.
 func HammingBool(a, b bool) int {
 	if a != b {
 		return 1
 	}
 	return 0
-}
-
-// HammingMasked returns the Hamming distance between a and b restricted to
-// the bits selected by mask. It is used when a bus is narrower than its
-// carrier integer (e.g. a 10-bit HADDR slice on a uint32 signal).
-func HammingMasked(a, b, mask uint64) int {
-	return bits.OnesCount64((a ^ b) & mask)
 }
 
 // Mask returns a mask with the low w bits set. w must be in [0,64].

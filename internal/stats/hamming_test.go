@@ -65,18 +65,6 @@ func TestHammingBool(t *testing.T) {
 	}
 }
 
-func TestHammingMasked(t *testing.T) {
-	if got := HammingMasked(0xFF, 0x00, 0x0F); got != 4 {
-		t.Errorf("HammingMasked = %d, want 4", got)
-	}
-	f := func(a, b uint64) bool {
-		return HammingMasked(a, b, ^uint64(0)) == Hamming(a, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMask(t *testing.T) {
 	cases := []struct {
 		w    int

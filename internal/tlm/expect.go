@@ -40,24 +40,14 @@ const (
 )
 
 // newExpecter derives the instruction-energy table from the analyzer
-// configuration (characterized Models or the structural defaults, exactly
-// as core.Attach resolves them) and the workload mix.
-func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Config) *expecter {
-	tech := az.Tech
-	if tech.VDD == 0 {
-		tech = power.DefaultTech()
-	}
-	models := az.Models
-	if models == nil {
-		// len(ct.Masters) mirrors bus construction: default master included.
-		m, err := power.DefaultModels(len(ct.Masters), len(ct.Slaves), ct.DataWidth, tech)
-		if err != nil {
-			// Check(ct) validated the shape; defaults cannot fail for it.
-			panic(err)
-		}
-		models = m
-	} else {
-		models = models.Clone()
+// configuration (characterized Models or the structural defaults,
+// resolved by power.ResolveModels exactly as core.Attach resolves them)
+// and the workload mix.
+func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Config) (*expecter, error) {
+	// len(ct.Masters) mirrors bus construction: default master included.
+	models, err := power.ResolveModels(az.Models, len(ct.Masters), len(ct.Slaves), ct.DataWidth, az.Tech)
+	if err != nil {
+		return nil, err
 	}
 	hdData := 0.0
 	if len(cfgs) > 0 {
@@ -67,7 +57,7 @@ func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Conf
 		hdData /= float64(len(cfgs))
 	}
 
-	// The models memoize integer HDs; round the expected values once.
+	// The macromodels take integer HDs; round the expected values once.
 	hdW := int(hdData + 0.5) // write-data flips per write beat
 	dec, m2s, s2m, arb := models.Dec, models.M2S, models.S2M, models.Arb
 	m2sClk, s2mClk := m2s.ClockEnergy(), s2m.ClockEnergy()
@@ -106,7 +96,7 @@ func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Conf
 			e.comp[f*power.NumStates+t] = c
 		}
 	}
-	return e
+	return e, nil
 }
 
 // arbXferEnergy is the expected arbiter energy of a transfer cycle: quiet

@@ -177,8 +177,11 @@ func (p *Prepared) Estimate(ctx context.Context) (*Outcome, error) {
 		return nil, fmt.Errorf("tlm: spec %q: calibration prefix: %w", p.spec.Name, err)
 	}
 
+	exp, err := newExpecter(&p.ct, p.spec.Analyzer, p.cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("tlm: spec %q: %w", p.spec.Name, err)
+	}
 	w := runWalk(&p.ct, p.scripts, p.spec.Cycles, prefix)
-	exp := newExpecter(&p.ct, p.spec.Analyzer, p.cfgs)
 	cal := calibrate(exp, w, measured)
 
 	rep, sts := cal.report(&p.ct, p.spec.Analyzer, w, p.spec.Cycles)
