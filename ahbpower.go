@@ -7,8 +7,10 @@
 //   - a discrete-event simulation kernel with SystemC-like delta-cycle
 //     semantics (internal/sim);
 //   - a cycle-accurate AMBA AHB bus model — arbiter, decoder, M2S/S2M
-//     multiplexers, script-driven masters, memory/error/retry/split
-//     slaves — plus an APB tier behind a bridge (internal/amba);
+//     multiplexers, script-driven masters, memory and FIFO slaves — plus
+//     an APB tier behind a bridge (internal/amba), with ERROR, RETRY and
+//     SPLIT responses forced onto memory slaves by fault plans
+//     (internal/fault);
 //   - parametric dynamic-energy macromodels for the AHB sub-blocks and
 //     the instruction-based power FSM of the paper (internal/power);
 //   - a gate-level netlist substrate with structural generators and SOP

@@ -17,12 +17,6 @@ type (
 	Clock = sim.Clock
 	// MemorySlave is a word-addressable AHB memory slave.
 	MemorySlave = ahb.MemorySlave
-	// ErrorSlave responds ERROR to every transfer.
-	ErrorSlave = ahb.ErrorSlave
-	// RetrySlave issues RETRYs before accepting transfers.
-	RetrySlave = ahb.RetrySlave
-	// SplitSlave exercises the SPLIT protocol.
-	SplitSlave = ahb.SplitSlave
 	// Monitor performs on-line AHB protocol checking.
 	Monitor = ahb.Monitor
 	// CycleInfo is a settled per-cycle bus snapshot.

@@ -132,8 +132,9 @@ func main() {
 			fatal(res.Err)
 		}
 		if len(res.Violations) > 0 {
-			// Injected faults are supposed to trip the protocol monitor;
-			// only a fault-free sweep treats a violation as fatal.
+			// Flip rules are expected to trip the protocol monitor, so
+			// under an active plan a violation is only reported; a
+			// fault-free sweep treats it as fatal.
 			if plan.Active() {
 				fmt.Fprintf(os.Stderr, "ahbsweep: %s: %d protocol violations under fault injection (first: %v)\n",
 					res.Scenario.Name, len(res.Violations), res.Violations[0])

@@ -461,16 +461,16 @@ func (b *Bus) buildDefaultSlave() {
 func (b *Bus) SplitMask() uint16 { return b.st.SplitMask }
 
 // MaskSplit records that master m received a SPLIT and must not be granted
-// until resumed. Split-capable slaves (and the fault injector) call it on
-// the cycle they issue the SPLIT response.
+// until resumed. The fault injector calls it on the cycle it forces the
+// SPLIT response.
 func (b *Bus) MaskSplit(m uint8) {
 	b.st.SplitMask |= 1 << uint(m)
 }
 
 // WatchSplitResume wires slave s's split-resume signal (HSPLITx) into the
 // arbiter: any bit pulsed on SplitRes unmasks the corresponding master.
-// Idempotent registration is the caller's concern; each call adds a
-// watcher.
+// The fault injector calls it once per slave it may split on; each call
+// adds a watcher.
 func (b *Bus) WatchSplitResume(s int) {
 	b.S[s].SplitRes.Watch(func(_, now uint16) {
 		b.st.SplitMask &^= now

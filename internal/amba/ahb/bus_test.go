@@ -352,129 +352,6 @@ func TestUnmappedAddressGetsError(t *testing.T) {
 	ts.checkClean(t)
 }
 
-func TestErrorSlaveTwoCycleResponse(t *testing.T) {
-	k := sim.NewKernel()
-	bus, err := New(k, Config{
-		NumMasters:  1,
-		NumSlaves:   1,
-		Regions:     []Region{{Start: 0, Size: 0x1000, Slave: 0}},
-		ClockPeriod: 10 * sim.Nanosecond,
-		DataWidth:   32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := NewMonitor(bus)
-	m, _ := NewMaster(bus, 0)
-	m.KeepResults(true)
-	es, _ := NewErrorSlave(bus, 0)
-	m.Enqueue(Sequence{Ops: []Op{{Kind: OpRead, Addr: 0x0}}})
-	if err := k.RunCycles(bus.Clk, 30); err != nil {
-		t.Fatal(err)
-	}
-	res := m.Results()
-	if len(res) != 1 || res[0].Resp != RespError {
-		t.Fatalf("results=%+v, want one ERROR", res)
-	}
-	if es.Errors != 1 {
-		t.Errorf("slave errors=%d", es.Errors)
-	}
-	for _, e := range mon.Errors() {
-		t.Errorf("protocol violation: %v", e)
-	}
-}
-
-func TestRetrySlaveEventuallyCompletes(t *testing.T) {
-	k := sim.NewKernel()
-	bus, err := New(k, Config{
-		NumMasters:  1,
-		NumSlaves:   1,
-		Regions:     []Region{{Start: 0, Size: 0x1000, Slave: 0}},
-		ClockPeriod: 10 * sim.Nanosecond,
-		DataWidth:   32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := NewMonitor(bus)
-	m, _ := NewMaster(bus, 0)
-	m.KeepResults(true)
-	rs, _ := NewRetrySlave(bus, 0, 3)
-	m.Enqueue(Sequence{Ops: []Op{
-		{Kind: OpWrite, Addr: 0x20, Data: []uint32{0x77}},
-		{Kind: OpRead, Addr: 0x20},
-	}})
-	if err := k.RunCycles(bus.Clk, 100); err != nil {
-		t.Fatal(err)
-	}
-	res := m.Results()
-	if len(res) != 2 {
-		t.Fatalf("results=%d, want 2", len(res))
-	}
-	if res[1].Data != 0x77 {
-		t.Errorf("read=%#x, want 0x77", res[1].Data)
-	}
-	if m.Stats().Retries != 6 {
-		t.Errorf("retries=%d, want 6 (3 per transfer)", m.Stats().Retries)
-	}
-	if rs.Peek(0x20) != 0x77 {
-		t.Errorf("mem=%#x", rs.Peek(0x20))
-	}
-	for _, e := range mon.Errors() {
-		t.Errorf("protocol violation: %v", e)
-	}
-}
-
-func TestSplitSlaveResume(t *testing.T) {
-	k := sim.NewKernel()
-	bus, err := New(k, Config{
-		NumMasters: 2,
-		NumSlaves:  2,
-		Regions: []Region{
-			{Start: 0, Size: 0x1000, Slave: 0},
-			{Start: 0x1000, Size: 0x1000, Slave: 1},
-		},
-		ClockPeriod: 10 * sim.Nanosecond,
-		DataWidth:   32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0, _ := NewMaster(bus, 0)
-	m0.KeepResults(true)
-	m1, _ := NewMaster(bus, 1)
-	m1.KeepResults(true)
-	ss, _ := NewSplitSlave(bus, 0, 5)
-	if _, err := NewMemorySlave(bus, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Master 0 hits the split slave; master 1 proceeds on slave 1 while
-	// master 0 is split out.
-	m0.Enqueue(Sequence{Ops: []Op{{Kind: OpWrite, Addr: 0x40, Data: []uint32{0x5511}}}})
-	m1.Enqueue(Sequence{Ops: []Op{
-		{Kind: OpWrite, Addr: 0x1040, Data: []uint32{0x99}},
-		{Kind: OpRead, Addr: 0x1040},
-	}})
-	if err := k.RunCycles(bus.Clk, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !m0.Done() {
-		t.Fatal("split master must eventually complete")
-	}
-	if ss.Peek(0x40) != 0x5511 {
-		t.Errorf("split slave mem=%#x, want 0x5511", ss.Peek(0x40))
-	}
-	if m0.Stats().Splits != 1 {
-		t.Errorf("splits=%d, want 1", m0.Stats().Splits)
-	}
-	if !m1.Done() {
-		t.Error("master1 must complete while master0 is split")
-	}
-	if bus.SplitMask() != 0 {
-		t.Errorf("split mask=%#x, want 0 after resume", bus.SplitMask())
-	}
-}
-
 func TestDefaultMasterGrantedWhenIdle(t *testing.T) {
 	ts := newTestSystem(t, 2, 1, 0, PolicySticky)
 	ts.run(t, 10)
@@ -564,15 +441,6 @@ func TestBadPortIndexes(t *testing.T) {
 	}
 	if _, err := NewMemorySlave(ts.bus, 0, -1); err == nil {
 		t.Error("negative waits must fail")
-	}
-	if _, err := NewErrorSlave(ts.bus, 9); err == nil {
-		t.Error("bad error-slave index must fail")
-	}
-	if _, err := NewRetrySlave(ts.bus, 9, 1); err == nil {
-		t.Error("bad retry-slave index must fail")
-	}
-	if _, err := NewSplitSlave(ts.bus, 9, 1); err == nil {
-		t.Error("bad split-slave index must fail")
 	}
 }
 

@@ -3,8 +3,6 @@ package ahb
 import (
 	"math/rand"
 	"testing"
-
-	"ahbpower/internal/sim"
 )
 
 // TestRandomScriptsMatchReferenceMemory drives randomized write/read
@@ -110,62 +108,5 @@ func TestRandomScriptsMatchReferenceMemory(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRandomRetryInjection interposes a retry slave and checks data
-// integrity survives retry storms.
-func TestRandomRetryInjection(t *testing.T) {
-	for _, retries := range []int{1, 2, 5} {
-		k := sim.NewKernel()
-		bus, err := New(k, Config{
-			NumMasters:  1,
-			NumSlaves:   1,
-			Regions:     []Region{{Start: 0, Size: 0x1000, Slave: 0}},
-			ClockPeriod: 10 * sim.Nanosecond,
-			DataWidth:   32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon := NewMonitor(bus)
-		m, _ := NewMaster(bus, 0)
-		m.KeepResults(true)
-		rs, _ := NewRetrySlave(bus, 0, retries)
-		rng := rand.New(rand.NewSource(int64(retries)))
-		want := map[uint32]uint32{}
-		var ops []Op
-		for i := 0; i < 20; i++ {
-			addr := uint32(rng.Intn(0x100)) &^ 3
-			val := rng.Uint32()
-			want[addr] = val
-			ops = append(ops, Op{Kind: OpWrite, Addr: addr, Data: []uint32{val}})
-		}
-		for addr := range want {
-			ops = append(ops, Op{Kind: OpRead, Addr: addr})
-		}
-		m.Enqueue(Sequence{Ops: ops})
-		if err := k.RunCycles(bus.Clk, 2000); err != nil {
-			t.Fatal(err)
-		}
-		if !m.Done() {
-			t.Fatalf("retries=%d: master did not finish", retries)
-		}
-		for _, e := range mon.Errors() {
-			t.Errorf("retries=%d: %v", retries, e)
-		}
-		for _, r := range m.Results() {
-			if r.Write {
-				continue
-			}
-			if r.Data != want[r.Addr] {
-				t.Errorf("retries=%d: read %#x@%#x, want %#x", retries, r.Data, r.Addr, want[r.Addr])
-			}
-		}
-		for addr, val := range want {
-			if rs.Peek(addr) != val {
-				t.Errorf("retries=%d: mem[%#x]=%#x, want %#x", retries, addr, rs.Peek(addr), val)
-			}
-		}
 	}
 }

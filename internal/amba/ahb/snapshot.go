@@ -246,8 +246,8 @@ func (s *MemorySlave) RestoreState(st MemorySlaveState) {
 	}
 	s.pending = nil
 	if st.Pending != nil {
-		p := *st.Pending
-		s.pending = &p
+		s.latch = *st.Pending
+		s.pending = &s.latch
 	}
 	s.waitLeft = st.WaitLeft
 	s.stats = st.Stats

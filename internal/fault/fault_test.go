@@ -3,10 +3,12 @@ package fault_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
 	"ahbpower/internal/fault"
@@ -337,4 +339,98 @@ func TestSplitEnergyBalance(t *testing.T) {
 		t.Errorf("split mask=%#x after run, want 0", got)
 	}
 	checkConservation(t, res.Report)
+}
+
+// TestForcedResponsesOverWaitStates runs every slave-side kind on a
+// memory slave with 0-4 wait states of its own. Forced responses must
+// stay protocol-legal at any wait count: the script finishes, the
+// monitor stays clean and each read returns the last value written to
+// its address (an errored write still lands in memory). Slave-side-only
+// random plans on the paper system must likewise trip no rule.
+func TestForcedResponsesOverWaitStates(t *testing.T) {
+	rules := []fault.Rule{
+		{Kind: fault.KindError},
+		{Kind: fault.KindRetry},
+		{Kind: fault.KindSplit},
+		{Kind: fault.KindWaits},
+		{Kind: fault.KindWaits, Waits: 3},
+	}
+	for waits := 0; waits <= 4; waits++ {
+		for _, r := range rules {
+			r.Slave, r.Master, r.Count = 0, -1, 1
+			name := fmt.Sprintf("%s(waits %d) on a %d-wait slave", r.Kind, r.Waits, waits)
+			cfg := core.PaperSystem()
+			cfg.NumActiveMasters, cfg.WithDefaultMaster, cfg.NumSlaves, cfg.SlaveWaits = 1, false, 1, waits
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sys.Masters[0]
+			m.KeepResults(true)
+			m.Enqueue(ahb.Sequence{Ops: []ahb.Op{
+				{Kind: ahb.OpWrite, Addr: 0x10, Data: []uint32{0xAA}},
+				{Kind: ahb.OpWrite, Addr: 0x20, Data: []uint32{0xBB}},
+				{Kind: ahb.OpRead, Addr: 0x20},
+				{Kind: ahb.OpRead, Addr: 0x10},
+			}})
+			inj, err := fault.Attach(sys.Bus, sys.Masters, &fault.Plan{Seed: 1, Rules: []fault.Rule{r}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Run(200); err != nil {
+				t.Fatal(err)
+			}
+			if st := inj.Stats(); st.Total() == 0 {
+				t.Errorf("%s: nothing injected", name)
+			}
+			if !m.Done() {
+				t.Errorf("%s: script did not finish", name)
+			}
+			for _, e := range sys.Monitor.Errors() {
+				t.Errorf("%s: protocol violation: %v", name, e)
+			}
+			want := map[uint32]uint32{0x10: 0xAA, 0x20: 0xBB}
+			reads := 0
+			for _, res := range m.Results() {
+				if res.Write {
+					continue
+				}
+				reads++
+				if res.Data != want[res.Addr] {
+					t.Errorf("%s: read %#x@%#x, want %#x", name, res.Data, res.Addr, want[res.Addr])
+				}
+			}
+			if reads != 2 {
+				t.Errorf("%s: %d reads completed, want 2", name, reads)
+			}
+			for addr, v := range want {
+				if got := sys.Slaves[0].Peek(addr); got != v {
+					t.Errorf("%s: mem[%#x]=%#x, want %#x", name, addr, got, v)
+				}
+			}
+		}
+	}
+
+	for waits := 0; waits <= 4; waits++ {
+		for seed := int64(1); seed <= 16; seed++ {
+			plan := fault.RandomPlan(seed)
+			var slaveSide []fault.Rule
+			for _, r := range plan.Rules {
+				if r.Kind != fault.KindAddrFlip && r.Kind != fault.KindDataFlip {
+					slaveSide = append(slaveSide, r)
+				}
+			}
+			if len(slaveSide) == 0 {
+				continue
+			}
+			plan.Rules = slaveSide
+			sc := scenario(fmt.Sprintf("slave-side-%d-waits-%d", seed, waits), plan, 3000, nil)
+			sc.System.SlaveWaits = waits
+			res := mustRun(t, sc)
+			if len(res.Violations) != 0 {
+				t.Errorf("%s: %d violations (first: %v)", sc.Name, len(res.Violations), res.Violations[0])
+			}
+			checkConservation(t, res.Report)
+		}
+	}
 }

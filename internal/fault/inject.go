@@ -15,7 +15,9 @@ const (
 
 // Stats counts the faults an Injector actually fired. All counters are
 // deterministic functions of (plan, scenario), so they participate in the
-// chaos harness's replay-identity check.
+// chaos harness's replay-identity check. WaitStates sums Rule.Waits over
+// the KindWaits firings: forced not-ready cycles, which lengthen a data
+// phase only where they outlast the slave's own wait states.
 type Stats struct {
 	Errors     uint64 `json:"errors,omitempty"`
 	Retries    uint64 `json:"retries,omitempty"`
@@ -157,9 +159,12 @@ func Attach(bus *ahb.Bus, masters []*ahb.Master, plan *Plan) (*Injector, error) 
 // slaveInjector forces responses on one slave's output ports. Its process
 // runs after the slave's own tick in the same evaluation phase (later
 // registration id), so "last write wins" makes its ReadyOut/Resp writes
-// authoritative. Every forced window is self-terminating: the injector
-// itself drives the release cycle (HREADY high), so a wait-state-free
-// memory slave underneath can never deadlock waiting for ready.
+// authoritative. A forced ERROR/RETRY/SPLIT ends on a release cycle the
+// injector drives itself (HREADY high, response held), which ends the
+// slave's data phase too, whatever wait states it had left. A forced
+// wait stretch only holds ReadyOut low: at its release the memory slave
+// underneath drives ReadyOut again, high once its own wait states are
+// counted, so the phase lasts the longer of the two.
 type slaveInjector struct {
 	in    *Injector
 	bus   *ahb.Bus
@@ -213,10 +218,13 @@ func (si *slaveInjector) tick() {
 			ports.Resp.Write(si.rt.Resp)
 			return
 		}
-		// Release: second cycle of a two-cycle response (resp held) or the
-		// end of a wait stretch (resp OKAY).
-		ports.ReadyOut.Write(true)
-		ports.Resp.Write(si.rt.Resp)
+		// Release: the second cycle of a two-cycle response (resp held,
+		// HREADY high). A wait stretch hands ReadyOut and Resp back to
+		// the slave.
+		if si.rt.Resp != ahb.RespOkay {
+			ports.ReadyOut.Write(true)
+			ports.Resp.Write(si.rt.Resp)
+		}
 		si.rt.Active = false
 		return
 	}

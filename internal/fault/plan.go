@@ -1,7 +1,7 @@
 // Package fault is the deterministic protocol-fault-injection layer: a
 // declarative, seed-reproducible Plan is compiled onto a built AHB system
 // (Attach) and perturbs it at the protocol level — forced ERROR/RETRY/SPLIT
-// responses, extra wait states, and address/data bit-flips. The flips
+// responses, forced wait stretches, and address/data bit-flips. The flips
 // directly disturb the Hamming-distance terms of the paper's E_DEC/E_MUX
 // macromodels, so injected faults produce measurable, assertable energy
 // deltas while every stream-order conservation invariant must keep holding.
@@ -39,7 +39,10 @@ const (
 	// KindSplit forces a two-cycle SPLIT response, masks the master from
 	// arbitration, and resumes it after Rule.Hold cycles.
 	KindSplit
-	// KindWaits inserts Rule.Waits extra wait states into a data phase.
+	// KindWaits holds a data phase not-ready for Rule.Waits cycles. The
+	// stretch overlaps the slave's own wait states and the phase lasts
+	// the longer of the two, so the waits are extra only on a zero-wait
+	// slave.
 	KindWaits
 	// KindAddrFlip XORs Rule.Mask into the address of a driven beat.
 	KindAddrFlip
@@ -113,8 +116,8 @@ type Rule struct {
 	// Retries is how many consecutive RETRY responses one KindRetry firing
 	// forces onto the re-attempted transfer (default 1).
 	Retries int `json:"retries,omitempty"`
-	// Waits is the number of extra wait states per KindWaits firing
-	// (default 1).
+	// Waits is the length of the not-ready stretch per KindWaits firing
+	// (default 1); it overlaps the slave's own wait states.
 	Waits int `json:"waits,omitempty"`
 	// Hold is the number of cycles a KindSplit firing keeps the master
 	// masked before pulsing the split-resume line (default 4).

@@ -200,8 +200,9 @@ func faultTotal(res *engine.Result) uint64 {
 }
 
 // buildScenarios derives one scenario per seed: a seed-determined random
-// fault plan on the paper system, with the arbitration policy varied by
-// seed so all three arbiters face injected faults.
+// fault plan on the paper system, with the arbitration policy and the
+// slaves' wait states (0-3) varied by seed so all three arbiters and
+// slaves with and without wait states face injected faults.
 func buildScenarios(cfg config) ([]engine.Scenario, []*fault.Plan) {
 	scens := make([]engine.Scenario, cfg.seeds)
 	plans := make([]*fault.Plan, cfg.seeds)
@@ -209,6 +210,7 @@ func buildScenarios(cfg config) ([]engine.Scenario, []*fault.Plan) {
 		seed := cfg.seed + int64(i)
 		sys := core.PaperSystem()
 		sys.Policy = policyFor(seed)
+		sys.SlaveWaits = int(uint64(seed) % 4)
 		plans[i] = fault.RandomPlan(seed)
 		scens[i] = engine.Scenario{
 			Name:    fmt.Sprintf("chaos-%d", seed),
@@ -239,8 +241,8 @@ func policyFor(seed int64) ahb.ArbPolicy {
 
 // checkResult applies the per-run invariants: the scenario must complete
 // (no hang, no unexpected failure) in exactly one attempt, the protocol
-// monitor must stay clean, and both energy decompositions must balance
-// against the total.
+// monitor must stay clean unless the plan flips bus values, and both
+// energy decompositions must balance against the total.
 func checkResult(res *engine.Result, plan *fault.Plan) []string {
 	var v []string
 	name := res.Scenario.Name
@@ -255,11 +257,11 @@ func checkResult(res *engine.Result, plan *fault.Plan) []string {
 	if res.Attempts != 1 {
 		v = append(v, fmt.Sprintf("%s: attempts=%d, want 1", name, res.Attempts))
 	}
-	// Injected faults (flipped addresses, forced responses) are supposed to
-	// trip the protocol monitor — those show up in the replay fingerprint
-	// instead. Violations are only a finding when nothing was injected.
-	if !plan.Active() && len(res.Violations) > 0 {
-		v = append(v, fmt.Sprintf("%s: %d protocol violations on a fault-free run (first: %v)",
+	// Forced responses and wait states are protocol-legal at any slave
+	// wait count. Only a flipped address or data word may trip the
+	// monitor; those violations show up in the replay fingerprint instead.
+	if !flips(plan) && len(res.Violations) > 0 {
+		v = append(v, fmt.Sprintf("%s: %d protocol violations on a run without flip rules (first: %v)",
 			name, len(res.Violations), res.Violations[0]))
 	}
 	if plan.Active() && res.Faults == nil {
@@ -269,6 +271,16 @@ func checkResult(res *engine.Result, plan *fault.Plan) []string {
 		v = append(v, fmt.Sprintf("%s: %v", name, err))
 	}
 	return v
+}
+
+// flips reports whether the plan corrupts the values masters drive.
+func flips(plan *fault.Plan) bool {
+	for _, r := range plan.Rules {
+		if r.Kind == fault.KindAddrFlip || r.Kind == fault.KindDataFlip {
+			return true
+		}
+	}
+	return false
 }
 
 // conservation checks both energy decompositions of a report against its

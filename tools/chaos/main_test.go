@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"ahbpower/internal/amba/ahb"
+	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
 	"ahbpower/internal/fault"
 )
@@ -52,5 +54,20 @@ func TestCheckResultFlagsFailures(t *testing.T) {
 	res = &engine.Result{Scenario: engine.Scenario{Name: "x"}, Attempts: 1}
 	if v := checkResult(res, plan); len(v) == 0 {
 		t.Error("successful result with no report must flag missing conservation evidence")
+	}
+}
+
+// TestCheckResultViolationsNeedFlips pins the monitor rule: forced
+// responses must leave the monitor clean, only flip rules may trip it.
+func TestCheckResultViolationsNeedFlips(t *testing.T) {
+	res := &engine.Result{Scenario: engine.Scenario{Name: "x"}, Attempts: 1, Report: &core.Report{},
+		Faults: &fault.Stats{Errors: 1}, Violations: []ahb.ProtocolError{{Rule: "two-cycle-response"}}}
+	forced := &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.KindError, Slave: -1, Master: -1}}}
+	if v := checkResult(res, forced); len(v) != 1 {
+		t.Errorf("violation under a forced-response plan: got %v, want one finding", v)
+	}
+	flipped := &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.KindAddrFlip, Slave: -1, Master: -1}}}
+	if v := checkResult(res, flipped); len(v) != 0 {
+		t.Errorf("violation under an addr-flip plan must pass, got %v", v)
 	}
 }
