@@ -277,6 +277,12 @@ func TestActivityRecording(t *testing.T) {
 	if len(act.Report()) < 5 {
 		t.Errorf("activity report too small: %d signals", len(act.Report()))
 	}
+	// HTRANS is 2 bits wide and HMASTER indexes at most 16 masters, so
+	// neither can change by more bits per cycle.
+	if act.Samples != 1000 || act.BitChangeCount("HTRANS") > 2*999 || act.BitChangeCount("HMASTER") > 4*999 {
+		t.Errorf("samples %d, HTRANS %d, HMASTER %d bit changes", act.Samples,
+			act.BitChangeCount("HTRANS"), act.BitChangeCount("HMASTER"))
+	}
 }
 
 func TestStyleNames(t *testing.T) {

@@ -197,19 +197,19 @@ func (s *System) SetCheckpointHook(every uint64, fn func(done uint64) error) {
 
 // analyzerState is the analyzer's serialized dynamic state: the FSM and
 // breakdown accumulators as bit patterns, the register file every style
-// runs on, and the DPM streak.
+// runs on, the DPM streak and the activity counters.
 type analyzerState struct {
 	FSM       power.FSMState       `json:"fsm"`
 	Breakdown power.BreakdownState `json:"breakdown"`
 	analyzerRegs
-	DPM *dpmState `json:"dpm,omitempty"`
+	DPM      *dpmState       `json:"dpm,omitempty"`
+	Activity *power.Activity `json:"activity,omitempty"`
 }
 
 // SnapshotUnsupported returns the reason this analyzer cannot join a
-// checkpoint snapshot, or "" when it can. Streaming consumers (activity
-// stores, trace recorders) hold unserialized mid-run state; the engine's
-// execution plan runs scenarios using them without checkpointing, and
-// this guard refuses them again.
+// checkpoint snapshot, or "" when it can. A trace recorder holds
+// unserialized mid-run state; the engine's execution plan runs scenarios
+// using one without checkpointing, and this guard refuses them again.
 func (a *Analyzer) SnapshotUnsupported() string {
 	return a.cfg.SnapshotUnsupported()
 }
@@ -218,10 +218,7 @@ func (a *Analyzer) SnapshotUnsupported() string {
 // checkpoint guard. The exec capability table must never arm a
 // configuration it refuses; the engine's planner tests check both agree.
 func (cfg AnalyzerConfig) SnapshotUnsupported() string {
-	switch {
-	case cfg.RecordActivity:
-		return "activity recording enabled"
-	case cfg.Trace != nil:
+	if cfg.Trace != nil {
 		return "trace recorder attached"
 	}
 	return ""
@@ -237,6 +234,7 @@ func (a *Analyzer) CaptureSnapshot() (json.RawMessage, error) {
 		Breakdown:    a.bd.CaptureState(),
 		analyzerRegs: a.regs,
 		DPM:          a.dpm,
+		Activity:     a.activity,
 	})
 }
 
@@ -255,6 +253,9 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 	if (st.DPM != nil) != (a.dpm != nil) || st.DPM != nil && st.DPM.Estimate.Config != a.dpm.Estimate.Config {
 		return fmt.Errorf("core: analyzer snapshot and analyzer disagree on the DPM estimator")
 	}
+	if (st.Activity != nil) != (a.activity != nil) {
+		return fmt.Errorf("core: analyzer snapshot and analyzer disagree on activity recording")
+	}
 	if err := a.fsm.RestoreState(st.FSM); err != nil {
 		return err
 	}
@@ -262,5 +263,8 @@ func (a *Analyzer) RestoreSnapshot(blob json.RawMessage) error {
 		return err
 	}
 	a.regs, a.dpm = st.analyzerRegs, st.DPM
+	if a.activity != nil {
+		*a.activity = *st.Activity
+	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/metrics"
 )
 
 // ckptFP is the bit-exact fingerprint of a Result used by the resume
@@ -53,7 +54,8 @@ var errCrash = errors.New("simulated crash after checkpoint")
 // that snapshot must produce a Result Float64bits-identical to the
 // uninterrupted run, for every eligible backend, analyzer style and
 // fault-plan combination. DPM and odd-period scenarios resume on both
-// backends, whichever saved the snapshot.
+// backends, whichever saved the snapshot, and so do scenarios recording
+// activity.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	type combo struct {
 		name    string
@@ -79,6 +81,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}{
 		{"dpm", func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 4, WakeEnergy: 1e-12} }},
 		{"odd-period", func(sc *Scenario) { sc.System.ClockPeriod = 10_001 }},
+		{"activity", func(sc *Scenario) { sc.Analyzer.RecordActivity = true }},
 	}
 	for _, x := range extras {
 		for _, be := range []string{exec.NameEvent, exec.NameCompiled} {
@@ -160,9 +163,16 @@ func TestCheckpointFallbacks(t *testing.T) {
 	}
 	noopSave := func(uint64, []byte) error { return nil }
 
-	t.Run("activity-ineligible", func(t *testing.T) {
+	traced := func(sc *Scenario) {
+		tr, err := metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Analyzer.Trace = tr
+	}
+	t.Run("trace-ineligible", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.RecordActivity = true
+		traced(&sc)
 		sc.Checkpoint = &CheckpointConfig{Save: func(uint64, []byte) error {
 			t.Error("Save must not run for an ineligible scenario")
 			return nil
@@ -175,9 +185,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 			t.Error("CheckpointFallback empty, want surfaced reason")
 		}
 	})
-	t.Run("activity-resume-error", func(t *testing.T) {
+	t.Run("trace-resume-error", func(t *testing.T) {
 		sc := base
-		sc.Analyzer.RecordActivity = true
+		traced(&sc)
 		sc.Checkpoint = &CheckpointConfig{Resume: []byte("{}")}
 		if res := RunOne(context.Background(), sc); res.Err == nil {
 			t.Error("resuming an ineligible scenario must fail")

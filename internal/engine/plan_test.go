@@ -43,7 +43,9 @@ func planKnobs(t *testing.T) []planKnob {
 		{"no-analyzer", exec.FeatureNoAnalyzer, func(sc *Scenario) { sc.SkipAnalyzer = true }},
 		{"dpm", exec.FeatureDPM, func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8} }},
 		{"private", exec.FeaturePrivateStyle, func(sc *Scenario) { sc.Analyzer.Style = core.StylePrivate }},
-		{"activity", exec.FeatureActivity, func(sc *Scenario) { sc.Analyzer.RecordActivity = true }},
+		// Activity recording contributes no feature: it must never change
+		// a plan.
+		{"activity", 0, func(sc *Scenario) { sc.Analyzer.RecordActivity = true }},
 		{"recorder", exec.FeatureTraceRecorder, func(sc *Scenario) {
 			tr, err := metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
 			if err != nil {
@@ -59,8 +61,7 @@ func planKnobs(t *testing.T) []planKnob {
 
 // analyzerFeatures are the features an attached analyzer contributes;
 // SkipAnalyzer masks them.
-const analyzerFeatures = exec.FeatureDPM | exec.FeaturePrivateStyle | exec.FeatureActivity |
-	exec.FeatureTraceRecorder
+const analyzerFeatures = exec.FeatureDPM | exec.FeaturePrivateStyle | exec.FeatureTraceRecorder
 
 var (
 	planHints      = []string{"", exec.NameEvent, exec.NameCompiled, exec.NameAuto, exec.NameLanes}
@@ -100,6 +101,7 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 // order, a lanes fallback lands on the event kernel, resuming a
 // checkpoint-blocked scenario is an error, and every analyzer the plan
 // arms for checkpointing passes the analyzer's own snapshot guard.
+// Activity recording must leave every plan as it is without it.
 func TestPlanExhaustive(t *testing.T) {
 	var boolKnobs []planKnob
 	for _, k := range planKnobs(t) {
@@ -150,6 +152,16 @@ func TestPlanExhaustive(t *testing.T) {
 					for _, hint := range planHints {
 						sc.Accuracy, sc.Backend = acc, hint
 						checkPlan(t, &sc, want)
+						if sc.Analyzer.RecordActivity {
+							twin := sc
+							twin.Analyzer.RecordActivity = false
+							p, err := sc.Plan()
+							tp, terr := twin.Plan()
+							if p != tp || (err == nil) != (terr == nil) {
+								t.Fatalf("mask %#x hint %q accuracy %q: activity recording changed the plan: %+v (%v) vs %+v (%v)",
+									mask, hint, acc, p, err, tp, terr)
+							}
+						}
 						rows++
 					}
 					sc.Backend = "turbo"

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -44,6 +45,25 @@ func TestTransactionAccuracyRuns(t *testing.T) {
 	}
 	if res.BackendFallback != "" {
 		t.Errorf("unexpected fallback: %q", res.BackendFallback)
+	}
+}
+
+// TestTransactionAccuracyIgnoresActivity checks activity recording keeps
+// a transaction-accuracy scenario on the estimator: no path returns the
+// activity counters, so the estimate is the one made without them.
+func TestTransactionAccuracyIgnoresActivity(t *testing.T) {
+	plain := RunOne(context.Background(), tlmScenario("tlm-plain"))
+	sc := tlmScenario("tlm-activity")
+	sc.Analyzer.RecordActivity = true
+	res := RunOne(context.Background(), sc)
+	if plain.Err != nil || res.Err != nil {
+		t.Fatalf("run: %v / %v", plain.Err, res.Err)
+	}
+	if res.Backend != tlm.Name || res.Accuracy != AccuracyTransaction || res.BackendFallback != "" {
+		t.Fatalf("backend %q accuracy %q fallback %q, want the estimator", res.Backend, res.Accuracy, res.BackendFallback)
+	}
+	if math.Float64bits(res.Report.TotalEnergy) != math.Float64bits(plain.Report.TotalEnergy) {
+		t.Errorf("TotalEnergy %g with activity, %g without", res.Report.TotalEnergy, plain.Report.TotalEnergy)
 	}
 }
 
@@ -95,7 +115,6 @@ func TestTransactionAccuracyUnsupportedFeatures(t *testing.T) {
 		{"trace-recorder", func(sc *Scenario) {
 			sc.Analyzer.Trace, _ = metrics.NewTrace(metrics.TraceConfig{Window: 1e-6})
 		}, "recorder"},
-		{"activity", func(sc *Scenario) { sc.Analyzer.RecordActivity = true }, "activity"},
 		{"dpm", func(sc *Scenario) { sc.Analyzer.DPM = &core.DPMConfig{IdleThreshold: 8} }, "DPM"},
 		{"skip-analyzer", func(sc *Scenario) { sc.SkipAnalyzer = true }, "analyzer"},
 	}

@@ -18,7 +18,6 @@ func TestCapabilityTable(t *testing.T) {
 		noAn    = "no analyzer attached, nothing to estimate"
 		dpm     = "DPM estimator attached"
 		private = "delta-level (private-style) instrumentation"
-		act     = "activity recording enabled"
 		rec     = "streaming trace recorder attached"
 		ckpt    = "checkpointing requested"
 	)
@@ -33,7 +32,6 @@ func TestCapabilityTable(t *testing.T) {
 		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},
 		{FeatureDPM, [4]string{"", dpm, dpm, ""}},
 		{FeaturePrivateStyle, [4]string{private, private, "", ""}},
-		{FeatureActivity, [4]string{"", "", act, act}},
 		{FeatureTraceRecorder, [4]string{"", rec, rec, rec}},
 		{FeatureCheckpoint, [4]string{"", ckpt, ckpt, ""}},
 	}
@@ -83,7 +81,8 @@ func TestFeatureDerivation(t *testing.T) {
 		DPM:            &core.DPMConfig{},
 		Trace:          new(metrics.Trace),
 	}
-	want := FeatureDPM | FeaturePrivateStyle | FeatureActivity | FeatureTraceRecorder
+	// Activity recording is no feature: no path returns the counters.
+	want := FeatureDPM | FeaturePrivateStyle | FeatureTraceRecorder
 	if fs := AnalyzerFeatures(full); fs != want {
 		t.Errorf("full analyzer features %#x, want %#x", fs, want)
 	}

@@ -83,7 +83,6 @@ const (
 	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
 	FeatureDPM                               // DPM estimator attached
 	FeaturePrivateStyle                      // private-style (per-delta) instrumentation
-	FeatureActivity                          // per-signal activity recording
 	FeatureTraceRecorder                     // streaming metrics.Trace subscriber
 	FeatureCheckpoint                        // checkpoint/resume requested
 )
@@ -122,9 +121,8 @@ var capabilities = [...]struct {
 	{FeatureDPM, PathLanes | PathTLM, "DPM estimator attached"},
 	// Per-delta glitch counting needs the event kernel's delta cycles.
 	{FeaturePrivateStyle, PathCompiled | PathLanes, "delta-level (private-style) instrumentation"},
-	// Streaming consumers need per-cycle samples and hold unserialized
+	// A streaming consumer needs per-cycle samples and holds unserialized
 	// mid-run state.
-	{FeatureActivity, PathTLM | PathCheckpoint, "activity recording enabled"},
 	{FeatureTraceRecorder, PathLanes | PathTLM | PathCheckpoint, "streaming trace recorder attached"},
 	// Packs and estimates carry no per-scenario kernel state to snapshot.
 	{FeatureCheckpoint, PathLanes | PathTLM, "checkpointing requested"},
@@ -150,9 +148,6 @@ func AnalyzerFeatures(cfg core.AnalyzerConfig) Feature {
 	}
 	if cfg.Style == core.StylePrivate {
 		fs |= FeaturePrivateStyle
-	}
-	if cfg.RecordActivity {
-		fs |= FeatureActivity
 	}
 	if cfg.Trace != nil {
 		fs |= FeatureTraceRecorder

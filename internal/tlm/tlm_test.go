@@ -179,7 +179,6 @@ func TestTraitsUnsupported(t *testing.T) {
 		{"setup", exec.FeatureSetup},
 		{"skip-analyzer", exec.FeatureNoAnalyzer},
 		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}})},
-		{"activity", exec.AnalyzerFeatures(core.AnalyzerConfig{RecordActivity: true})},
 		{"trace-recorder", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)})},
 		{"checkpoint", exec.FeatureCheckpoint},
 	}
@@ -189,9 +188,10 @@ func TestTraitsUnsupported(t *testing.T) {
 		}
 	}
 	// The estimator honours private-style instrumentation; only its
-	// cycle-accurate prefix run has to pick the event path. Odd clocks and
-	// rules-free fault plans are no features at all.
-	fs := exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate})
+	// cycle-accurate prefix run has to pick the event path. Odd clocks,
+	// rules-free fault plans and activity recording are no features at
+	// all.
+	fs := exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate, RecordActivity: true})
 	if r := exec.Blocker(fs, exec.PathTLM); r != "" {
 		t.Errorf("features %#x: Blocker(TLM) = %q, want none", fs, r)
 	}

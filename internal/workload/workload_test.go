@@ -181,15 +181,23 @@ func TestDataPatternsActivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba := stats.NewBitActivity(32)
+		var prev uint32
+		changes, writes := 0, 0
 		for _, s := range seqs {
 			for _, op := range s.Ops {
 				if op.Kind == ahb.OpWrite {
-					ba.Store(uint64(op.Data[0]))
+					if writes > 0 {
+						changes += stats.Hamming32(prev, op.Data[0])
+					}
+					prev = op.Data[0]
+					writes++
 				}
 			}
 		}
-		return ba.SwitchingActivity()
+		if writes < 2 {
+			t.Fatalf("pattern %v generated %d writes", p, writes)
+		}
+		return float64(changes) / float64(writes-1)
 	}
 	rnd := activity(PatternRandom)
 	low := activity(PatternLowActivity)
