@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ahbpower/internal/amba/ahb"
@@ -135,6 +136,61 @@ func TestPlanValidation(t *testing.T) {
 	for i, s := range bad {
 		if _, err := fault.Parse([]byte(s)); err == nil {
 			t.Errorf("bad plan %d accepted: %s", i, s)
+		}
+	}
+}
+
+// TestPlanRefusesEndlessRetries checks that a retry or split rule that
+// fires at every opportunity with no count is refused: each re-attempt is
+// a new opportunity, so no transfer it hits could ever complete. A count
+// or a probability below 1 bounds it, and error and wait-state rules
+// always let the transfer finish.
+func TestPlanRefusesEndlessRetries(t *testing.T) {
+	cases := []struct {
+		rule string
+		ok   bool
+	}{
+		{`{"kind":"retry"}`, false},
+		{`{"kind":"retry","prob":0}`, false},
+		{`{"kind":"retry","prob":1}`, false},
+		{`{"kind":"retry","slave":1}`, false},
+		{`{"kind":"split"}`, false},
+		{`{"kind":"split","prob":0}`, false},
+		{`{"kind":"split","prob":1}`, false},
+		{`{"kind":"retry","count":3}`, true},
+		{`{"kind":"retry","prob":0.5}`, true},
+		{`{"kind":"split","count":3}`, true},
+		{`{"kind":"split","prob":0.5}`, true},
+		{`{"kind":"error","prob":1}`, true},
+		{`{"kind":"waits","prob":1}`, true},
+	}
+	for _, c := range cases {
+		body := `{"seed":1,"rules":[{"kind":"waits","count":1},` + c.rule + `]}`
+		_, err := fault.Parse([]byte(body))
+		if c.ok {
+			if err != nil {
+				t.Errorf("%s refused: %v", c.rule, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s accepted", c.rule)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "rule 1 (") || !strings.Contains(msg, "count") {
+			t.Errorf("%s: error %q names no rule index or remedy", c.rule, msg)
+		}
+		// The same rule built in code is refused at Attach too.
+		var r fault.Rule
+		if err := json.Unmarshal([]byte(c.rule), &r); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.NewSystem(core.PaperSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fault.Attach(sys.Bus, sys.Masters, &fault.Plan{Seed: 1, Rules: []fault.Rule{r}}); err == nil {
+			t.Errorf("%s: Attach accepted the plan", c.rule)
 		}
 	}
 }

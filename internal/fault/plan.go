@@ -111,7 +111,8 @@ type Rule struct {
 	// Prob is the per-opportunity firing probability in (0,1]; 0 means 1
 	// (fire at every opportunity, budget permitting).
 	Prob float64 `json:"prob,omitempty"`
-	// Count bounds the total firings of this rule; 0 means unlimited.
+	// Count bounds the total firings of this rule; 0 means unlimited,
+	// which a retry or split rule may only combine with Prob < 1.
 	Count int `json:"count,omitempty"`
 	// Retries is how many consecutive RETRY responses one KindRetry firing
 	// forces onto the re-attempted transfer (default 1).
@@ -175,6 +176,12 @@ func (r *Rule) validate(i int) error {
 	}
 	if (r.Kind == KindAddrFlip || r.Kind == KindDataFlip) && r.Slave > -1 {
 		return fmt.Errorf("fault: rule %d (%s): flip rules target masters, not slaves", i, r.Kind)
+	}
+	// A re-attempted transfer is a new opportunity: a retry or split that
+	// always fires and never runs out stalls the first transfer it hits
+	// for good, and the bus with it.
+	if (r.Kind == KindRetry || r.Kind == KindSplit) && r.prob() == 1 && r.Count == 0 {
+		return fmt.Errorf("fault: rule %d (%s): fires on every re-attempt, so no transfer it hits can complete; set a count or prob < 1", i, r.Kind)
 	}
 	return nil
 }
