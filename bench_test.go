@@ -94,8 +94,9 @@ func BenchmarkFig6SubblockContribution(b *testing.B) {
 }
 
 // runInstrumented builds and runs the paper system with or without power
-// analysis; the ratio of the instrumented benchmarks to this baseline
-// reproduces the paper's "doubling in the simulation time" claim (C2).
+// analysis plus the Activity store (the paper's instrumentation); the
+// ratio of the instrumented benchmarks to this baseline reproduces the
+// paper's "doubling in the simulation time" claim (C2).
 func runInstrumented(b *testing.B, attach bool, style core.Style) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -107,7 +108,7 @@ func runInstrumented(b *testing.B, attach bool, style core.Style) {
 			b.Fatal(err)
 		}
 		if attach {
-			if _, err := ahbpower.AttachConfig(sys, ahbpower.AnalyzerConfig{Style: style}); err != nil {
+			if _, err := ahbpower.AttachConfig(sys, ahbpower.AnalyzerConfig{Style: style, RecordActivity: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -235,9 +235,14 @@ func TestValidateEndpoint(t *testing.T) {
 			}
 		}
 	}
-	// (d) A scenario over the cycle limit, or with meaningless analyzer
-	// constants, is invalid.
-	bodies := []struct{ name, body string }{{"cycles over the limit", `{"scenarios":[{"name":"big","cycles":5000}]}`}}
+	// (d) A scenario over the cycle limit, with meaningless analyzer
+	// constants or with a retry or split rule no transfer can get past,
+	// is invalid.
+	bodies := []struct{ name, body string }{
+		{"cycles over the limit", `{"scenarios":[{"name":"big","cycles":5000}]}`},
+		{"endless retries", `{"scenarios":[{"cycles":100,"faults":{"seed":1,"rules":[{"kind":"retry"}]}}]}`},
+		{"endless splits", `{"scenarios":[{"cycles":100,"faults":{"seed":1,"rules":[{"kind":"split","slave":1}]}}]}`},
+	}
 	for _, c := range append(bodies, badAnalyzerConstants...) {
 		if rr := post(lim, c.body); rr.Code != http.StatusBadRequest {
 			t.Errorf("%s: run status %d, want 400", c.name, rr.Code)

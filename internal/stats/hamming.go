@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives used throughout the
 // power-analysis methodology: Hamming distances between successive bus
-// values, switching-activity accumulators, windowed time series for
-// power-versus-time figures, and summary statistics.
+// values, windowed time series for power-versus-time figures, summary
+// statistics and linear least squares.
 //
 // The paper characterizes every energy macromodel in terms of the Hamming
 // distance (HD) between two consecutive values of a signal, so these

@@ -34,8 +34,8 @@ func WithTrace(rec *Trace) AttachOption {
 	return func(cfg *AnalyzerConfig) { cfg.Trace = rec }
 }
 
-// WithActivity keeps per-signal switching statistics (the paper's
-// Activity object) at extra memory and time cost.
+// WithActivity keeps per-signal bit-change counters (the paper's
+// Activity object) at the cost of a few integer additions per cycle.
 func WithActivity() AttachOption {
 	return func(cfg *AnalyzerConfig) { cfg.RecordActivity = true }
 }
