@@ -37,7 +37,7 @@ func main() {
 	window := flag.Float64("window", 100e-9, "power-trace window duration in seconds")
 	faultsFile := flag.String("faults", "", "inject faults from this JSON plan file (see internal/fault)")
 	exp := flag.String("exp", "", "run a named experiment instead: table1, figures, overhead, validation, granularity, styles, parametric, burst, pattern, dpm, cosim, impl, buses, topology, all")
-	backend := flag.String("backend", "", "execution backend: event, compiled, lanes or auto (default: event; results are identical either way)")
+	backend := flag.String("backend", "", "execution backend: event, compiled, auto or lanes (lanes: retired, runs compiled; default: event; results are identical either way)")
 	accuracy := flag.String("accuracy", "", "accuracy class: cycle (exact, default) or transaction (calibrated transaction-level estimate, ~10x faster; falls back to cycle for features the estimator cannot honor)")
 	topoFile := flag.String("topology", "", "build the system from this declarative topology JSON file (see examples/topologies; overrides -masters/-slaves/-waits)")
 	validateOnly := flag.Bool("validate-only", false, "with -topology: run the ERC compliance pass, print the findings and exit without simulating")

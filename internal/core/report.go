@@ -47,9 +47,9 @@ func (a *Analyzer) Report() *Report {
 
 // BuildReport assembles a Report from finalized accumulator state: the
 // instruction-FSM stats and the block breakdown. It is the single Report
-// constructor shared by the analyzer and by the lane backend (which keeps
-// its own FSM/breakdown accumulators but must produce structurally
-// identical reports).
+// constructor shared by the analyzer and by the transaction-level
+// estimator (which keeps its own FSM/breakdown accumulators but must
+// produce structurally identical reports).
 func BuildReport(style Style, period sim.Time, cycles uint64, totalEnergy float64,
 	sts []power.InstructionStat, bd *power.Breakdown) *Report {
 	r := &Report{

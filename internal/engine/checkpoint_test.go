@@ -152,8 +152,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 // TestCheckpointFallbacks verifies the surfaced-reason contract for every
 // route that cannot checkpoint: ineligible analyzers run without
-// snapshots, and the lanes/TLM executors fall back to cycle-accurate
-// backends.
+// snapshots, a lanes hint checkpoints on the compiled stepper, and the
+// TLM executor falls back to cycle accuracy.
 func TestCheckpointFallbacks(t *testing.T) {
 	base := Scenario{
 		Name:     "ckpt-fallback",
@@ -196,14 +196,15 @@ func TestCheckpointFallbacks(t *testing.T) {
 	t.Run("lanes-fallback", func(t *testing.T) {
 		sc := base
 		sc.Backend = exec.NameLanes
-		sc.Checkpoint = &CheckpointConfig{Save: noopSave}
+		saved := 0
+		sc.Checkpoint = &CheckpointConfig{Every: 256, Save: func(uint64, []byte) error { saved++; return nil }}
 		res := RunOne(context.Background(), sc)
 		if res.Err != nil {
 			t.Fatalf("run: %v", res.Err)
 		}
-		if res.Backend == "lanes" || res.BackendFallback == "" {
-			t.Errorf("lanes + checkpoint: backend %q, fallback %q; want cycle backend with surfaced reason",
-				res.Backend, res.BackendFallback)
+		if res.Backend != exec.NameCompiled || res.BackendFallback != LanesRetired || res.CheckpointFallback != "" || saved == 0 {
+			t.Errorf("lanes + checkpoint: backend %q, fallback %q, checkpoint fallback %q, %d snapshots; want compiled, %q and snapshots",
+				res.Backend, res.BackendFallback, res.CheckpointFallback, saved, LanesRetired)
 		}
 	})
 	t.Run("tlm-fallback", func(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
-	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/tlm"
@@ -79,10 +78,10 @@ type Scenario struct {
 	// result answers the scenario regardless of the backend that produced
 	// it. A "compiled"/"auto" hint falls back to the event backend, with
 	// the reason surfaced in Result.BackendFallback, when the scenario
-	// uses features the compiled stepper cannot honor; a "lanes" hint
-	// does the same, and additionally lets Runner batches pack the
-	// scenario into a bit-parallel lane execution with other structurally
-	// compatible lanes-hinted scenarios (see internal/lane).
+	// uses features the compiled stepper cannot honor. "lanes" names the
+	// retired lane backend: it plans exactly like "compiled", and when the
+	// compiled stepper runs the scenario the fallback reason says so
+	// (LanesRetired).
 	Backend string
 	// Accuracy selects the result-accuracy class: "" or "cycle" for the
 	// exact cycle-accurate simulation (the default), "transaction" for
@@ -100,9 +99,9 @@ type Scenario struct {
 	// CheckpointConfig). Like Backend it is an execution detail — a
 	// resumed run is bit-identical to an uninterrupted one — so it is
 	// excluded from CanonicalKey. Checkpointing needs per-scenario
-	// kernel state, which the pack (lanes) and transaction-level
-	// executors do not carry, so checkpoint-requesting scenarios route
-	// to a cycle-accurate backend with the reason surfaced.
+	// kernel state, which the transaction-level estimator does not carry,
+	// so checkpoint-requesting scenarios route to a cycle-accurate
+	// backend with the reason surfaced.
 	Checkpoint *CheckpointConfig
 }
 
@@ -122,7 +121,7 @@ func (sc *Scenario) Topology() topo.Topology {
 // how the cycles are produced.
 type Plan struct {
 	// Path is the executor that runs the scenario: exec.NameEvent,
-	// exec.NameCompiled, lane.Name or tlm.Name.
+	// exec.NameCompiled or tlm.Name.
 	Path string
 	// Accuracy is the accuracy class Path delivers.
 	Accuracy string
@@ -133,17 +132,22 @@ type Plan struct {
 	BackendFallback, CheckpointFallback string
 }
 
+// LanesRetired is the fallback reason of a "lanes" hint that the
+// compiled stepper ran: the lane backend is retired, and its hint plans
+// like "compiled".
+const LanesRetired = "lane backend retired: ran on the compiled stepper"
+
 // Plan resolves the scenario's execution path. A transaction-accuracy
-// request takes the estimator unless a feature blocks it; otherwise the
-// backend hint picks the compiled stepper or a lane pack unless a
-// feature blocks those, and the event kernel runs everything else. A
-// transaction request never runs on lanes, even when it falls back to
-// cycle accuracy. The reason a requested path was not taken is the first
-// blocker in the capability table, prefixed "transaction accuracy: " for
-// an accuracy fallback. Checkpointing is armed unless blocked; resuming a
-// scenario that cannot be checkpointed is an error, since restoring would
-// silently drop state. A scenario with invalid analyzer constants (see
-// core.AnalyzerConfig.Validate) gets no plan.
+// request takes the estimator unless a feature blocks it; otherwise a
+// compiled, auto or lanes hint picks the compiled stepper unless a
+// feature blocks it, and the event kernel runs everything else. The
+// reason a requested path was not taken is the first blocker in the
+// capability table, prefixed "transaction accuracy: " for an accuracy
+// fallback; a lanes hint that the compiled stepper ran with no other
+// reason reports LanesRetired. Checkpointing is armed unless blocked;
+// resuming a scenario that cannot be checkpointed is an error, since
+// restoring would silently drop state. A scenario with invalid analyzer
+// constants (see core.AnalyzerConfig.Validate) gets no plan.
 func (sc *Scenario) Plan() (Plan, error) {
 	switch {
 	case sc.Cycles == 0:
@@ -156,8 +160,8 @@ func (sc *Scenario) Plan() (Plan, error) {
 			sc.Name, sc.Backend, exec.NameEvent, exec.NameCompiled, exec.NameAuto, exec.NameLanes)
 	}
 	if !sc.SkipAnalyzer {
-		// Lanes and the estimator never reach core.Attach, so every path
-		// refuses meaningless analyzer constants here.
+		// The estimator never reaches core.Attach, so every path refuses
+		// meaningless analyzer constants here.
 		if err := sc.Analyzer.Validate(); err != nil {
 			return Plan{}, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		}
@@ -172,19 +176,15 @@ func (sc *Scenario) Plan() (Plan, error) {
 		p.BackendFallback = "transaction accuracy: " + reason
 	}
 	switch sc.Backend {
-	case exec.NameCompiled, exec.NameAuto:
-		if reason := exec.Blocker(fs, exec.PathCompiled); reason == "" {
+	case exec.NameCompiled, exec.NameAuto, exec.NameLanes:
+		reason := exec.Blocker(fs, exec.PathCompiled)
+		if reason == "" {
 			p.Path = exec.NameCompiled
-		} else if p.BackendFallback == "" {
-			p.BackendFallback = reason
+			if sc.Backend == exec.NameLanes {
+				reason = LanesRetired
+			}
 		}
-	case exec.NameLanes:
-		if p.BackendFallback != "" {
-			break // a transaction request never runs on lanes
-		}
-		if reason := exec.Blocker(fs, exec.PathLanes); reason == "" {
-			p.Path = lane.Name
-		} else {
+		if p.BackendFallback == "" {
 			p.BackendFallback = reason
 		}
 	}
@@ -206,7 +206,6 @@ func (sc *Scenario) features() exec.Feature {
 		f  exec.Feature
 	}{
 		{sc.Setup != nil, exec.FeatureSetup},
-		{sc.Timeout > 0, exec.FeatureTimeout},
 		{sc.Faults.Active(), exec.FeatureActiveFaults},
 		{sc.SkipAnalyzer, exec.FeatureNoAnalyzer},
 		{sc.Checkpoint != nil, exec.FeatureCheckpoint},
@@ -255,22 +254,24 @@ type Result struct {
 	// and 0 for one abandoned before starting.
 	Attempts int
 	// Backend is the execution path that actually ran the scenario, the
-	// plan's Path ("event", "compiled", "lanes" or "tlm"). Empty for
+	// plan's Path ("event", "compiled" or "tlm"). Empty for
 	// scenarios that never reached execution. An execution detail, not
 	// part of the result identity: supported scenarios produce
 	// bit-identical results on every cycle-accurate backend.
 	Backend string
-	// BackendFallback is the surfaced reason the compiled or lane backend
-	// was requested but the event backend ran instead, or the reason a
+	// BackendFallback is the surfaced reason the compiled backend was
+	// requested but the event backend ran instead, the reason a
 	// transaction-accuracy request conservatively ran cycle-accurate
-	// (prefixed "transaction accuracy:"); empty when no fallback happened.
+	// (prefixed "transaction accuracy:"), or LanesRetired for a lanes hint
+	// the compiled stepper ran; empty when no fallback happened.
 	BackendFallback string
 	// Accuracy is the accuracy class that actually produced the result:
 	// AccuracyCycle for the exact paths (including conservative fallbacks
 	// from a transaction request), AccuracyTransaction for estimates.
 	Accuracy string
-	// Lanes is the occupancy of the lane pack that executed the scenario
-	// (1 for a single-lane run); zero when another backend ran it.
+	// Lanes was the occupancy of the lane pack that executed the
+	// scenario. The lane backend is retired and nothing sets it, so it
+	// reads 0; it stays only because the benchmark module still reads it.
 	Lanes int
 	// CheckpointFallback is the surfaced reason checkpointing was
 	// requested but the scenario ran without it (Setup hook, streaming
@@ -335,46 +336,37 @@ func DefaultRunner() *Runner { return NewRunner(runtime.GOMAXPROCS(0)) }
 // input order. Each scenario is built and simulated in isolation (own
 // kernel, bus, masters, slaves, analyzer), so scenarios run concurrently
 // without shared state; per-scenario failures are captured in Result.Err
-// and never abort the batch. Scenarios hinting the lane backend are
-// pre-grouped by structural compatibility and executed as bit-parallel
-// packs of up to 64 (see scheduleLanes); everything else is one job per
-// scenario. When ctx is cancelled, scenarios not yet started are
-// abandoned promptly with Err = ctx.Err(), and scenarios already running
-// stop mid-simulation with the same error (see core.System.RunContext) —
-// for a lane pack, lanes that already retired keep their results.
+// and never abort the batch. When ctx is cancelled, scenarios not yet
+// started are abandoned promptly with Err = ctx.Err(), and scenarios
+// already running stop mid-simulation with the same error (see
+// core.System.RunContext).
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 	results, _ := r.run(ctx, scenarios)
 	return results
 }
 
 // run is Run, also returning the effective pool size: the configured
-// workers capped at the number of runner jobs.
+// workers capped at the number of scenarios.
 func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(scenarios))
 	executed := make([]bool, len(scenarios))
-	plan := scheduleLanes(scenarios)
-	jobs := make(chan runJob)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	workers := r.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(plan) {
-		workers = len(plan)
+	if workers > len(scenarios) {
+		workers = len(scenarios)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range jobs {
-				if job.pack != nil {
-					r.runPack(ctx, scenarios, job.pack, results, executed)
-					continue
-				}
-				i := job.index
+			for i := range jobs {
 				if r.OnStart != nil {
 					r.OnStart(i)
 				}
@@ -389,11 +381,10 @@ func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) 
 	}
 	// Feed jobs until done or cancelled; abandoned scenarios are marked
 	// below, after the channel closes.
-	next := 0
 feed:
-	for ; next < len(plan); next++ {
+	for i := range scenarios {
 		select {
-		case jobs <- plan[next]:
+		case jobs <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -419,32 +410,17 @@ feed:
 func (r *Runner) RunMetered(ctx context.Context, scenarios []Scenario) ([]Result, metrics.BatchMetrics) {
 	start := time.Now()
 	results, workers := r.run(ctx, scenarios)
-	return results, AggregateMetrics(results, workers, time.Since(start))
-}
-
-// AggregateMetrics folds the per-scenario metrics of a finished batch
-// into batch metrics. workers is the effective pool size and wall the
-// batch's end-to-end duration. Every member of a lane pack reports the
-// pack's whole run time, but the pack occupied one worker once, so each
-// member contributes 1/occupancy of it to the pool's busy time.
-func AggregateMetrics(results []Result, workers int, wall time.Duration) metrics.BatchMetrics {
+	wall := time.Since(start)
 	runs := make([]metrics.RunMetrics, 0, len(results))
 	failed := 0
-	var busy time.Duration
 	for i := range results {
 		if results[i].Err != nil {
 			failed++
 			continue
 		}
 		runs = append(runs, results[i].Metrics)
-		busy += results[i].Metrics.Run / time.Duration(max(1, results[i].Lanes))
 	}
-	b := metrics.Aggregate(runs, failed, workers, wall)
-	if b.Busy != busy {
-		b.Utilization *= busy.Seconds() / b.Busy.Seconds()
-		b.Busy = busy
-	}
-	return b
+	return results, metrics.Aggregate(runs, failed, workers, wall)
 }
 
 // Run executes a batch with a machine-sized worker pool.
@@ -488,16 +464,9 @@ func Execute(ctx context.Context, index int, sc Scenario) (res Result) {
 		ctx, cancel = context.WithTimeout(ctx, sc.Timeout)
 		defer cancel()
 	}
-	switch plan.Path {
-	case tlm.Name:
+	if plan.Path == tlm.Name {
 		estimate(ctx, &res)
-	case lane.Name:
-		// The Execute/RunOne path runs a single-lane pack; Runner batches
-		// pack compatible scenarios together instead.
-		outs, lanes, build, run := execLanePack(ctx, []lane.Spec{laneSpec(&sc)})
-		res.Lanes = lanes
-		scatterOutcome(&res, outs[0], build, run)
-	default:
+	} else {
 		simulate(ctx, &res, plan)
 	}
 	return res

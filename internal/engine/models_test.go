@@ -12,7 +12,6 @@ import (
 	"ahbpower/internal/charact"
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
-	"ahbpower/internal/lane"
 	"ahbpower/internal/power"
 	"ahbpower/internal/tlm"
 	"ahbpower/internal/workload"
@@ -34,11 +33,11 @@ func TestRunOneRefusesModelsForAnotherShape(t *testing.T) {
 	for _, tc := range []struct{ backend, accuracy, path string }{
 		{exec.NameEvent, "", exec.NameEvent},
 		{exec.NameCompiled, "", exec.NameCompiled},
-		{exec.NameLanes, "", lane.Name},
+		{exec.NameLanes, "", exec.NameCompiled},
 		{"", AccuracyTransaction, tlm.Name},
 	} {
 		sc := Scenario{
-			Name:     "mismatch-" + tc.path,
+			Name:     "mismatch-" + tc.backend + tc.accuracy,
 			System:   sys,
 			Analyzer: core.AnalyzerConfig{Models: models},
 			Cycles:   2000,
@@ -47,17 +46,17 @@ func TestRunOneRefusesModelsForAnotherShape(t *testing.T) {
 		}
 		res := RunOne(context.Background(), sc)
 		if res.Backend != tc.path {
-			t.Errorf("%s: ran on %q", tc.path, res.Backend)
+			t.Errorf("%s: ran on %q, want %q", sc.Name, res.Backend, tc.path)
 		}
 		if res.Err == nil || !strings.Contains(res.Err.Error(), "decoder.NO=3") {
-			t.Errorf("%s: err = %v, want a refusal naming decoder.NO", tc.path, res.Err)
+			t.Errorf("%s: err = %v, want a refusal naming decoder.NO", sc.Name, res.Err)
 		}
 	}
 }
 
 // TestSharedModelsConcurrentRuns attaches one characterized model set to
-// eight scenarios spread over the event, compiled, lanes and transaction
-// paths and runs them on a 4-worker Runner. Every result must equal the
+// eight scenarios spread over the event and compiled paths, the lanes hint
+// (which runs compiled) and the transaction path and runs them on a 4-worker Runner. Every result must equal the
 // scenario run alone on a private copy of the models, and the shared set's
 // coefficients must be unchanged afterwards. Under -race this is the
 // check that a model set is only ever read during a run.
@@ -76,7 +75,7 @@ func TestSharedModelsConcurrentRuns(t *testing.T) {
 	}{
 		{exec.NameEvent, "", exec.NameEvent, core.StylePrivate},
 		{exec.NameCompiled, "", exec.NameCompiled, core.StyleLocal},
-		{exec.NameLanes, "", lane.Name, core.StyleGlobal},
+		{exec.NameLanes, "", exec.NameCompiled, core.StyleGlobal},
 		{"", AccuracyTransaction, tlm.Name, core.StyleGlobal},
 	}
 	var scs []Scenario

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,10 +13,10 @@ import (
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
-	"ahbpower/internal/lane"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/tlm"
+	"ahbpower/internal/workload"
 )
 
 // planKnob switches one scenario feature on.
@@ -31,7 +33,8 @@ type planKnob struct {
 func planKnobs(t *testing.T) []planKnob {
 	return []planKnob{
 		{"setup", exec.FeatureSetup, func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }},
-		{"timeout", exec.FeatureTimeout, func(sc *Scenario) { sc.Timeout = time.Minute }},
+		// A timeout contributes no feature: it must never change a plan.
+		{"timeout", 0, func(sc *Scenario) { sc.Timeout = time.Minute }},
 		{"active-faults", exec.FeatureActiveFaults, func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 7, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}}
 		}},
@@ -84,10 +87,8 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 		return tlm.Name, exec.PathTLM
 	}
 	switch sc.Backend {
-	case exec.NameCompiled, exec.NameAuto:
+	case exec.NameCompiled, exec.NameAuto, exec.NameLanes:
 		return exec.NameCompiled, exec.PathCompiled
-	case exec.NameLanes:
-		return lane.Name, exec.PathLanes
 	}
 	return exec.NameEvent, 0
 }
@@ -98,10 +99,13 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 // against the capability table: no chosen path or armed checkpoint is
 // blocked by a present feature, a fallback reason is set exactly when the
 // requested path was not taken and names its first blocker in table
-// order, a lanes fallback lands on the event kernel, resuming a
-// checkpoint-blocked scenario is an error, and every analyzer the plan
-// arms for checkpointing passes the analyzer's own snapshot guard.
-// Activity recording must leave every plan as it is without it.
+// order, resuming a checkpoint-blocked scenario is an error, and every
+// analyzer the plan arms for checkpointing passes the analyzer's own
+// snapshot guard. A lanes hint must plan exactly like a compiled hint in
+// path, accuracy and checkpointing; its fallback reason is the compiled
+// hint's, or LanesRetired when the compiled stepper runs it with no other
+// reason. Activity recording and a timeout must leave every plan as it is
+// without them.
 func TestPlanExhaustive(t *testing.T) {
 	var boolKnobs []planKnob
 	for _, k := range planKnobs(t) {
@@ -152,6 +156,9 @@ func TestPlanExhaustive(t *testing.T) {
 					for _, hint := range planHints {
 						sc.Accuracy, sc.Backend = acc, hint
 						checkPlan(t, &sc, want)
+						if hint == exec.NameLanes {
+							checkLanesLikeCompiled(t, sc)
+						}
 						if sc.Analyzer.RecordActivity {
 							twin := sc
 							twin.Analyzer.RecordActivity = false
@@ -178,7 +185,7 @@ func TestPlanExhaustive(t *testing.T) {
 }
 
 // TestPlanRefusesInvalidAnalyzer checks every path refuses meaningless
-// analyzer constants, lanes and the estimator included, which never reach
+// analyzer constants, the estimator included, which never reaches
 // core.Attach. A skipped analyzer is not checked.
 func TestPlanRefusesInvalidAnalyzer(t *testing.T) {
 	sc := planBase()
@@ -211,7 +218,7 @@ func checkPlan(t *testing.T, sc *Scenario, fs exec.Feature) {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	pathBits := map[string]exec.Path{exec.NameCompiled: exec.PathCompiled, lane.Name: exec.PathLanes, tlm.Name: exec.PathTLM}
+	pathBits := map[string]exec.Path{exec.NameCompiled: exec.PathCompiled, tlm.Name: exec.PathTLM}
 	if bit, ok := pathBits[p.Path]; ok {
 		if r := exec.Blocker(fs, bit); r != "" {
 			t.Fatalf("%s: chose %s despite %q", id, p.Path, r)
@@ -223,23 +230,20 @@ func checkPlan(t *testing.T, sc *Scenario, fs exec.Feature) {
 		t.Fatalf("%s: accuracy %q on path %s", id, p.Accuracy, p.Path)
 	}
 	want, bit := requestedPath(sc)
+	reason := ""
 	switch {
-	case p.Path == want && p.BackendFallback != "":
-		t.Fatalf("%s: took %s but reported fallback %q", id, want, p.BackendFallback)
 	case p.Path != want:
-		reason := exec.Blocker(fs, bit)
+		if reason = exec.Blocker(fs, bit); reason == "" {
+			t.Fatalf("%s: %s was not taken, yet nothing blocks it", id, want)
+		}
 		if bit == exec.PathTLM {
 			reason = "transaction accuracy: " + reason
-			if p.Path == lane.Name {
-				t.Fatalf("%s: a transaction request ran on lanes", id)
-			}
 		}
-		if p.BackendFallback != reason || exec.Blocker(fs, bit) == "" {
-			t.Fatalf("%s: fallback %q from %s, want %q", id, p.BackendFallback, want, reason)
-		}
-		if bit == exec.PathLanes && p.Path != exec.NameEvent {
-			t.Fatalf("%s: lanes fallback ran on %s", id, p.Path)
-		}
+	case sc.Backend == exec.NameLanes && p.Path == exec.NameCompiled:
+		reason = LanesRetired
+	}
+	if p.BackendFallback != reason {
+		t.Fatalf("%s: ran on %s with fallback %q, want %q", id, p.Path, p.BackendFallback, reason)
 	}
 	if sc.Checkpoint == nil {
 		if p.Checkpoint || p.CheckpointFallback != "" {
@@ -257,10 +261,33 @@ func checkPlan(t *testing.T, sc *Scenario, fs exec.Feature) {
 	}
 }
 
+// checkLanesLikeCompiled checks a lanes-hinted scenario plans like its
+// compiled-hinted twin: the same error or the same path, accuracy and
+// checkpointing, and the twin's fallback reason, or LanesRetired when the
+// compiled stepper runs it with no other reason.
+func checkLanesLikeCompiled(t *testing.T, sc Scenario) {
+	t.Helper()
+	twin := sc
+	twin.Backend = exec.NameCompiled
+	p, err := sc.Plan()
+	tp, terr := twin.Plan()
+	if (err == nil) != (terr == nil) {
+		t.Fatalf("accuracy %q: lanes hint err %v, compiled hint err %v", sc.Accuracy, err, terr)
+	}
+	reason := tp.BackendFallback
+	if reason == "" && tp.Path == exec.NameCompiled {
+		reason = LanesRetired
+	}
+	if p.Path != tp.Path || p.Accuracy != tp.Accuracy || p.Checkpoint != tp.Checkpoint ||
+		p.CheckpointFallback != tp.CheckpointFallback || p.BackendFallback != reason {
+		t.Fatalf("accuracy %q: lanes hint planned %+v, compiled hint %+v (want fallback %q)", sc.Accuracy, p, tp, reason)
+	}
+}
+
 // TestRunOneFollowsPlan runs every combination of at most two features
 // under every hint and accuracy and checks RunOne's Result reports exactly
-// what Plan decided: path, accuracy, lane occupancy, both fallback
-// reasons, and snapshots taken only when the plan armed them.
+// what Plan decided: path, accuracy, both fallback reasons, no lane
+// occupancy, and snapshots taken only when the plan armed them.
 func TestRunOneFollowsPlan(t *testing.T) {
 	knobs := planKnobs(t)
 	var combos [][]int
@@ -298,11 +325,7 @@ func TestRunOneFollowsPlan(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("%s: %v", id, res.Err)
 				}
-				wantLanes := 0
-				if p.Path == lane.Name {
-					wantLanes = 1
-				}
-				if res.Backend != p.Path || res.Accuracy != p.Accuracy || res.Lanes != wantLanes ||
+				if res.Backend != p.Path || res.Accuracy != p.Accuracy || res.Lanes != 0 ||
 					res.BackendFallback != p.BackendFallback || res.CheckpointFallback != p.CheckpointFallback {
 					t.Fatalf("%s: result backend=%q accuracy=%q lanes=%d fallback=%q ckpt=%q; plan %+v",
 						id, res.Backend, res.Accuracy, res.Lanes, res.BackendFallback, res.CheckpointFallback, p)
@@ -311,6 +334,76 @@ func TestRunOneFollowsPlan(t *testing.T) {
 					t.Fatalf("%s: %d snapshots saved, plan armed=%v", id, saved.Load(), p.Checkpoint)
 				}
 			}
+		}
+	}
+}
+
+// TestRunOneLaneBackend runs the retired lane backend's hint through
+// RunOne: a scenario the compiled stepper honours runs there with
+// LanesRetired and the event backend's exact result, and one it does not
+// falls back to the event kernel with the compiled blocker.
+func TestRunOneLaneBackend(t *testing.T) {
+	sc := planBase()
+	sc.Backend = exec.NameLanes
+	res := RunOne(context.Background(), sc)
+	ev := sc
+	ev.Backend = exec.NameEvent
+	ref := RunOne(context.Background(), ev)
+	if res.Err != nil || ref.Err != nil {
+		t.Fatalf("lanes hint: %v; event: %v", res.Err, ref.Err)
+	}
+	if res.Backend != exec.NameCompiled || res.BackendFallback != LanesRetired || res.Lanes != 0 {
+		t.Errorf("backend=%q fallback=%q lanes=%d, want compiled, %q, 0", res.Backend, res.BackendFallback, res.Lanes, LanesRetired)
+	}
+	if !reflect.DeepEqual(res.Report, ref.Report) || res.Beats != ref.Beats || !reflect.DeepEqual(res.Counts, ref.Counts) {
+		t.Errorf("lanes-hinted result differs from the event backend's")
+	}
+
+	sc.Analyzer.Style = core.StylePrivate
+	res = RunOne(context.Background(), sc)
+	if want := exec.Blocker(exec.FeaturePrivateStyle, exec.PathCompiled); res.Err != nil ||
+		res.Backend != exec.NameEvent || res.BackendFallback != want {
+		t.Errorf("private style: backend=%q fallback=%q err=%v, want event with %q", res.Backend, res.BackendFallback, res.Err, want)
+	}
+}
+
+// TestRunnerLanesHintRunsCompiled runs 64 lanes-hinted paper seeds, the
+// batch the lane backend used to run as one pack, on a pooled runner. The
+// results must equal the same batch hinted compiled, field for field,
+// and every result must read the compiled backend, LanesRetired and no
+// lane occupancy.
+func TestRunnerLanesHintRunsCompiled(t *testing.T) {
+	scs := make([]Scenario, 64)
+	for i := range scs {
+		scs[i] = Scenario{
+			Name:     fmt.Sprintf("seed%02d", i),
+			System:   core.PaperSystem(),
+			Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal},
+			Workloads: []workload.Config{
+				{Seed: int64(100 + i), NumSequences: 12, PairsMin: 2, PairsMax: 5, AddrSize: 0x3000},
+			},
+			Cycles:  1000,
+			Backend: exec.NameLanes,
+		}
+	}
+	got := NewRunner(2).Run(context.Background(), scs)
+	for i := range scs {
+		scs[i].Backend = exec.NameCompiled
+	}
+	want := NewRunner(2).Run(context.Background(), scs)
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Err != nil || w.Err != nil {
+			t.Fatalf("%s: lanes hint %v, compiled hint %v", scs[i].Name, g.Err, w.Err)
+		}
+		if g.Backend != exec.NameCompiled || g.BackendFallback != LanesRetired || g.Lanes != 0 {
+			t.Errorf("%s: backend=%q fallback=%q lanes=%d, want compiled, %q, 0",
+				scs[i].Name, g.Backend, g.BackendFallback, g.Lanes, LanesRetired)
+		}
+		if math.Float64bits(g.Report.TotalEnergy) != math.Float64bits(w.Report.TotalEnergy) ||
+			!reflect.DeepEqual(g.Report, w.Report) || !reflect.DeepEqual(g.Stats, w.Stats) ||
+			g.Beats != w.Beats || !reflect.DeepEqual(g.Counts, w.Counts) || !reflect.DeepEqual(g.Violations, w.Violations) {
+			t.Errorf("%s: lanes-hinted result differs from the compiled-hinted one", scs[i].Name)
 		}
 	}
 }

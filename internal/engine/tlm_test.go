@@ -149,9 +149,10 @@ func TestInvalidAccuracyRejected(t *testing.T) {
 	}
 }
 
-// TestTransactionAccuracyNotLanePacked checks the runner never packs
-// transaction-accuracy scenarios into lane executions: the estimator (or
-// its cycle fallback) owns them.
+// TestTransactionAccuracyNotLanePacked checks a lanes hint leaves a
+// transaction-accuracy scenario to the estimator, with no fallback
+// reason and no lane occupancy: the hint only picks among cycle-accurate
+// backends.
 func TestTransactionAccuracyNotLanePacked(t *testing.T) {
 	scs := make([]Scenario, 4)
 	for i := range scs {
@@ -164,11 +165,9 @@ func TestTransactionAccuracyNotLanePacked(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("scenario %d: %v", i, res.Err)
 		}
-		if res.Lanes != 0 {
-			t.Errorf("scenario %d ran in a lane pack (lanes=%d)", i, res.Lanes)
-		}
-		if res.Backend != tlm.Name {
-			t.Errorf("scenario %d: Backend = %q, want %q", i, res.Backend, tlm.Name)
+		if res.Lanes != 0 || res.Backend != tlm.Name || res.BackendFallback != "" {
+			t.Errorf("scenario %d: backend %q, fallback %q, lanes %d; want %q, none and 0",
+				i, res.Backend, res.BackendFallback, res.Lanes, tlm.Name)
 		}
 	}
 }

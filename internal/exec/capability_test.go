@@ -13,7 +13,6 @@ import (
 func TestCapabilityTable(t *testing.T) {
 	const (
 		setup   = "custom Setup hook"
-		timeout = "per-scenario timeout"
 		active  = "active fault-injection plan"
 		noAn    = "no analyzer attached, nothing to estimate"
 		dpm     = "DPM estimator attached"
@@ -21,22 +20,28 @@ func TestCapabilityTable(t *testing.T) {
 		rec     = "streaming trace recorder attached"
 		ckpt    = "checkpointing requested"
 	)
-	paths := []Path{PathCompiled, PathLanes, PathTLM, PathCheckpoint}
+	paths := []Path{PathCompiled, PathTLM, PathCheckpoint}
 	golden := []struct {
 		f    Feature
-		want [4]string // compiled, lanes, TLM, checkpoint
+		want [3]string // compiled, TLM, checkpoint
 	}{
-		{FeatureSetup, [4]string{setup, setup, setup, setup}},
-		{FeatureTimeout, [4]string{"", timeout, "", ""}},
-		{FeatureActiveFaults, [4]string{"", active, active, ""}},
-		{FeatureNoAnalyzer, [4]string{"", "", noAn, ""}},
-		{FeatureDPM, [4]string{"", dpm, dpm, ""}},
-		{FeaturePrivateStyle, [4]string{private, private, "", ""}},
-		{FeatureTraceRecorder, [4]string{"", rec, rec, rec}},
-		{FeatureCheckpoint, [4]string{"", ckpt, ckpt, ""}},
+		{FeatureSetup, [3]string{setup, setup, setup}},
+		{FeatureActiveFaults, [3]string{"", active, ""}},
+		{FeatureNoAnalyzer, [3]string{"", noAn, ""}},
+		{FeatureDPM, [3]string{"", dpm, ""}},
+		{FeaturePrivateStyle, [3]string{private, "", ""}},
+		{FeatureTraceRecorder, [3]string{"", rec, rec}},
+		{FeatureCheckpoint, [3]string{"", ckpt, ""}},
 	}
 	if len(golden) != len(capabilities) {
 		t.Fatalf("%d golden rows for %d table rows", len(golden), len(capabilities))
+	}
+	var used Path
+	for _, row := range capabilities {
+		used |= row.blocks
+	}
+	if used != PathCompiled|PathTLM|PathCheckpoint {
+		t.Errorf("the table blocks path bits %#x, want compiled, TLM and checkpoint", used)
 	}
 	for i, g := range golden {
 		if capabilities[i].feature != g.f {

@@ -14,9 +14,8 @@
 //     faster, and restricted to static topologies without delta-level
 //     instrumentation.
 //
-// Two more paths execute scenarios without advancing a core.System: the
-// bit-parallel lane packs ("lanes", internal/lane) and the
-// transaction-level estimator (internal/tlm). Which of the four paths —
+// A third path executes scenarios without advancing a core.System: the
+// transaction-level estimator (internal/tlm). Which of the three paths —
 // and whether checkpointing — can honour a scenario is one decision,
 // recorded once in this package's capability table (see Feature and
 // Blocker) and resolved by engine.(*Scenario).Plan.
@@ -48,9 +47,10 @@ const (
 	// it and the event backend otherwise; the fallback reason is surfaced
 	// the same way as for an explicit compiled request.
 	NameAuto = "auto"
-	// NameLanes selects the bit-parallel lane backend (internal/lane):
-	// lanes execute whole packs of scenarios, not a single built system,
-	// so the engine's runner schedules them.
+	// NameLanes is the hint of the retired bit-parallel lane backend. It
+	// is still accepted so existing clients keep working, and it plans
+	// exactly like NameCompiled, with a fallback reason saying the
+	// backend is retired.
 	NameLanes = "lanes"
 )
 
@@ -78,7 +78,6 @@ type Feature uint16
 // a path, the earliest one names the fallback reason.
 const (
 	FeatureSetup         Feature = 1 << iota // custom Setup hook
-	FeatureTimeout                           // per-scenario wall-clock timeout
 	FeatureActiveFaults                      // a fault plan with active rules
 	FeatureNoAnalyzer                        // SkipAnalyzer: no power instrumentation
 	FeatureDPM                               // DPM estimator attached
@@ -94,7 +93,6 @@ type Path uint8
 
 const (
 	PathCompiled   Path = 1 << iota // the straight-line compiled stepper
-	PathLanes                       // bit-parallel lane packs
 	PathTLM                         // the transaction-level estimator
 	PathCheckpoint                  // periodic snapshots and resume
 )
@@ -108,24 +106,22 @@ var capabilities = [...]struct {
 	reason  string
 }{
 	// Arbitrary construction-time code may register processes or state
-	// no static schedule, lane interpreter, estimator or snapshot sees.
-	{FeatureSetup, PathCompiled | PathLanes | PathTLM | PathCheckpoint, "custom Setup hook"},
-	// Pack members share one execution and cannot be timed out singly.
-	{FeatureTimeout, PathLanes, "per-scenario timeout"},
+	// no static schedule, estimator or snapshot sees.
+	{FeatureSetup, PathCompiled | PathTLM | PathCheckpoint, "custom Setup hook"},
 	// Injectors hook the kernel's signal fabric cycle by cycle. A plan
 	// without rules injects nothing and is no feature.
-	{FeatureActiveFaults, PathLanes | PathTLM, "active fault-injection plan"},
+	{FeatureActiveFaults, PathTLM, "active fault-injection plan"},
 	// With no analyzer there is no energy to estimate.
 	{FeatureNoAnalyzer, PathTLM, "no analyzer attached, nothing to estimate"},
-	// The lane and estimator analyzers have no DPM estimator.
-	{FeatureDPM, PathLanes | PathTLM, "DPM estimator attached"},
+	// The estimator's analyzer has no DPM estimator.
+	{FeatureDPM, PathTLM, "DPM estimator attached"},
 	// Per-delta glitch counting needs the event kernel's delta cycles.
-	{FeaturePrivateStyle, PathCompiled | PathLanes, "delta-level (private-style) instrumentation"},
+	{FeaturePrivateStyle, PathCompiled, "delta-level (private-style) instrumentation"},
 	// A streaming consumer needs per-cycle samples and holds unserialized
 	// mid-run state.
-	{FeatureTraceRecorder, PathLanes | PathTLM | PathCheckpoint, "streaming trace recorder attached"},
-	// Packs and estimates carry no per-scenario kernel state to snapshot.
-	{FeatureCheckpoint, PathLanes | PathTLM, "checkpointing requested"},
+	{FeatureTraceRecorder, PathTLM | PathCheckpoint, "streaming trace recorder attached"},
+	// An estimate carries no kernel state to snapshot.
+	{FeatureCheckpoint, PathTLM, "checkpointing requested"},
 }
 
 // Blocker returns the reason of the first feature in fs, in table order,

@@ -11,20 +11,19 @@ import (
 	"ahbpower/internal/engine"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/lane"
-	"ahbpower/internal/metrics"
 	"ahbpower/internal/sim"
 	"ahbpower/internal/topo"
 	"ahbpower/internal/workload"
 )
 
-// runEvent executes the scenario on the event backend (the reference
-// semantics) and returns its result.
-func runEvent(t *testing.T, sc engine.Scenario) engine.Result {
+// runCompiled executes the scenario through engine.RunOne on the
+// compiled backend, the reference the replay checks the shim against.
+func runCompiled(t *testing.T, sc engine.Scenario) engine.Result {
 	t.Helper()
-	sc.Backend = exec.NameEvent
+	sc.Backend = exec.NameCompiled
 	res := engine.RunOne(context.Background(), sc)
 	if res.Err != nil {
-		t.Fatalf("event backend: %v", res.Err)
+		t.Fatalf("compiled backend: %v", res.Err)
 	}
 	return res
 }
@@ -32,50 +31,30 @@ func runEvent(t *testing.T, sc engine.Scenario) engine.Result {
 // specOf converts a scenario into its lane spec.
 func specOf(sc engine.Scenario) lane.Spec {
 	return lane.Spec{
-		Name:         sc.Name,
-		Topo:         sc.Topology(),
-		Analyzer:     sc.Analyzer,
-		Workloads:    sc.Workloads,
-		Cycles:       sc.Cycles,
-		SkipAnalyzer: sc.SkipAnalyzer,
+		Name:      sc.Name,
+		Topo:      sc.Topology(),
+		Analyzer:  sc.Analyzer,
+		Workloads: sc.Workloads,
+		Cycles:    sc.Cycles,
 	}
 }
 
-// assertOutcome compares a lane outcome against the event result
-// bit-for-bit: beats, monitor counters, violations, instruction stats and
-// the full report including Float64bits-identical energies.
-func assertOutcome(t *testing.T, ev engine.Result, o lane.Outcome) {
+// assertOutcome compares a pack outcome against the reference result:
+// the full report, with Float64bits-identical total energy.
+func assertOutcome(t *testing.T, want engine.Result, o lane.Outcome) {
 	t.Helper()
 	if o.Err != nil {
-		t.Fatalf("lane outcome error: %v", o.Err)
-	}
-	if o.Cycles != ev.Scenario.Cycles {
-		t.Errorf("Cycles: lane=%d want=%d", o.Cycles, ev.Scenario.Cycles)
-	}
-	if o.Beats != ev.Beats {
-		t.Errorf("Beats: lane=%d event=%d", o.Beats, ev.Beats)
-	}
-	if !reflect.DeepEqual(o.Counts, ev.Counts) {
-		t.Errorf("Counts diverge:\nlane:  %v\nevent: %v", o.Counts, ev.Counts)
-	}
-	if !reflect.DeepEqual(o.Violations, ev.Violations) {
-		t.Errorf("Violations diverge:\nlane:  %v\nevent: %v", o.Violations, ev.Violations)
-	}
-	if !reflect.DeepEqual(o.Stats, ev.Stats) {
-		t.Errorf("instruction Stats diverge:\nlane:  %+v\nevent: %+v", o.Stats, ev.Stats)
-	}
-	if (o.Report == nil) != (ev.Report == nil) {
-		t.Fatalf("Report presence: lane=%v event=%v", o.Report != nil, ev.Report != nil)
+		t.Fatalf("pack outcome error: %v", o.Err)
 	}
 	if o.Report == nil {
-		return
+		t.Fatal("pack outcome carries no report")
 	}
-	if lb, eb := math.Float64bits(o.Report.TotalEnergy), math.Float64bits(ev.Report.TotalEnergy); lb != eb {
-		t.Errorf("TotalEnergy bits: lane=%#x (%g) event=%#x (%g)",
-			lb, o.Report.TotalEnergy, eb, ev.Report.TotalEnergy)
+	if lb, wb := math.Float64bits(o.Report.TotalEnergy), math.Float64bits(want.Report.TotalEnergy); lb != wb {
+		t.Errorf("TotalEnergy bits: pack=%#x (%g) compiled=%#x (%g)",
+			lb, o.Report.TotalEnergy, wb, want.Report.TotalEnergy)
 	}
-	if !reflect.DeepEqual(o.Report, ev.Report) {
-		t.Errorf("Report diverges:\nlane:  %+v\nevent: %+v", o.Report, ev.Report)
+	if !reflect.DeepEqual(o.Report, want.Report) {
+		t.Errorf("Report diverges:\npack:     %+v\ncompiled: %+v", o.Report, want.Report)
 	}
 }
 
@@ -89,9 +68,9 @@ func runLaneSingle(t *testing.T, sc engine.Scenario) lane.Outcome {
 	return p.Run(context.Background())[0]
 }
 
-// TestLaneGoldenEquivalence pairs single-lane packs against the event
-// backend across bus shapes, policies, analyzer styles, wait states, data
-// widths and an odd clock period.
+// TestLaneGoldenEquivalence pairs single-spec packs against compiled
+// RunOne across bus shapes, policies, analyzer styles, wait states, data
+// widths and an odd clock period: the check benchmark/replay.go makes.
 func TestLaneGoldenEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -132,13 +111,13 @@ func TestLaneGoldenEquivalence(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			sc := engine.Scenario{Name: v.name, System: v.sys, Analyzer: v.an, Cycles: 3000}
-			assertOutcome(t, runEvent(t, sc), runLaneSingle(t, sc))
+			assertOutcome(t, runCompiled(t, sc), runLaneSingle(t, sc))
 		})
 	}
 }
 
-// TestLaneGoldenWorkloads pairs the backends across workload patterns and
-// explicit per-master traffic.
+// TestLaneGoldenWorkloads pairs packs and compiled RunOne across
+// workload patterns and explicit per-master traffic.
 func TestLaneGoldenWorkloads(t *testing.T) {
 	for _, p := range []workload.Pattern{workload.PatternRandom, workload.PatternLowActivity, workload.PatternCounter} {
 		p := p
@@ -155,14 +134,13 @@ func TestLaneGoldenWorkloads(t *testing.T) {
 				}},
 				Cycles: 2500,
 			}
-			assertOutcome(t, runEvent(t, sc), runLaneSingle(t, sc))
+			assertOutcome(t, runCompiled(t, sc), runLaneSingle(t, sc))
 		})
 	}
 }
 
-// TestLaneGoldenTopology pairs the backends on an explicit declarative
-// topology with non-uniform regions (a non-power-of-two range exercises
-// the decoder's general comparator path) and mixed wait states.
+// TestLaneGoldenTopology pairs a pack and compiled RunOne on an explicit
+// declarative topology with non-uniform regions and mixed wait states.
 func TestLaneGoldenTopology(t *testing.T) {
 	tp := &topo.Topology{
 		Name:   "mixed-map",
@@ -189,26 +167,15 @@ func TestLaneGoldenTopology(t *testing.T) {
 		},
 		Cycles: 2000,
 	}
-	assertOutcome(t, runEvent(t, sc), runLaneSingle(t, sc))
-}
-
-// TestLaneSkipAnalyzer checks the uninstrumented path: no report, but
-// functional results still match the event backend.
-func TestLaneSkipAnalyzer(t *testing.T) {
-	sc := engine.Scenario{Name: "bare", System: core.PaperSystem(), Cycles: 1500, SkipAnalyzer: true}
-	o := runLaneSingle(t, sc)
-	assertOutcome(t, runEvent(t, sc), o)
-	if o.Report != nil || o.Stats != nil {
-		t.Fatalf("SkipAnalyzer outcome carries analysis: report=%v stats=%v", o.Report, o.Stats)
-	}
+	assertOutcome(t, runCompiled(t, sc), runLaneSingle(t, sc))
 }
 
 // TestLaneFullPack packs 64 scenarios differing in workload seed and run
-// length into one execution and checks every lane against its own event
-// run — the scatter contract at full occupancy with staggered retirement.
+// length, the size of the benchmark's seeds batch, and checks every
+// outcome against its own compiled run, in spec order.
 func TestLaneFullPack(t *testing.T) {
-	specs := make([]lane.Spec, lane.MaxLanes)
-	evs := make([]engine.Result, lane.MaxLanes)
+	specs := make([]lane.Spec, 64)
+	want := make([]engine.Result, len(specs))
 	for i := range specs {
 		sc := engine.Scenario{
 			Name:     "lane",
@@ -218,42 +185,26 @@ func TestLaneFullPack(t *testing.T) {
 				Seed: int64(100 + i), NumSequences: 20, PairsMin: 1, PairsMax: 4,
 				IdleMax: 5, AddrSize: 0x3000,
 			}},
-			Cycles: uint64(600 + 13*i), // staggered retirement
+			Cycles: uint64(600 + 13*i),
 		}
 		specs[i] = specOf(sc)
-		evs[i] = runEvent(t, sc)
+		want[i] = runCompiled(t, sc)
 	}
 	p, err := lane.BuildPack(specs)
 	if err != nil {
 		t.Fatalf("BuildPack: %v", err)
 	}
-	if p.Lanes() != lane.MaxLanes {
-		t.Fatalf("Lanes() = %d, want %d", p.Lanes(), lane.MaxLanes)
-	}
 	outs := p.Run(context.Background())
 	for i := range outs {
 		i := i
-		if !t.Run("lane", func(t *testing.T) { assertOutcome(t, evs[i], outs[i]) }) {
+		if !t.Run("lane", func(t *testing.T) { assertOutcome(t, want[i], outs[i]) }) {
 			break // one diverging lane is enough output
 		}
 	}
 }
 
-// TestPackKeyMismatch checks that structurally different scenarios cannot
-// share a pack.
-func TestPackKeyMismatch(t *testing.T) {
-	a := engine.Scenario{Name: "a", System: core.PaperSystem(), Cycles: 100}
-	bSys := core.PaperSystem()
-	bSys.NumSlaves = 4
-	b := engine.Scenario{Name: "b", System: bSys, Cycles: 100}
-	if _, err := lane.BuildPack([]lane.Spec{specOf(a), specOf(b)}); err == nil {
-		t.Fatal("BuildPack accepted mixed structural keys")
-	}
-}
-
-// TestPackCancellation cancels a pack mid-run: lanes already retired keep
-// their results, unfinished lanes surface the context error with their
-// progress.
+// TestPackCancellation cancels a pack mid-run: a scenario that finished
+// keeps its result, an unfinished one surfaces the context error.
 func TestPackCancellation(t *testing.T) {
 	short := engine.Scenario{Name: "short", System: core.PaperSystem(),
 		Analyzer:  core.AnalyzerConfig{Style: core.StyleGlobal},
@@ -269,38 +220,13 @@ func TestPackCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { cancel() }()
 	outs := p.Run(ctx)
-	// The cancellation goroutine may fire at any chunk boundary; the short
-	// lane either completed or was cancelled, but the long lane can never
+	// The cancellation goroutine may fire at any point; the short scenario
+	// either completed or was cancelled, but the long one can never
 	// complete.
 	if outs[1].Err == nil {
-		t.Fatal("long lane completed despite cancellation")
+		t.Fatal("long scenario completed despite cancellation")
 	}
 	if outs[0].Err == nil {
-		ev := runEvent(t, short)
-		assertOutcome(t, ev, outs[0])
-	}
-}
-
-// TestLaneTraitsUnsupported enumerates the reasons the capability table
-// gives for keeping a scenario out of a lane pack.
-func TestLaneTraitsUnsupported(t *testing.T) {
-	cases := []struct {
-		name string
-		fs   exec.Feature
-		want string
-	}{
-		{"ok", 0, ""},
-		{"setup", exec.FeatureSetup, "custom Setup hook"},
-		{"timeout", exec.FeatureTimeout, "per-scenario timeout"},
-		{"faults", exec.FeatureActiveFaults, "active fault-injection plan"},
-		{"dpm", exec.AnalyzerFeatures(core.AnalyzerConfig{DPM: &core.DPMConfig{}}), "DPM estimator attached"},
-		{"private", exec.AnalyzerFeatures(core.AnalyzerConfig{Style: core.StylePrivate}), "delta-level (private-style) instrumentation"},
-		{"trace", exec.AnalyzerFeatures(core.AnalyzerConfig{Trace: new(metrics.Trace)}), "streaming trace recorder attached"},
-		{"checkpoint", exec.FeatureCheckpoint, "checkpointing requested"},
-	}
-	for _, tc := range cases {
-		if got := exec.Blocker(tc.fs, exec.PathLanes); got != tc.want {
-			t.Errorf("%s: Blocker(lanes) = %q, want %q", tc.name, got, tc.want)
-		}
+		assertOutcome(t, runCompiled(t, short), outs[0])
 	}
 }

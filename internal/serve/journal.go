@@ -125,13 +125,28 @@ func validKey(key string) bool {
 }
 
 // atomicWrite replaces path with data via a same-directory rename, so
-// readers never observe a torn file.
+// readers never observe a torn file. Every write has a temporary file of
+// its own: two writers of one path never truncate each other's file or
+// rename it away under the other. A failed write removes its file.
 func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 func (st *stateStore) resultPath(key string) string {

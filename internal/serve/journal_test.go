@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -381,15 +387,17 @@ func TestJournalReplayIgnoresRetiredFields(t *testing.T) {
 }
 
 // TestCheckpointArmingFollowsPlan checks checkpoints are armed by the
-// scenario's plan, not its hint: a lanes-hinted private-style scenario
-// plans onto the event kernel and is armed, while a lane-eligible twin
-// runs on lanes unarmed, and neither counts as a checkpoint fallback.
+// scenario's plan, not its hint: under a lanes hint a private-style
+// scenario plans onto the event kernel and a global-style twin onto the
+// compiled stepper, and both are armed, while a transaction twin
+// estimates unarmed. None counts as a checkpoint fallback.
 func TestCheckpointArmingFollowsPlan(t *testing.T) {
 	s := mustOpen(t, Config{Workers: 2, StateDir: t.TempDir(), CheckpointEvery: 512})
 	const wl = `"workloads":[{"seed":4,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]`
 	rr := post(s.Handler(), `{"backend":"lanes","scenarios":[`+
 		`{"name":"private","cycles":1200,"analyzer":{"style":"private"},`+wl+`},`+
-		`{"name":"packed","cycles":1200,`+wl+`}]}`)
+		`{"name":"global","cycles":1200,`+wl+`},`+
+		`{"name":"estimate","cycles":1200,"accuracy":"transaction",`+wl+`}]}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -401,14 +409,145 @@ func TestCheckpointArmingFollowsPlan(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
-	if b := resp.Batch.Backends; b["event"] != 1 || b["lanes"] != 1 {
-		t.Errorf("backends = %v, want event:1 lanes:1", b)
+	if b := resp.Batch.Backends; b["event"] != 1 || b["compiled"] != 1 || b["tlm"] != 1 {
+		t.Errorf("backends = %v, want event:1 compiled:1 tlm:1", b)
 	}
-	if n := metricInt(t, s, "checkpoints_saved"); n == 0 {
-		t.Error("the event-planned scenario saved no checkpoint")
+	// Two armed 1200-cycle scenarios each save at cycles 512 and 1024.
+	if n := metricInt(t, s, "checkpoints_saved"); n != 4 {
+		t.Errorf("checkpoints_saved = %d, want 4", n)
 	}
 	if n := metricInt(t, s, "checkpoint_fallbacks"); n != 0 {
 		t.Errorf("checkpoint_fallbacks = %d, want 0", n)
 	}
 	s.Drain(time.Second)
+}
+
+// TestConcurrentCheckpointWritesOfOneKey stores checkpoints of one key
+// from eight writers at once while a reader loads it. Every write must
+// succeed, every read must see nothing or one complete payload, and no
+// temporary file may be left behind.
+func TestConcurrentCheckpointWritesOfOneKey(t *testing.T) {
+	st, err := openState(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	key := strings.Repeat("ab", 32)
+	const writers, writes = 8, 300
+	payloads := make([][]byte, writers)
+	for w := range payloads {
+		payloads[w] = bytes.Repeat([]byte{byte('a' + w)}, 4096+512*w)
+	}
+	isPayload := func(b []byte) bool {
+		return slices.ContainsFunc(payloads, func(p []byte) bool { return bytes.Equal(p, b) })
+	}
+
+	var wg sync.WaitGroup
+	var failed sync.Map
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range writes {
+				if err := st.storeCheckpoint(key, payloads[w]); err != nil {
+					failed.Store(err.Error(), true)
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	tornReads := make(chan int)
+	go func() {
+		torn := 0
+		for {
+			select {
+			case <-stop:
+				tornReads <- torn
+				return
+			default:
+			}
+			if b := st.loadCheckpoint(key); b != nil && !isPayload(b) {
+				torn++
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	torn := <-tornReads
+
+	failed.Range(func(k, _ any) bool {
+		t.Errorf("store failed: %v", k)
+		return true
+	})
+	if torn > 0 {
+		t.Errorf("%d reads matched no written payload", torn)
+	}
+	if b := st.loadCheckpoint(key); !isPayload(b) {
+		t.Errorf("final checkpoint (%d bytes) is no written payload", len(b))
+	}
+	left, _ := filepath.Glob(filepath.Join(st.dir, "checkpoints", "*.tmp"))
+	if len(left) > 0 {
+		t.Errorf("temporary files left behind: %v", left)
+	}
+}
+
+// gatedBody is a request body whose first read reports itself on reading
+// and then blocks until open is closed.
+type gatedBody struct {
+	r             io.Reader
+	reading, open chan struct{}
+	once          sync.Once
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.reading)
+		<-g.open
+	})
+	return g.r.Read(p)
+}
+
+// TestDrainRefusesRequestStillReadingItsBody starts an async request
+// whose body read blocks, after the request passed the draining check.
+// Drain must not wait for the body, and once the body arrives the request
+// must be refused with a 503: it was never admitted, so it leaves no
+// journal entry and no journal error.
+func TestDrainRefusesRequestStillReadingItsBody(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Workers: 1, StateDir: dir})
+	body := &gatedBody{
+		r:       strings.NewReader(`{"async":true,"scenarios":[` + scenarioJSON("slow-body", 2000, 3) + `]}`),
+		reading: make(chan struct{}),
+		open:    make(chan struct{}),
+	}
+	rr := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/run", body))
+	}()
+	<-body.reading
+
+	drained := make(chan struct{})
+	go func() {
+		s.Drain(0)
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain waited for a request body that never arrived")
+	}
+	close(body.open)
+	<-served
+
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("request decoded after Drain began: status %d, want 503; body %s", rr.Code, rr.Body.String())
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "journal.jsonl")); err != nil || len(b) != 0 {
+		t.Errorf("journal after the refused request: %q (err %v), want empty", b, err)
+	}
+	if n := metricInt(t, s, "journal_errors"); n != 0 {
+		t.Errorf("journal_errors = %d, want 0", n)
+	}
 }

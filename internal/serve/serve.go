@@ -57,8 +57,9 @@ type Config struct {
 	DegradeAt float64
 	// DefaultBackend is the execution backend applied to scenarios whose
 	// request carries no backend of its own: "" or "event" (the default),
-	// "compiled", "lanes" (bit-parallel packs, scheduled by the runner),
-	// or "auto" (compiled when supported, event otherwise).
+	// "compiled", "auto" (compiled when supported, event otherwise), or
+	// "lanes", the retired lane backend's hint, which runs like
+	// "compiled".
 	// Purely an execution policy — results and cache keys are identical
 	// across backends. The name must be valid (exec.ValidName); requests
 	// resolved against an unknown default are rejected at decode time, and
@@ -151,8 +152,11 @@ type Server struct {
 	waiting atomic.Int64
 
 	// draining flags that no new work is accepted; runCtx is cancelled
-	// when in-flight runs must stop (drain grace expired).
+	// when in-flight runs must stop (drain grace expired). admitMu orders
+	// a request's admission (see admit) against Drain's setting of
+	// draining, so Drain waits for every request admitted before it.
 	draining   atomic.Bool
+	admitMu    sync.Mutex
 	runCtx     context.Context
 	cancelRuns context.CancelFunc
 	inflight   sync.WaitGroup
@@ -189,10 +193,8 @@ type counters struct {
 
 	backendEventRuns    expvar.Int // scenarios executed on the event backend
 	backendCompiledRuns expvar.Int // scenarios executed on the compiled backend
-	backendLaneRuns     expvar.Int // scenarios executed on the bit-parallel lane backend
 	backendTLMRuns      expvar.Int // scenarios estimated by the transaction-level fast path
-	laneOccupancy       expvar.Int // summed pack occupancy of lane runs (avg = lane_occupancy / backend_lane_runs)
-	backendFallbacks    expvar.Int // compiled/auto/lanes requests that fell back to event
+	backendFallbacks    expvar.Int // runs with a surfaced backend fallback reason
 	accuracyFallbacks   expvar.Int // transaction requests that conservatively ran cycle-accurate
 
 	validateRequests expvar.Int // POST /v1/validate requests
@@ -258,9 +260,7 @@ func Open(cfg Config) (*Server, error) {
 
 		"backend_event_runs":    &s.ctr.backendEventRuns,
 		"backend_compiled_runs": &s.ctr.backendCompiledRuns,
-		"backend_lane_runs":     &s.ctr.backendLaneRuns,
 		"backend_tlm_runs":      &s.ctr.backendTLMRuns,
-		"lane_occupancy":        &s.ctr.laneOccupancy,
 		"backend_fallbacks":     &s.ctr.backendFallbacks,
 		"accuracy_fallbacks":    &s.ctr.accuracyFallbacks,
 
@@ -349,7 +349,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // results (completed scenarios are never dropped), and async jobs stay
 // queryable until the process exits. Safe to call more than once.
 func (s *Server) Drain(grace time.Duration) {
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -536,6 +538,21 @@ func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, strin
 	return sc, key, nil
 }
 
+// admit counts a decoded request as in flight unless the server is
+// draining. It holds admitMu, as Drain does to set draining, so a request
+// is either admitted before Drain begins, and waited for, or refused.
+// Admission comes after the body is decoded: Drain never waits for a slow
+// body.
+func (s *Server) admit() bool {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
+}
+
 // handleRun serves POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -548,6 +565,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorWire(err))
 		return
 	}
+	if !s.admit() {
+		s.reject(w, &s.ctr.rejectedDraining, "server is draining")
+		return
+	}
+	defer s.inflight.Done()
 	s.ctr.requests.Add(1)
 	if req.Async {
 		s.startJob(w, req, scenarios, keys)
@@ -561,8 +583,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.runCtx, cancel)
 	defer stop()
 
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	resp, err := s.runBatch(ctx, scenarios, keys, req.NoCache, nil)
 	if err != nil {
 		// The batch needed the runner but was never admitted: 503 with
@@ -653,10 +673,11 @@ func (s *Server) startJob(w http.ResponseWriter, req *RunRequest, scenarios []en
 }
 
 // runJobAsync executes one async job in the background: the shared tail
-// of a fresh admission and a journal-replay recovery. The terminal state
-// — done or cancelled, drain included — is journaled before the job's
-// inflight slot is released, so a drained daemon's journal always agrees
-// with what its clients were told.
+// of a fresh admission, whose request already holds an inflight slot,
+// and a journal-replay recovery. The terminal state — done or cancelled,
+// drain included — is journaled before the job's inflight slot is
+// released, so a drained daemon's journal always agrees with what its
+// clients were told.
 func (s *Server) runJobAsync(j *job, req *RunRequest, scenarios []engine.Scenario, keys []string) {
 	s.inflight.Add(1)
 	go func() {
@@ -729,14 +750,15 @@ func (s *Server) cachePut(key string, b []byte) {
 // snapshot that does not decode (a torn write, another snapshot version)
 // is deleted and counted as state_corrupt, and the scenario runs from
 // cycle 0 instead of failing on it at every request. Scenarios planned
-// onto a lane pack or the estimator run unarmed rather than forcing a
-// fallback just to snapshot; those the plan cannot checkpoint run unarmed
-// and are counted.
+// onto the estimator run unarmed rather than forcing a fallback just to
+// snapshot. A keyed scenario has no Setup hook and no trace recorder, the
+// features that block checkpointing, so every other plan arms; a run
+// that still reports a checkpoint fallback is counted from its result.
 func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 	if s.state == nil || s.cfg.CheckpointEvery == 0 || key == "" {
 		return
 	}
-	if p, err := sc.Plan(); err != nil || p.Path == exec.NameLanes || p.Path == tlm.Name {
+	if p, err := sc.Plan(); err != nil || p.Path == tlm.Name {
 		return
 	}
 	st := s.state
@@ -759,10 +781,6 @@ func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 			return nil
 		},
 		Resume: resume,
-	}
-	if p, err := sc.Plan(); err != nil || !p.Checkpoint {
-		sc.Checkpoint = nil
-		s.ctr.checkpointFallbacks.Add(1)
 	}
 }
 
@@ -912,21 +930,16 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 				if res[n].ResumedFrom > 0 {
 					s.ctr.scenariosResumed.Add(1)
 				}
-				// Backend accounting counts completed runs only: a lane-pack
-				// member that errored (or a pack whose build failed) still
-				// carries Backend="lanes" and the pack occupancy in its
-				// Result, and counting those would skew the
-				// lane_occupancy / backend_lane_runs average the dashboards
-				// derive.
+				if res[n].CheckpointFallback != "" {
+					s.ctr.checkpointFallbacks.Add(1)
+				}
+				// Backend accounting counts completed runs only.
 				if res[n].Err == nil {
 					switch res[n].Backend {
 					case exec.NameEvent:
 						s.ctr.backendEventRuns.Add(1)
 					case exec.NameCompiled:
 						s.ctr.backendCompiledRuns.Add(1)
-					case exec.NameLanes:
-						s.ctr.backendLaneRuns.Add(1)
-						s.ctr.laneOccupancy.Add(int64(res[n].Lanes))
 					case tlm.Name:
 						s.ctr.backendTLMRuns.Add(1)
 					}

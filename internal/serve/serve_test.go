@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"ahbpower/internal/engine"
 )
 
 // wireResult mirrors the fields of ResultWire the tests assert on.
@@ -543,11 +546,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestLaneBackendServed drives the bit-parallel lane backend through the
-// wire format: structurally identical "lanes" scenarios must pack (no
-// fallback), be accounted under backend_lane_runs/lane_occupancy, and
-// return bytes identical to the same batch recomputed on the event
-// backend.
+// TestLaneBackendServed drives the retired lane backend's hint through
+// the wire format: "lanes" is still accepted, runs on the compiled
+// stepper with one surfaced fallback per scenario, and returns bytes
+// identical to the same batch recomputed on the event backend. The lane
+// counters are gone from /metrics.
 func TestLaneBackendServed(t *testing.T) {
 	s := New(Config{Workers: 2})
 	h := s.Handler()
@@ -567,9 +570,10 @@ func TestLaneBackendServed(t *testing.T) {
 	if err := json.Unmarshal(first.Body.Bytes(), &r1); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Batch.Backends["lanes"] != 2 || len(r1.Batch.Fallbacks) != 0 {
-		t.Fatalf("lanes request: backends=%v fallbacks=%v, want lanes:2 and no fallback",
-			r1.Batch.Backends, r1.Batch.Fallbacks)
+	wantFallbacks := []string{"lane-a: " + engine.LanesRetired, "lane-b: " + engine.LanesRetired}
+	if r1.Batch.Backends["compiled"] != 2 || !slices.Equal(r1.Batch.Fallbacks, wantFallbacks) {
+		t.Fatalf("lanes request: backends=%v fallbacks=%v, want compiled:2 and %v",
+			r1.Batch.Backends, r1.Batch.Fallbacks, wantFallbacks)
 	}
 
 	second := post(h, `{"no_cache":true,"backend":"event","scenarios":[`+specs+`]}`)
@@ -579,7 +583,7 @@ func TestLaneBackendServed(t *testing.T) {
 	}
 	for i := range r1.Results {
 		if string(r1.Results[i]) != string(r2.Results[i]) {
-			t.Errorf("lane result %d differs from the event recompute:\n%s\n%s",
+			t.Errorf("lanes-hinted result %d differs from the event recompute:\n%s\n%s",
 				i, r1.Results[i], r2.Results[i])
 		}
 	}
@@ -589,11 +593,13 @@ func TestLaneBackendServed(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
 		t.Fatalf("metrics body is not JSON: %v", err)
 	}
-	if vars["backend_lane_runs"].(float64) != 2 {
-		t.Errorf("backend_lane_runs = %v, want 2", vars["backend_lane_runs"])
+	if vars["backend_compiled_runs"].(float64) != 2 || vars["backend_fallbacks"].(float64) != 2 {
+		t.Errorf("backend_compiled_runs = %v, backend_fallbacks = %v, want 2 and 2",
+			vars["backend_compiled_runs"], vars["backend_fallbacks"])
 	}
-	// Both scenarios rode one 2-lane pack: occupancy sums to 2 per lane run.
-	if vars["lane_occupancy"].(float64) != 4 {
-		t.Errorf("lane_occupancy = %v, want 4", vars["lane_occupancy"])
+	for _, gone := range []string{"backend_lane_runs", "lane_occupancy"} {
+		if _, ok := vars[gone]; ok {
+			t.Errorf("/metrics still exports %q", gone)
+		}
 	}
 }

@@ -43,11 +43,12 @@ type RunRequest struct {
 	// still stored for later hits).
 	NoCache bool `json:"no_cache,omitempty"`
 	// Backend is the request-level execution-backend default
-	// ("event"|"compiled"|"lanes"|"auto") applied to every scenario that
-	// does not
-	// carry its own; empty defers to the server's configured default. An
-	// execution hint only: results and cache keys are identical across
-	// backends, so requests with different backends share cache entries.
+	// ("event"|"compiled"|"auto"|"lanes") applied to every scenario that
+	// does not carry its own; empty defers to the server's configured
+	// default. "lanes" is the retired lane backend's hint and runs like
+	// "compiled". An execution hint only: results and cache keys are
+	// identical across backends, so requests with different backends
+	// share cache entries.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy is the request-level accuracy-class default
 	// ("cycle"|"transaction") applied to every scenario that does not
@@ -85,10 +86,10 @@ type ScenarioSpec struct {
 	// faulty runs cache like clean ones.
 	Faults *fault.Plan `json:"faults,omitempty"`
 	// Backend selects this scenario's execution backend
-	// ("event"|"compiled"|"lanes"|"auto"); empty defers to the
+	// ("event"|"compiled"|"auto"|"lanes"); empty defers to the
 	// request-level and then the server-level default. Not part of the
-	// cache key. "lanes" scenarios sharing one bus structure are packed
-	// into bit-parallel executions by the engine's runner.
+	// cache key. "lanes" is the retired lane backend's hint: it runs like
+	// "compiled" and reports the retirement as its backend fallback.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy selects this scenario's accuracy class
 	// ("cycle"|"transaction"); empty defers to the request-level and then
@@ -411,8 +412,10 @@ type BatchWire struct {
 	// class that actually ran ("cycle"|"transaction") — a transaction
 	// request that conservatively fell back counts under "cycle".
 	Accuracies map[string]int `json:"accuracies,omitempty"`
-	// BackendFallbacks lists, in input order, the scenarios whose
-	// compiled/auto/lanes request fell back to the event backend, with
-	// the surfaced reason ("name: reason").
+	// BackendFallbacks lists, in input order, the scenarios that did not
+	// run on the path they asked for, with the surfaced reason ("name:
+	// reason"): a compiled/auto/lanes hint that fell back to the event
+	// backend, a transaction request that ran cycle-accurate, or a lanes
+	// hint that ran compiled because the lane backend is retired.
 	BackendFallbacks []string `json:"backend_fallbacks,omitempty"`
 }

@@ -64,8 +64,7 @@ const (
 )
 
 // Spec describes one estimation request — the projection of an
-// engine.Scenario onto what the transaction-level estimator needs,
-// mirroring lane.Spec for the packed backend.
+// engine.Scenario onto what the transaction-level estimator needs.
 type Spec struct {
 	// Name labels errors.
 	Name string

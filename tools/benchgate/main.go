@@ -15,9 +15,9 @@
 // removed, and that fails the gate instead of passing vacuously.
 //
 // -min-speedup adds absolute assertions on the head file alone: for
-// "lanes:10x", every head benchmark with a path segment "lanes" must be
-// at least 10 times faster (median ns/op) than each sibling benchmark
-// that differs only in that segment (e.g. .../lanes/sweep versus
+// "tlm:8x", every head benchmark with a path segment "tlm" must be at
+// least 8 times faster (median ns/op) than each sibling benchmark that
+// differs only in that segment (e.g. .../tlm/sweep versus
 // .../compiled/sweep). This keeps a claimed backend win from silently
 // eroding even when the base side has no baseline to diff against.
 //
@@ -41,7 +41,7 @@ func main() {
 	threshold := flag.Float64("threshold", 10, "maximum allowed ns/op regression, percent")
 	var speedups speedupFlag
 	flag.Var(&speedups, "min-speedup",
-		"comma-separated label:Nx assertions, e.g. lanes:10x (head benchmarks with a\n"+
+		"comma-separated label:Nx assertions, e.g. tlm:8x (head benchmarks with a\n"+
 			"path segment equal to label must beat each sibling by the factor)")
 	flag.Parse()
 	if flag.NArg() != 2 {

@@ -71,7 +71,6 @@ type soakReport struct {
 	FaultEvents uint64   `json:"fault_events"`
 	ReplayOK    bool     `json:"replay_ok"`
 	BackendsOK  bool     `json:"backends_ok"`
-	LanesOK     bool     `json:"lanes_ok"`
 	TLMOK       bool     `json:"tlm_ok"`
 	ControlsOK  bool     `json:"controls_ok"`
 	DaemonOK    bool     `json:"daemon_ok,omitempty"`
@@ -97,8 +96,8 @@ func main() {
 	flag.Parse()
 
 	rep := runSoak(cfg, os.Stdout)
-	fmt.Printf("chaos: %d scenarios over %d seeds, %d fault events, replay_ok=%v backends_ok=%v lanes_ok=%v tlm_ok=%v controls_ok=%v",
-		rep.Scenarios, rep.Seeds, rep.FaultEvents, rep.ReplayOK, rep.BackendsOK, rep.LanesOK, rep.TLMOK, rep.ControlsOK)
+	fmt.Printf("chaos: %d scenarios over %d seeds, %d fault events, replay_ok=%v backends_ok=%v tlm_ok=%v controls_ok=%v",
+		rep.Scenarios, rep.Seeds, rep.FaultEvents, rep.ReplayOK, rep.BackendsOK, rep.TLMOK, rep.ControlsOK)
 	if cfg.addr != "" {
 		fmt.Printf(" daemon_ok=%v", rep.DaemonOK)
 	}
@@ -160,12 +159,6 @@ func runSoak(cfg config, logw io.Writer) soakReport {
 	mix := backendMixPhase(cfg, a)
 	rep.BackendsOK = len(mix) == 0
 	rep.Violations = append(rep.Violations, mix...)
-
-	// Lane mix: a fault-free lane-eligible sweep packed into bit-parallel
-	// lanes must be indistinguishable from the same sweep run all-event.
-	lm := laneMixPhase(cfg)
-	rep.LanesOK = len(lm) == 0
-	rep.Violations = append(rep.Violations, lm...)
 
 	// Transaction-level mix: estimates must be deterministic and
 	// conservation-clean, and faulted scenarios requested at transaction
@@ -379,66 +372,6 @@ func backendMixPhase(cfg config, baseline []byte) []string {
 	}
 	if !bytes.Equal(fingerprint(results), baseline) {
 		v = append(v, "backend mix: fingerprint differs from the all-event sweep")
-	}
-	return v
-}
-
-// buildLaneScenarios derives the lane-mix sweep: fault-free scenarios on
-// the paper system with the policy rotated by seed (so packs form per
-// structural key) and the run length varied per lane (so lanes retire at
-// different cycles within one pack). No timeout and no fault plan — both
-// would make the scenarios lane-ineligible, and this phase asserts that
-// every pinned scenario actually packs.
-func buildLaneScenarios(cfg config, backend string) []engine.Scenario {
-	scens := make([]engine.Scenario, cfg.seeds)
-	for i := range scens {
-		seed := cfg.seed + int64(i)
-		sys := core.PaperSystem()
-		sys.Policy = policyFor(seed)
-		scens[i] = engine.Scenario{
-			Name:    fmt.Sprintf("lane-mix-%d", seed),
-			System:  sys,
-			Cycles:  cfg.cycles + uint64(i%5)*64,
-			Backend: backend,
-		}
-	}
-	return scens
-}
-
-// laneMixPhase runs the lane-mix sweep twice — all-event, then pinned to
-// the bit-parallel lane backend — and asserts the batch fingerprints are
-// byte-identical: packing 64 scenarios into the bits of shared words must
-// be invisible in every observable outcome. The scenarios are constructed
-// lane-eligible, so any fallback to a per-scenario run is a violation, as
-// is a batch that never reaches an occupancy above one lane.
-func laneMixPhase(cfg config) []string {
-	var v []string
-	baseRunner := engine.NewRunner(cfg.workers)
-	baseline := baseRunner.Run(context.Background(), buildLaneScenarios(cfg, "event"))
-	laneRunner := engine.NewRunner(cfg.workers)
-	packed := laneRunner.Run(context.Background(), buildLaneScenarios(cfg, "lanes"))
-	maxOcc := 0
-	for i := range packed {
-		res := &packed[i]
-		if res.Err != nil {
-			v = append(v, fmt.Sprintf("%s: lane run failed: %v", res.Scenario.Name, res.Err))
-			continue
-		}
-		if res.BackendFallback != "" {
-			v = append(v, fmt.Sprintf("%s: lanes pin fell back to %s: %s",
-				res.Scenario.Name, res.Backend, res.BackendFallback))
-		} else if res.Backend != "lanes" {
-			v = append(v, fmt.Sprintf("%s: ran backend %q, want lanes", res.Scenario.Name, res.Backend))
-		}
-		if res.Lanes > maxOcc {
-			maxOcc = res.Lanes
-		}
-	}
-	if len(packed) >= 6 && maxOcc < 2 {
-		v = append(v, fmt.Sprintf("lane mix: max pack occupancy %d, expected multi-lane packs", maxOcc))
-	}
-	if !bytes.Equal(fingerprint(packed), fingerprint(baseline)) {
-		v = append(v, "lane mix: packed fingerprint differs from the all-event sweep")
 	}
 	return v
 }
