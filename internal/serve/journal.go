@@ -78,6 +78,15 @@ func openState(dir string) (*stateStore, error) {
 			return nil, fmt.Errorf("serve: state dir: %w", err)
 		}
 	}
+	// A crash mid-write leaves that write's temporary file behind (see
+	// atomicWrite). No writer runs before open returns, so every one found
+	// is litter, and removing it keeps repeated crashes from piling it up.
+	for _, sub := range []string{"results", "checkpoints"} {
+		stale, _ := filepath.Glob(filepath.Join(dir, sub, "*.tmp"))
+		for _, name := range stale {
+			_ = os.Remove(name) // best effort: a file left here is only litter
+		}
+	}
 	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening journal: %w", err)
@@ -144,7 +153,7 @@ func atomicWrite(path string, data []byte) error {
 		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(f.Name())
+		_ = os.Remove(f.Name()) // best effort: err already reports the failed write
 	}
 	return err
 }

@@ -491,6 +491,51 @@ func TestConcurrentCheckpointWritesOfOneKey(t *testing.T) {
 	}
 }
 
+// TestOpenStateRemovesStaleTempFiles reopens a state dir in which a crash
+// left temporary files of interrupted writes: they are removed, and the
+// results and checkpoints beside them are kept.
+func TestOpenStateRemovesStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("cd", 32)
+	if err := st.storeResult(key, []byte("result")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.storeCheckpoint(key, []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+	stale := []string{
+		filepath.Join(dir, "results", key+".json.123.tmp"),
+		filepath.Join(dir, "checkpoints", key+".ckpt.456.tmp"),
+	}
+	for _, name := range stale {
+		if err := os.WriteFile(name, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err = openState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	for _, name := range stale {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Errorf("%s survived reopening (stat err %v)", name, err)
+		}
+	}
+	if b, ok := st.loadResult(key); !ok || string(b) != "result" {
+		t.Errorf("result after reopening: %q, %v", b, ok)
+	}
+	if b := st.loadCheckpoint(key); string(b) != "snapshot" {
+		t.Errorf("checkpoint after reopening: %q", b)
+	}
+}
+
 // gatedBody is a request body whose first read reports itself on reading
 // and then blocks until open is closed.
 type gatedBody struct {
