@@ -31,10 +31,11 @@ func tlmSweepWorkload(i int) workload.Config {
 	return cfg
 }
 
-// benchTLMEstimate times the estimation of the seed sweep: preparation
-// (traffic resolution, script generation) is excluded exactly as the
-// other sweep benchmarks exclude construction, so the timed region is the
-// calibration prefix plus the transaction walk. Reports ns per
+// benchTLMEstimate times the estimation of the seed sweep. Preparation
+// (validating and resolving the traffic configurations) is excluded, but
+// it generates nothing: the traffic is generated inside Estimate, by the
+// calibration prefix's scripts and the walk's cursors, so the timed
+// region is the whole estimate a user waits for. Reports ns per
 // scenario-cycle, directly comparable to the serial sweep below.
 func benchTLMEstimate(b *testing.B) {
 	b.Helper()

@@ -9,12 +9,14 @@
 //  1. a short cycle-accurate calibration prefix (1/16 of the run, clamped
 //     to [512, 8192] cycles) executes on the exact kernel and measures the
 //     true per-block energies of the workload's stationary mix;
-//  2. a transaction-granularity walk over the generated workload scripts
-//     counts power-FSM instructions for the full run without simulating
-//     the bus — each burst beat contributes its (1 + wait-states) transfer
-//     cycles, inter-sequence idle gaps and the post-script tail classify
-//     as IDLE_HO exactly like the analyzer's classifier, and ownership
-//     changes insert one handover cycle;
+//  2. a transaction-granularity walk counts power-FSM instructions for
+//     the full run without simulating the bus. It pulls each master's
+//     sequences from a workload cursor as it serves them, so an estimate
+//     holds O(1) traffic whatever its horizon. Each burst beat
+//     contributes its (1 + wait-states) transfer cycles, inter-sequence
+//     idle gaps and the post-script tail classify as IDLE_HO exactly like
+//     the analyzer's classifier, and ownership changes insert one
+//     handover cycle;
 //  3. analytic expected per-instruction energies, derived from the fitted
 //     macromodel coefficients and the workload's data-pattern mix, turn
 //     the instruction counts into per-block energies; and
@@ -126,22 +128,20 @@ func CalibrationPrefix(cycles uint64) uint64 {
 	return p
 }
 
-// Prepared is a Spec with its traffic resolved and scripts generated —
-// the estimation-ready form. The generated scripts are shared read-only
-// between the calibration prefix (the masters enqueue but never mutate
-// them) and the transaction walk, so each spec pays workload generation
-// exactly once, like the cycle-accurate path does.
+// Prepared is a Spec with its topology canonicalized and its traffic
+// resolved into one validated workload configuration per active master.
+// It holds no traffic: every Estimate generates what it reads from fresh
+// cursors, so repeated or concurrent estimates of one Prepared are
+// independent and deterministic.
 type Prepared struct {
-	spec    Spec
-	ct      topo.Topology
-	cfgs    []workload.Config
-	scripts [][]ahb.Sequence
+	spec Spec
+	ct   topo.Topology
+	cfgs []workload.Config
 }
 
-// Prepare validates a spec, resolves its traffic into one configuration
-// per active master and generates the workload scripts. Preparation is
-// the allocation-heavy half of an estimate; Estimate on the result runs
-// the calibration prefix and the walk.
+// Prepare validates a spec and resolves its traffic into one
+// configuration per active master. It generates nothing; Estimate on the
+// result runs the calibration prefix and the walk.
 func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Cycles == 0 {
 		return nil, fmt.Errorf("tlm: spec %q: Cycles must be positive", spec.Name)
@@ -154,24 +154,26 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	scripts := make([][]ahb.Sequence, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		seqs, gerr := workload.Generate(cfg)
-		if gerr != nil {
-			return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, gerr)
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 		}
-		scripts = append(scripts, seqs)
 	}
-	return &Prepared{spec: spec, ct: ct, cfgs: cfgs, scripts: scripts}, nil
+	return &Prepared{spec: spec, ct: ct, cfgs: cfgs}, nil
 }
 
 // Estimate runs the calibrated transaction-level estimation for a
 // prepared spec. The context cancels the cycle-accurate calibration
-// prefix exactly like core.System.RunContext; the walk itself is not
-// cancellable (it is a few milliseconds even for very long horizons).
+// prefix exactly like core.System.RunContext, and the walk checks it
+// every walkCheckEvery steps, so an estimate stops promptly at any
+// horizon.
 func (p *Prepared) Estimate(ctx context.Context) (*Outcome, error) {
 	prefix := CalibrationPrefix(p.spec.Cycles)
-	measured, backendName, err := runPrefix(ctx, p.ct, p.spec.Analyzer, p.scripts, prefix)
+	scripts, err := prefixScripts(p.cfgs, prefix)
+	if err != nil {
+		return nil, fmt.Errorf("tlm: spec %q: %w", p.spec.Name, err)
+	}
+	measured, backendName, err := runPrefix(ctx, p.ct, p.spec.Analyzer, scripts, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: calibration prefix: %w", p.spec.Name, err)
 	}
@@ -180,7 +182,10 @@ func (p *Prepared) Estimate(ctx context.Context) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", p.spec.Name, err)
 	}
-	w := runWalk(&p.ct, p.scripts, p.spec.Cycles, prefix)
+	w, err := runWalk(ctx, &p.ct, p.cfgs, p.spec.Cycles, prefix)
+	if err != nil {
+		return nil, fmt.Errorf("tlm: spec %q: walk: %w", p.spec.Name, err)
+	}
 	cal := calibrate(exp, w, measured)
 
 	rep, sts := cal.report(&p.ct, p.spec.Analyzer, w, p.spec.Cycles)
@@ -212,10 +217,43 @@ type measuredPrefix struct {
 	total float64
 }
 
-// runPrefix builds the scenario's system, enqueues the already-generated
-// walk scripts (one per active master, the exact traffic LoadWorkload
-// would have generated from the same configurations), attaches the
-// analyzer and runs the cycle-accurate kernel for the prefix window.
+// prefixMargin is how many beats past the prefix length a calibration
+// script carries (see prefixScripts): slack over the one-beat-per-cycle
+// bound, so the argument holds without counting pipeline edges.
+const prefixMargin = 64
+
+// prefixScripts generates each master's calibration script from its own
+// cursor, stopping after the first sequence that takes the script past
+// prefix+prefixMargin beats. That is all of the script the prefix can
+// reach: a master drives at most one address phase per cycle, so within
+// prefix cycles it issues at most prefix beats and never reaches the end
+// of a longer script. Its request line, grants and drive are therefore
+// cycle-for-cycle those of a master holding the full script, and the
+// prefix measures exactly what it would have measured on the full
+// Generate scripts (TestPrefixScriptsMeasureLikeFullScripts).
+func prefixScripts(cfgs []workload.Config, prefix uint64) ([][]ahb.Sequence, error) {
+	scripts := make([][]ahb.Sequence, len(cfgs))
+	for i, cfg := range cfgs {
+		cur, err := workload.NewCursor(cfg)
+		if err != nil {
+			return nil, err
+		}
+		var beats uint64
+		for beats <= prefix+prefixMargin {
+			s, ok := cur.NextOwned()
+			if !ok {
+				break
+			}
+			scripts[i] = append(scripts[i], s)
+			beats += uint64(workload.TotalBeats(scripts[i][len(scripts[i])-1:]))
+		}
+	}
+	return scripts, nil
+}
+
+// runPrefix builds the scenario's system, enqueues the calibration
+// scripts (one per active master), attaches the analyzer and runs the
+// cycle-accurate kernel for the prefix window.
 func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 	scripts [][]ahb.Sequence, prefix uint64) (measuredPrefix, string, error) {
 	var m measuredPrefix

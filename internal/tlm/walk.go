@@ -1,9 +1,12 @@
 package tlm
 
 import (
+	"context"
+
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/power"
 	"ahbpower/internal/topo"
+	"ahbpower/internal/workload"
 )
 
 // instrCounts maps power-FSM instructions to cycle counts. The state
@@ -112,24 +115,44 @@ func (w *walkResult) monitorCounts() map[string]uint64 {
 }
 
 // waitTable resolves wait states by address from the topology's flattened
-// region map (the same table the bus decoder is built from).
+// region map (the same table the bus decoder is built from). The walk
+// asks once per op, so the lookup avoids scanning: a bus whose slaves
+// insert no wait states answers 0 outright, and otherwise the region hit
+// last is tried first (a locality-windowed master stays in one region
+// for a whole sequence). Regions never overlap (topo.Check), so the first
+// region that contains an address is the only one.
 type waitTable struct {
 	regions []ahb.Region
-	waits   []int
+	waits   []int // per region: its slave's wait states
+	none    bool  // no slave inserts wait states
+	last    int
 }
 
-func newWaitTable(ct *topo.Topology) waitTable {
-	wt := waitTable{regions: ct.Regions(), waits: make([]int, len(ct.Slaves))}
-	for i, s := range ct.Slaves {
-		wt.waits[i] = s.Waits
+func newWaitTable(ct *topo.Topology) *waitTable {
+	wt := &waitTable{regions: ct.Regions(), none: true}
+	wt.waits = make([]int, len(wt.regions))
+	for i, r := range wt.regions {
+		wt.waits[i] = ct.Slaves[r.Slave].Waits
+		if wt.waits[i] != 0 {
+			wt.none = false
+		}
 	}
 	return wt
 }
 
-func (wt waitTable) at(addr uint32) int {
-	for _, r := range wt.regions {
+// at returns the wait states of the slave decoding addr, 0 when no
+// region does.
+func (wt *waitTable) at(addr uint32) int {
+	if wt.none {
+		return 0
+	}
+	if wt.regions[wt.last].Contains(addr) {
+		return wt.waits[wt.last]
+	}
+	for i, r := range wt.regions {
 		if r.Contains(addr) {
-			return wt.waits[r.Slave]
+			wt.last = i
+			return wt.waits[i]
 		}
 	}
 	return 0
@@ -139,8 +162,17 @@ func (wt waitTable) at(addr uint32) int {
 // pipeline delay before the first transfer of a run reaches the bus.
 const startupLatency = 2
 
-// runWalk serves the generated scripts at transaction granularity and
-// counts power-FSM instructions over the horizon. The model is
+// walkCheckEvery is how many steps (a served sequence or an idle gap)
+// the walk takes between checks of its context: a millisecond or so of
+// walking, so a cancelled or timed-out estimate stops promptly at any
+// horizon.
+const walkCheckEvery = 1024
+
+// runWalk serves each master's traffic at transaction granularity and
+// counts power-FSM instructions over the horizon. Every master gets a
+// fresh cursor on its configuration, and the walk pulls the master's
+// next sequence only when it serves that master, so no traffic past the
+// horizon is ever generated and none is kept once served. The model is
 // deliberately preemption-free: whole sequences are served atomically in
 // round-robin order among masters with pending work, each beat costs
 // (1 + wait-states) transfer cycles, per-sequence idle budgets elapse
@@ -149,16 +181,20 @@ const startupLatency = 2
 // post-script tail — classify as IDLE_HO, matching the analyzer's
 // classifier for released-request idle cycles. Arbitration-policy
 // effects the walk does not replay (fixed/rr mid-sequence preemption)
-// are stationary mix shifts the prefix calibration cancels.
-func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64) *walkResult {
+// are stationary mix shifts the prefix calibration cancels. The walk
+// returns ctx's error if it is cancelled first.
+func runWalk(ctx context.Context, ct *topo.Topology, cfgs []workload.Config, horizon, prefix uint64) (*walkResult, error) {
 	type mstate struct {
-		seqs  []ahb.Sequence
-		next  int
+		cur   *workload.Cursor
 		ready uint64
 	}
-	ms := make([]mstate, len(scripts))
-	for i, s := range scripts {
-		ms[i] = mstate{seqs: s}
+	ms := make([]mstate, len(cfgs))
+	for i, cfg := range cfgs {
+		cur, err := workload.NewCursor(cfg)
+		if err != nil {
+			return nil, err
+		}
+		ms[i] = mstate{cur: cur}
 	}
 	wt := newWaitTable(ct)
 	em := &emitter{prefix: prefix, horizon: horizon}
@@ -166,13 +202,18 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 
 	em.run(power.Idle, startupLatency)
 	last := -1
-	for em.t < horizon {
+	for step := 0; em.t < horizon; step++ {
+		if step%walkCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		// Round-robin pick among ready masters, starting after the last
 		// served one.
 		pick := -1
 		for i := 1; i <= len(ms); i++ {
 			c := ((last+i)%len(ms) + len(ms)) % len(ms)
-			if ms[c].next < len(ms[c].seqs) && ms[c].ready <= em.t {
+			if ms[c].cur.Remaining() > 0 && ms[c].ready <= em.t {
 				pick = c
 				break
 			}
@@ -183,7 +224,7 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 			var nextReady uint64
 			pending := false
 			for i := range ms {
-				if ms[i].next < len(ms[i].seqs) {
+				if ms[i].cur.Remaining() > 0 {
 					if !pending || ms[i].ready < nextReady {
 						nextReady = ms[i].ready
 					}
@@ -205,40 +246,30 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 			w.handovers++
 		}
 		st := &ms[pick]
-		seq := st.seqs[st.next]
-		for _, op := range seq.Ops {
+		seq, _ := st.cur.Next()
+		for i := range seq.Ops {
 			if em.t >= horizon {
 				break
 			}
-			switch op.Kind {
-			case ahb.OpIdle:
-				em.run(power.Idle, uint64(op.IdleCycles))
-			case ahb.OpWrite, ahb.OpRead:
-				state := power.Read
-				if op.Kind == ahb.OpWrite {
-					state = power.Write
-				}
-				beats := uint64(op.Beats)
-				if op.Kind == ahb.OpWrite && len(op.Data) > 0 {
-					beats = uint64(len(op.Data))
-				}
-				if beats == 0 {
-					beats = 1
-				}
-				waits := uint64(wt.at(op.Addr))
-				t0 := em.t
-				em.run(state, beats*(1+waits))
-				served := em.t - t0
-				fit := served / (1 + waits)
-				w.beats += fit
-				if fit > 0 {
-					w.nonseq++
-					w.seq += fit - 1
-				}
-				w.waits += served - fit
+			// Generated ops are WRITE/READ bursts: a write's length is its
+			// data, a read's its Beats.
+			op := &seq.Ops[i]
+			state, beats := power.Read, uint64(op.Beats)
+			if op.Kind == ahb.OpWrite {
+				state, beats = power.Write, uint64(len(op.Data))
 			}
+			waits := uint64(wt.at(op.Addr))
+			t0 := em.t
+			em.run(state, beats*(1+waits))
+			served := em.t - t0
+			fit := served / (1 + waits)
+			w.beats += fit
+			if fit > 0 {
+				w.nonseq++
+				w.seq += fit - 1
+			}
+			w.waits += served - fit
 		}
-		st.next++
 		st.ready = em.t + uint64(seq.IdleAfter)
 		last = pick
 	}
@@ -265,5 +296,5 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 	if horizon > transfer {
 		w.idle = horizon - transfer
 	}
-	return w
+	return w, nil
 }

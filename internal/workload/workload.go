@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ahbpower/internal/amba/ahb"
@@ -75,7 +76,11 @@ type Config struct {
 	BurstBeats int
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Beyond the ranges, it requires what
+// the address draw needs to end with aligned addresses: a word-aligned
+// base, a window inside the 32-bit space, and room in every locality
+// window for a burst that does not cross a 1 KB boundary (without one,
+// the draw would retry forever).
 func (c *Config) Validate() error {
 	if c.NumSequences < 1 {
 		return fmt.Errorf("workload: NumSequences=%d, want >=1", c.NumSequences)
@@ -83,7 +88,7 @@ func (c *Config) Validate() error {
 	if c.PairsMin < 1 || c.PairsMax < c.PairsMin {
 		return fmt.Errorf("workload: bad pairs range [%d,%d]", c.PairsMin, c.PairsMax)
 	}
-	if c.IdleMin < 0 || c.IdleMax < c.IdleMin {
+	if c.IdleMin < 0 || c.IdleMax < c.IdleMin || c.IdleMax-c.IdleMin == math.MaxInt {
 		return fmt.Errorf("workload: bad idle range [%d,%d]", c.IdleMin, c.IdleMax)
 	}
 	if c.AddrSize < 4 {
@@ -94,7 +99,37 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("workload: BurstBeats=%d, want 1/4/8/16", c.BurstBeats)
 	}
+	if c.AddrBase%4 != 0 {
+		return fmt.Errorf("workload: AddrBase=%#x is not word-aligned", c.AddrBase)
+	}
+	if uint64(c.AddrBase)+uint64(c.AddrSize) > 1<<32 {
+		return fmt.Errorf("workload: window [%#x, +%#x) extends past the 32-bit address space", c.AddrBase, c.AddrSize)
+	}
+	span := 4 * uint32(max(c.BurstBeats, 1))
+	base, size, windows := c.AddrBase, c.AddrSize, uint32(1)
+	if lw := c.LocalityWindow; lw > 0 && lw < c.AddrSize {
+		if lw%4 != 0 {
+			return fmt.Errorf("workload: LocalityWindow=%#x is not a multiple of 4", lw)
+		}
+		// Window bases repeat modulo 1 KB after at most 256 windows.
+		size, windows = lw, min(c.AddrSize/lw, 256)
+	}
+	for w := uint32(0); w < windows; w++ {
+		if b := base + w*size; !burstFits(b, size, span) {
+			return fmt.Errorf("workload: window [%#x, +%#x) has no word-aligned slot for a %d-byte burst that stays inside one 1 KB block", b, size, span)
+		}
+	}
 	return nil
+}
+
+// burstFits reports whether the window [base, base+size), base
+// word-aligned, holds a span-byte burst that does not cross a 1 KB
+// boundary: the first slot, or else the slot at the next boundary.
+func burstFits(base, size, span uint32) bool {
+	if size < span {
+		return false
+	}
+	return base%1024+span <= 1024 || 1024-base%1024+span <= size
 }
 
 // PaperTestbench returns the configuration of the paper's testbench master
@@ -118,58 +153,113 @@ func PaperTestbench(m int, numSequences int) Config {
 	}
 }
 
-// Generate produces the master script described by the configuration.
-func Generate(cfg Config) ([]ahb.Sequence, error) {
+// Cursor yields a configuration's sequences one at a time, drawing from
+// the seeded RNG in exactly the order Generate's scripts have always been
+// drawn in. Through Next a cursor holds O(1) traffic: each sequence it
+// returns lives in buffers it reuses for the next one, so a consumer that
+// reads each sequence once (the transaction walk) never materializes a
+// script.
+type Cursor struct {
+	cfg   Config
+	rng   *rand.Rand
+	gen   dataGen
+	beats int
+	left  int // sequences still to yield
+	ops   []ahb.Op
+	data  []uint32
+}
+
+// NewCursor validates cfg and returns a cursor at its first sequence.
+func NewCursor(cfg Config) (*Cursor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	beats := cfg.BurstBeats
-	if beats == 0 {
-		beats = 1
+	c := &Cursor{cfg: cfg, rng: rng, beats: max(cfg.BurstBeats, 1), left: cfg.NumSequences}
+	c.gen = dataGen{pattern: cfg.Pattern, rng: rng, state: rng.Uint32()}
+	return c, nil
+}
+
+// Remaining returns the number of sequences Next has still to yield.
+func (c *Cursor) Remaining() int { return c.left }
+
+// Next returns the next sequence, or false once all NumSequences have
+// been yielded. The sequence's ops and write data alias buffers the
+// cursor reuses: they are valid until the next call and must not be
+// modified.
+func (c *Cursor) Next() (ahb.Sequence, bool) { return c.next(false) }
+
+// NextOwned is Next for a sequence that outlives the call: the sequence
+// gets storage of its own, one op slice and one backing array its
+// writes' data slices share.
+func (c *Cursor) NextOwned() (ahb.Sequence, bool) { return c.next(true) }
+
+func (c *Cursor) next(own bool) (ahb.Sequence, bool) {
+	if c.left == 0 {
+		return ahb.Sequence{}, false
 	}
-	gen := newDataGen(cfg.Pattern, rng)
+	c.left--
+	cfg, rng, beats := &c.cfg, c.rng, c.beats
+	base, size := cfg.AddrBase, cfg.AddrSize
+	if cfg.LocalityWindow > 0 && cfg.LocalityWindow < cfg.AddrSize {
+		nWin := cfg.AddrSize / cfg.LocalityWindow
+		base += uint32(rng.Int63n(int64(nWin))) * cfg.LocalityWindow
+		size = cfg.LocalityWindow
+	}
+	pairs := cfg.PairsMin + rng.Intn(cfg.PairsMax-cfg.PairsMin+1)
+	if own || cap(c.ops) < 2*pairs {
+		c.ops = make([]ahb.Op, 2*pairs)
+		c.data = make([]uint32, pairs*beats)
+	}
+	ops, data := c.ops[:2*pairs], c.data[:pairs*beats]
+	if own {
+		c.ops, c.data = nil, nil // the caller keeps them
+	}
+	for p := 0; p < pairs; p++ {
+		addr := randAddr(rng, base, size, beats)
+		d := data[p*beats : (p+1)*beats : (p+1)*beats]
+		for b := range d {
+			d[b] = c.gen.next()
+		}
+		// Ops are written in place, field by field. A slot keeps its kind
+		// across sequences (WRITE at even indices, READ at odd), so the
+		// fields its kind leaves unset are still zero.
+		w, r := &ops[2*p], &ops[2*p+1]
+		w.Kind, w.Addr, w.Data, w.Size = ahb.OpWrite, addr, d, ahb.Size32
+		r.Kind, r.Addr, r.Beats, r.Size = ahb.OpRead, addr, beats, ahb.Size32
+	}
+	idle := cfg.IdleMin
+	if cfg.IdleMax > cfg.IdleMin {
+		idle += rng.Intn(cfg.IdleMax - cfg.IdleMin + 1)
+	}
+	return ahb.Sequence{Ops: ops, IdleAfter: idle}, true
+}
+
+// Generate produces the master script described by the configuration:
+// every sequence of a cursor, each in storage of its own.
+func Generate(cfg Config) ([]ahb.Sequence, error) {
+	c, err := NewCursor(cfg)
+	if err != nil {
+		return nil, err
+	}
 	seqs := make([]ahb.Sequence, 0, cfg.NumSequences)
-	for s := 0; s < cfg.NumSequences; s++ {
-		window := cfg
-		if cfg.LocalityWindow > 0 && cfg.LocalityWindow < cfg.AddrSize {
-			nWin := cfg.AddrSize / cfg.LocalityWindow
-			w := uint32(rng.Int63n(int64(nWin)))
-			window.AddrBase = cfg.AddrBase + w*cfg.LocalityWindow
-			window.AddrSize = cfg.LocalityWindow
-		}
-		pairs := cfg.PairsMin + rng.Intn(cfg.PairsMax-cfg.PairsMin+1)
-		ops := make([]ahb.Op, 0, 2*pairs)
-		for p := 0; p < pairs; p++ {
-			addr := window.randAddr(rng, beats)
-			data := make([]uint32, beats)
-			for b := range data {
-				data[b] = gen.next()
-			}
-			ops = append(ops,
-				ahb.Op{Kind: ahb.OpWrite, Addr: addr, Data: data, Size: ahb.Size32},
-				ahb.Op{Kind: ahb.OpRead, Addr: addr, Beats: beats, Size: ahb.Size32},
-			)
-		}
-		idle := cfg.IdleMin
-		if cfg.IdleMax > cfg.IdleMin {
-			idle += rng.Intn(cfg.IdleMax - cfg.IdleMin + 1)
-		}
-		seqs = append(seqs, ahb.Sequence{Ops: ops, IdleAfter: idle})
+	for s, ok := c.NextOwned(); ok; s, ok = c.NextOwned() {
+		seqs = append(seqs, s)
 	}
 	return seqs, nil
 }
 
-// randAddr draws a word-aligned address such that a burst of the given
-// length neither leaves the window nor crosses a 1 KB boundary.
-func (c *Config) randAddr(rng *rand.Rand, beats int) uint32 {
+// randAddr draws a word-aligned address in [base, base+size) such that a
+// burst of the given length neither leaves the window nor crosses a 1 KB
+// boundary. Validate guarantees such an address exists.
+func randAddr(rng *rand.Rand, base, size uint32, beats int) uint32 {
 	span := uint32(beats) * 4
 	for {
-		off := uint32(rng.Int63n(int64(c.AddrSize))) &^ 3
-		if off+span > c.AddrSize {
+		off := uint32(rng.Int63n(int64(size))) &^ 3
+		if off+span > size {
 			continue
 		}
-		addr := c.AddrBase + off
+		addr := base + off
 		if ahb.CrossesKB(addr, beats, ahb.Size32) {
 			continue
 		}
@@ -182,10 +272,6 @@ type dataGen struct {
 	pattern Pattern
 	rng     *rand.Rand
 	state   uint32
-}
-
-func newDataGen(p Pattern, rng *rand.Rand) *dataGen {
-	return &dataGen{pattern: p, rng: rng, state: rng.Uint32()}
 }
 
 func (g *dataGen) next() uint32 {
