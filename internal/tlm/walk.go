@@ -116,24 +116,19 @@ func (w *walkResult) monitorCounts() map[string]uint64 {
 
 // waitTable resolves wait states by address from the topology's flattened
 // region map (the same table the bus decoder is built from). The walk
-// asks once per op, so the lookup avoids scanning: a bus whose slaves
-// insert no wait states answers 0 outright, and otherwise the region hit
-// last is tried first (a locality-windowed master stays in one region
-// for a whole sequence). Regions never overlap (topo.Check), so the first
-// region that contains an address is the only one.
+// asks once per op, so a bus whose slaves insert no wait states answers
+// 0 without scanning the regions.
 type waitTable struct {
 	regions []ahb.Region
-	waits   []int // per region: its slave's wait states
+	waits   []int // per slave
 	none    bool  // no slave inserts wait states
-	last    int
 }
 
-func newWaitTable(ct *topo.Topology) *waitTable {
-	wt := &waitTable{regions: ct.Regions(), none: true}
-	wt.waits = make([]int, len(wt.regions))
-	for i, r := range wt.regions {
-		wt.waits[i] = ct.Slaves[r.Slave].Waits
-		if wt.waits[i] != 0 {
+func newWaitTable(ct *topo.Topology) waitTable {
+	wt := waitTable{regions: ct.Regions(), waits: make([]int, len(ct.Slaves)), none: true}
+	for i, s := range ct.Slaves {
+		wt.waits[i] = s.Waits
+		if s.Waits != 0 {
 			wt.none = false
 		}
 	}
@@ -142,17 +137,13 @@ func newWaitTable(ct *topo.Topology) *waitTable {
 
 // at returns the wait states of the slave decoding addr, 0 when no
 // region does.
-func (wt *waitTable) at(addr uint32) int {
+func (wt waitTable) at(addr uint32) int {
 	if wt.none {
 		return 0
 	}
-	if wt.regions[wt.last].Contains(addr) {
-		return wt.waits[wt.last]
-	}
-	for i, r := range wt.regions {
+	for _, r := range wt.regions {
 		if r.Contains(addr) {
-			wt.last = i
-			return wt.waits[i]
+			return wt.waits[r.Slave]
 		}
 	}
 	return 0
