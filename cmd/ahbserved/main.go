@@ -42,7 +42,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine workers per batch (default: effective CPU quota)")
 	concurrent := flag.Int("concurrent", 2, "batches executing at once")
 	queue := flag.Int("queue", 256, "admitted requests waiting for a batch slot before 503")
-	cacheEntries := flag.Int("cache", 4096, "result-cache entries (negative disables)")
+	cacheEntries := flag.Int("cache", 4096, "result-cache entries, and the most scenarios the request memo holds (negative disables both)")
 	maxScenarios := flag.Int("max-scenarios", 1024, "scenarios per request")
 	maxCycles := flag.Uint64("max-cycles", 50_000_000, "cycles per scenario")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request deadline")

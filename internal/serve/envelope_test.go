@@ -1,0 +1,168 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"ahbpower/internal/core"
+	"ahbpower/internal/engine"
+	"ahbpower/internal/metrics"
+)
+
+// checkEnvelope asserts that the splice writers produce exactly what
+// encoding/json does for resp: writeRunResponse the bytes of
+// json.NewEncoder(w).Encode(resp), appendRunResponse those of
+// json.Marshal(resp), an envelope encoding/json refuses included.
+func checkEnvelope(t *testing.T, resp RunResponse) {
+	t.Helper()
+	var want bytes.Buffer
+	encErr := json.NewEncoder(&want).Encode(resp)
+	rec := httptest.NewRecorder()
+	writeRunResponse(rec, http.StatusOK, &resp)
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("writeRunResponse differs from Encode (encode error %v):\ngot  %q\nwant %q", encErr, got, want.Bytes())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	marshaled, marshalErr := json.Marshal(resp)
+	got, err := appendRunResponse(nil, &resp)
+	if (err != nil) != (marshalErr != nil) {
+		t.Fatalf("appendRunResponse error %v, json.Marshal error %v", err, marshalErr)
+	}
+	if err == nil && !bytes.Equal(got, marshaled) {
+		t.Fatalf("appendRunResponse differs from json.Marshal:\ngot  %q\nwant %q", got, marshaled)
+	}
+}
+
+func mustResult(t testing.TB, w ResultWire) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRunResponseEnvelope pins the splice writer to encoding/json over
+// every envelope shape the server sends: hits, misses, per-scenario and
+// admission errors, degraded envelopes, nil slots and names that
+// encoding/json escapes.
+func TestRunResponseEnvelope(t *testing.T) {
+	// A real result: tables, block maps, counts and floats as a run
+	// produces them.
+	sc := engine.Scenario{Name: "real", System: core.PaperSystem(), Cycles: 1500}
+	key, _ := sc.CanonicalKey()
+	res := engine.NewRunner(1).Run(context.Background(), []engine.Scenario{sc})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	full := mustResult(t, resultWire(&res[0], key))
+	hit := mustResult(t, ResultWire{Name: "hit", Key: key, Cycles: 1000, TotalEnergy: 1.25e-9,
+		BlockShare: map[string]float64{"arbiter": 0.25, "decoder": 0.75}, Accuracy: engine.AccuracyCycle})
+	failed := mustResult(t, ResultWire{Name: "failed", Key: key, Error: `scenario "failed": context deadline exceeded`})
+	busy := mustResult(t, ResultWire{Name: "queued", Key: key, Error: errBusy.Error()})
+	escaped := mustResult(t, ResultWire{Name: "<&> \u2028\u2029 \"quoted\" \\", Violations: []string{"<hresp> & </hresp>"}})
+	ran := metrics.BatchMetricsWire{Scenarios: 2, Workers: 2, TotalCycles: 3000, WallSeconds: 0.0123,
+		BusySeconds: 0.02, Utilization: 0.81, CyclesPerSec: 243902.4,
+		LatencySeconds: metrics.SummaryWire{N: 2, Mean: 0.01, Min: 0.009, Max: 0.011}}
+
+	cases := []struct {
+		name string
+		resp RunResponse
+	}{
+		{"all hits", RunResponse{
+			Results: []json.RawMessage{hit, full, hit},
+			Batch:   BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: 3}, CacheHits: 3},
+		}},
+		{"all misses", RunResponse{
+			Results: []json.RawMessage{full, hit},
+			Batch: BatchWire{BatchMetricsWire: ran, CacheMisses: 2,
+				Backends: map[string]int{"event": 1, "compiled": 1}, Accuracies: map[string]int{"cycle": 2}},
+		}},
+		{"mix", RunResponse{
+			Results: []json.RawMessage{hit, full},
+			Batch: BatchWire{BatchMetricsWire: ran, CacheHits: 1, CacheMisses: 1,
+				Backends: map[string]int{"event": 1}, Accuracies: map[string]int{"cycle": 1}},
+		}},
+		{"per-scenario errors", RunResponse{
+			Results: []json.RawMessage{full, failed},
+			Batch:   BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: 2, Failed: 1}, CacheMisses: 2},
+		}},
+		{"admission error", RunResponse{
+			Results: []json.RawMessage{hit, busy, busy},
+			Batch:   BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: 3, Failed: 2}, CacheHits: 1, CacheMisses: 2},
+		}},
+		{"degraded", RunResponse{
+			Results: []json.RawMessage{full, hit},
+			Batch: BatchWire{BatchMetricsWire: ran, CacheHits: 1, CacheMisses: 1, Uncacheable: 1,
+				Degraded:         true,
+				DegradedActions:  []string{"estimated_transaction_accuracy:1", "served_from_cache_despite_no_cache"},
+				Backends:         map[string]int{"tlm": 1, "event": 1},
+				Accuracies:       map[string]int{"transaction": 1, "cycle": 1},
+				BackendFallbacks: []string{"real: private-style analyzer <needs> the event kernel & more", "x: " + engine.LanesRetired}},
+		}},
+		{"nil slots", RunResponse{
+			Results: []json.RawMessage{nil, hit, nil},
+			Batch:   BatchWire{CacheHits: 1},
+		}},
+		{"nil results", RunResponse{}},
+		{"empty results", RunResponse{Results: []json.RawMessage{}}},
+		{"escaped names", RunResponse{
+			Results: []json.RawMessage{escaped},
+			Batch:   BatchWire{BackendFallbacks: []string{"<&> : fell back"}, DegradedActions: []string{" "}},
+		}},
+		{"unencodable envelope", RunResponse{
+			Results: []json.RawMessage{hit},
+			Batch:   BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{CyclesPerSec: math.Inf(1)}},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkEnvelope(t, c.resp) })
+	}
+}
+
+// FuzzRunResponseEnvelope checks the splice writer against encoding/json
+// over arbitrary result and envelope contents: strings that need
+// escaping, non-finite floats, nil slots and nil slices.
+func FuzzRunResponseEnvelope(f *testing.F) {
+	f.Add("plain", "", "ab12", 1.5e-9, uint64(1000), uint8(3), uint8(0), false, "", "event", 0.01)
+	f.Add("<&> ", "boom", "", 0.0, uint64(0), uint8(4), uint8(0b1010), true, "served_from_cache_despite_no_cache", "tlm", 2.5)
+	f.Add("", "", "", math.NaN(), uint64(7), uint8(1), uint8(0), false, " ", "", math.Inf(-1))
+	f.Add("nil", "", "", 0.0, uint64(0), uint8(0), uint8(1), false, "", "", 0.0)
+	f.Fuzz(func(t *testing.T, name, errStr, key string, energy float64, cycles uint64,
+		n, nilMask uint8, degraded bool, action, backend string, wall float64) {
+		var resp RunResponse
+		if n%8 != 0 || nilMask&1 == 0 {
+			resp.Results = make([]json.RawMessage, n%8)
+		}
+		for i := range resp.Results {
+			if nilMask>>(i%8)&1 == 1 {
+				continue
+			}
+			w := ResultWire{Name: name, Key: key, Error: errStr, Cycles: cycles, TotalEnergy: energy,
+				Counts:     map[string]uint64{backend: cycles},
+				BlockShare: map[string]float64{name: energy}, Violations: []string{action}}
+			b, err := json.Marshal(w)
+			if err != nil {
+				continue // no path stores what json.Marshal refuses
+			}
+			resp.Results[i] = b
+		}
+		resp.Batch = BatchWire{
+			BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: int(n), WallSeconds: wall, CyclesPerSec: energy},
+			CacheHits:        int(nilMask), Degraded: degraded,
+		}
+		if degraded {
+			resp.Batch.DegradedActions = []string{action}
+			resp.Batch.Backends = map[string]int{backend: int(n)}
+			resp.Batch.BackendFallbacks = []string{name + ": " + errStr}
+		}
+		checkEnvelope(t, resp)
+	})
+}

@@ -32,6 +32,8 @@ func FuzzRunRequest(f *testing.F) {
 			{"cycles":3000},{"cycles":3000,"backend":"auto","accuracy":"cycle","skip_analyzer":true}]}`,
 		`{"scenarios":[{"name":"topo","cycles":1000,"topology":` + paperTwinJSON + `,"analyzer":{"style":"private"}}]}`,
 		`{"async":true,"timeout_ms":50,"no_cache":true,"scenarios":[{"cycles":1}]}`,
+		`{"scenarios":[{"name":"plain","cycles":1000}]}xyz`,
+		`{"scenarios":[{"name":"plain","cycles":1000}]} {"scenarios":[]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

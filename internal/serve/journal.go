@@ -24,7 +24,8 @@ import (
 //     holds, keyed by engine.Scenario.CanonicalKey. Because the stored
 //     form is the serialized bytes, a result served from disk after a
 //     restart is byte-identical to the response of the run that
-//     produced it.
+//     produced it. A file that is not such bytes is deleted on load,
+//     counted as state_corrupt, and its scenario runs again.
 //   - checkpoints/<key>.ckpt — the latest engine checkpoint snapshot of
 //     each in-progress scenario, replaced as the run advances and
 //     deleted when the scenario completes. A snapshot that does not
@@ -172,6 +173,14 @@ func (st *stateStore) loadResult(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return b, true
+}
+
+// dropResult removes the disk-cached result for key, a file that did not
+// check out (see Server.cacheGet).
+func (st *stateStore) dropResult(key string) {
+	if validKey(key) {
+		_ = os.Remove(st.resultPath(key)) // best effort: a file left behind fails its next load too
+	}
 }
 
 // storeResult persists the marshaled result bytes for key. First store

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,8 +38,9 @@ type Config struct {
 	// (backpressure instead of unbounded memory growth). Fully cached
 	// batches bypass the queue entirely. Default 256.
 	MaxQueue int
-	// CacheEntries bounds the content-addressed result cache; 0 means
-	// the default 4096, negative disables caching.
+	// CacheEntries bounds the content-addressed result cache, and the
+	// request memo to as many scenarios; 0 means the default 4096,
+	// negative disables both.
 	CacheEntries int
 	// MaxScenarios bounds the batch size of one request; default 1024.
 	MaxScenarios int
@@ -140,8 +144,11 @@ func (c Config) withDefaults() Config {
 // New, mount Handler on an http.Server, and call Drain on shutdown.
 type Server struct {
 	cfg   Config
-	cache *cache
-	jobs  *jobRegistry
+	cache *cache[[]byte]
+	// memo remembers, by body digest, the requests answered wholly from
+	// the cache (see decodeRun).
+	memo *cache[resolvedRequest]
+	jobs *jobRegistry
 	// state is the durable journal + disk cache + checkpoint store; nil
 	// without Config.StateDir.
 	state *stateStore
@@ -203,7 +210,7 @@ type counters struct {
 	checkpointsSaved    expvar.Int // scenario snapshots persisted to the state dir
 	scenariosResumed    expvar.Int // scenarios resumed from a persisted checkpoint
 	checkpointFallbacks expvar.Int // scenarios that could not checkpoint (reason surfaced)
-	stateCorrupt        expvar.Int // persisted checkpoints that did not decode, deleted
+	stateCorrupt        expvar.Int // persisted checkpoints and results that did not decode, deleted
 	journalErrors       expvar.Int // best-effort state-dir writes that failed
 	jobsRecovered       expvar.Int // interrupted jobs re-admitted by journal replay
 	diskCacheHits       expvar.Int // results served from the disk cache tier
@@ -231,7 +238,8 @@ func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		cache: newCache(cfg.CacheEntries),
+		cache: newCache[[]byte](cfg.CacheEntries),
+		memo:  newCache[resolvedRequest](cfg.CacheEntries),
 		jobs:  newJobRegistry(jobsKeep),
 		slots: make(chan struct{}, cfg.MaxConcurrent),
 	}
@@ -438,29 +446,77 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// decode reads a request body under the body bound, refusing unknown
-// fields.
+// decode reads and decodes a request body (see readBody and decodeBody).
 func (s *Server) decode(r *http.Request, req *RunRequest) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	return decodeBody(body, req)
+}
+
+// readBody reads a request body under the body bound.
+func readBody(r *http.Request) ([]byte, error) {
+	n := r.ContentLength // a size hint only; the bound is enforced below
+	if n < 0 || n > maxBodyBytes {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("reading request: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBody decodes a body holding exactly one JSON object, refusing
+// unknown fields and anything but whitespace after the object.
+func decodeBody(body []byte, req *RunRequest) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("decoding request: %d bytes of trailing data after the request object", len(rest))
+	}
 	return nil
 }
 
-// decodeRun parses and validates a run request into engine scenarios and
+// resolvedRequest is a run request resolved into engine scenarios and
 // their canonical cache keys ("" = uncacheable).
-func (s *Server) decodeRun(r *http.Request) (*RunRequest, []engine.Scenario, []string, error) {
+type resolvedRequest struct {
+	req       *RunRequest
+	scenarios []engine.Scenario
+	keys      []string
+}
+
+// decodeRun reads, decodes and resolves a run request. It also returns
+// the SHA-256 digest of the body and whether the request came from the
+// memo: a body the server has already answered wholly from the result
+// cache is looked up by digest and skips the decode, the scenario
+// resolution, ERC and the key computation. That is sound because
+// resolveRequest is deterministic in (request, config), and a server's
+// config never changes. The memo entry is shared, so a hit hands out
+// fresh scenario and key slices, which runBatch may re-key in place.
+func (s *Server) decodeRun(r *http.Request) (rq resolvedRequest, digest string, memoized bool, err error) {
+	body, err := readBody(r)
+	if err != nil {
+		return rq, "", false, err
+	}
+	sum := sha256.Sum256(body)
+	digest = string(sum[:])
+	if m, ok := s.memo.get(digest); ok {
+		return resolvedRequest{m.req, slices.Clone(m.scenarios), slices.Clone(m.keys)}, digest, true, nil
+	}
 	var req RunRequest
-	if err := s.decode(r, &req); err != nil {
-		return nil, nil, nil, err
+	if err := decodeBody(body, &req); err != nil {
+		return rq, "", false, err
 	}
 	scenarios, keys, err := s.resolveRequest(&req)
 	if err != nil {
-		return nil, nil, nil, err
+		return rq, "", false, err
 	}
-	return &req, scenarios, keys, nil
+	return resolvedRequest{&req, scenarios, keys}, digest, false, nil
 }
 
 // resolveRequest validates an already-decoded request and resolves every
@@ -559,7 +615,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, &s.ctr.rejectedDraining, "server is draining")
 		return
 	}
-	req, scenarios, keys, err := s.decodeRun(r)
+	rq, digest, memoized, err := s.decodeRun(r)
 	if err != nil {
 		s.ctr.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorWire(err))
@@ -571,8 +627,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 	s.ctr.requests.Add(1)
+	req := rq.req
 	if req.Async {
-		s.startJob(w, req, scenarios, keys)
+		s.startJob(w, req, rq.scenarios, rq.keys)
 		return
 	}
 
@@ -583,15 +640,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.runCtx, cancel)
 	defer stop()
 
-	resp, err := s.runBatch(ctx, scenarios, keys, req.NoCache, nil)
+	resp, err := s.runBatch(ctx, rq.scenarios, rq.keys, req.NoCache, nil)
 	if err != nil {
 		// The batch needed the runner but was never admitted: 503 with
 		// backpressure advice, body still carrying any cache hits plus
 		// the admission error per unexecuted scenario.
-		s.rejectAcquire(w, err, resp)
+		s.rejectAcquire(w, err, &resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// A body answered wholly from the cache is the one clients repeat.
+	// Only such bodies enter the memo, so one-shot misses never fill it;
+	// a no_cache request hits only when degraded, and a degraded batch
+	// may have re-keyed its scenarios.
+	if !memoized && !resp.Batch.Degraded && resp.Batch.CacheHits == len(rq.scenarios) {
+		s.memo.put(digest, rq, len(rq.scenarios))
+	}
+	writeRunResponse(w, http.StatusOK, &resp)
 }
 
 // errorWire folds a decode-time rejection into the structured 400 body:
@@ -689,7 +753,7 @@ func (s *Server) runJobAsync(j *job, req *RunRequest, scenarios []engine.Scenari
 		resp, err := s.runBatch(ctx, scenarios, keys, req.NoCache, func(engine.Result) {
 			j.completed.Add(1)
 		})
-		b, _ := json.Marshal(resp)
+		b, _ := appendRunResponse(nil, &resp)
 		status := JobDone
 		if err != nil || ctx.Err() != nil {
 			status = JobCancelled
@@ -710,15 +774,24 @@ func (s *Server) journalRetired(id, status string, response []byte) {
 }
 
 // cacheGet reads the content-addressed result cache through both tiers:
-// memory first, then the state dir, promoting disk hits into memory.
+// memory first, then the state dir, promoting disk hits into memory. A
+// disk-tier file that is not what json.Marshal writes (a torn write, a
+// foreign file) is deleted and counted as state_corrupt, and the lookup
+// misses: the scenario re-runs and its fresh bytes take the file's
+// place, instead of the response embedding bytes that break it.
 func (s *Server) cacheGet(key string) ([]byte, bool) {
 	if b, ok := s.cache.get(key); ok {
 		return b, true
 	}
 	if s.state != nil {
 		if b, ok := s.state.loadResult(key); ok {
+			if !embeddable(b) {
+				s.state.dropResult(key)
+				s.ctr.stateCorrupt.Add(1)
+				return nil, false
+			}
 			s.ctr.diskCacheHits.Add(1)
-			s.cache.put(key, b)
+			s.cache.put(key, b, 1)
 			return b, true
 		}
 	}
@@ -729,7 +802,7 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 // completion, and drops the scenario's now-superseded checkpoint. State
 // writes are best-effort: the response already holds the result.
 func (s *Server) cachePut(key string, b []byte) {
-	s.cache.put(key, b)
+	s.cache.put(key, b, 1)
 	if s.state == nil {
 		return
 	}
@@ -1016,7 +1089,7 @@ func (s *Server) reject(w http.ResponseWriter, ctr *expvar.Int, msg string) {
 // rejectAcquire answers a failed admission with 503 + Retry-After; the
 // body is the batch response runBatch assembled (cache hits intact, the
 // admission error on every scenario that never ran).
-func (s *Server) rejectAcquire(w http.ResponseWriter, err error, resp RunResponse) {
+func (s *Server) rejectAcquire(w http.ResponseWriter, err error, resp *RunResponse) {
 	switch {
 	case errors.Is(err, errBusy):
 		s.ctr.rejectedBusy.Add(1)
@@ -1026,7 +1099,7 @@ func (s *Server) rejectAcquire(w http.ResponseWriter, err error, resp RunRespons
 		// gone or deadline spent waiting).
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusServiceUnavailable, resp)
+	writeRunResponse(w, http.StatusServiceUnavailable, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -1034,4 +1107,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v) // the connection is the only failure mode here
+}
+
+// writeRunResponse is writeJSON for a RunResponse, with the same bytes:
+// the embedded results are copied, not re-parsed (see appendRunResponse).
+func writeRunResponse(w http.ResponseWriter, status int, resp *RunResponse) {
+	b, err := appendRunResponse(nil, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err == nil { // like Encode, send nothing for an unencodable envelope
+		_, _ = w.Write(append(b, '\n')) // the connection is the only failure mode here
+	}
 }

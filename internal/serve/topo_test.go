@@ -228,6 +228,8 @@ func TestValidateEndpoint(t *testing.T) {
 	for name, body := range map[string]string{
 		"request backend":  `{"backend":"warp","scenarios":[{"name":"b","cycles":1000}]}`,
 		"request accuracy": `{"accuracy":"exact","scenarios":[{"name":"a","cycles":1000}]}`,
+		"trailing data":    `{"scenarios":[{"name":"t","cycles":1000}]}xyz`,
+		"two objects":      `{"scenarios":[{"name":"t","cycles":1000}]} {"scenarios":[]}`,
 	} {
 		for _, path := range []string{"/v1/run", "/v1/validate"} {
 			if rr := postPath(lim, path, body); rr.Code != http.StatusBadRequest {

@@ -12,8 +12,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ahbpower/internal/core"
@@ -386,6 +388,56 @@ func resultWire(res *engine.Result, key string) ResultWire {
 type RunResponse struct {
 	Results []json.RawMessage `json:"results"`
 	Batch   BatchWire         `json:"batch"`
+}
+
+// appendRunResponse appends the JSON encoding of resp to b, byte for
+// byte what json.Marshal(resp) returns, without re-parsing the results:
+// each one is copied verbatim and only the batch envelope is marshaled.
+// That is exact because every result is json.Marshal output (or a disk
+// tier file checked by embeddable), which encoding/json would embed
+// unchanged: compact, HTML-escaped JSON. A nil slot encodes as null, as
+// does a nil Results; so does an empty one, which json.Marshal refuses
+// and no path stores. The error is the batch envelope's marshal error.
+func appendRunResponse(b []byte, resp *RunResponse) ([]byte, error) {
+	batch, err := json.Marshal(&resp.Batch)
+	if err != nil {
+		return b, err
+	}
+	n := len(batch) + 32 // the envelope's keys and brackets, and writeRunResponse's newline
+	for _, r := range resp.Results {
+		n += len(r) + len("null,")
+	}
+	b = slices.Grow(b, n)
+	if resp.Results == nil {
+		b = append(b, `{"results":null`...)
+	} else {
+		b = append(b, `{"results":[`...)
+		for i, r := range resp.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if len(r) == 0 {
+				r = json.RawMessage("null")
+			}
+			b = append(b, r...)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"batch":`...)
+	b = append(b, batch...)
+	return append(b, '}'), nil
+}
+
+// embeddable reports whether b is what encoding/json embeds unchanged as
+// a json.RawMessage: one valid JSON value, compact and HTML-escaped, as
+// every json.Marshal output is. Result bytes read back from the disk
+// tier must pass it before appendRunResponse may copy them.
+func embeddable(b []byte) bool {
+	var compact bytes.Buffer
+	if json.Compact(&compact, b) != nil || !bytes.Equal(compact.Bytes(), b) {
+		return false
+	}
+	return !bytes.ContainsAny(b, "<>&\u2028\u2029")
 }
 
 // BatchWire is the envelope's metrics block: engine batch metrics plus
