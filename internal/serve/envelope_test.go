@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -164,5 +165,137 @@ func FuzzRunResponseEnvelope(f *testing.F) {
 			resp.Batch.BackendFallbacks = []string{name + ": " + errStr}
 		}
 		checkEnvelope(t, resp)
+	})
+}
+
+// checkJobStatus asserts that a poll of a job holding response sends
+// exactly what the handler sent before the splice: writeJSON of the job's
+// JobStatus with the stored bytes decoded into Response, which is omitted
+// when they do not decode. It polls twice, so the re-encoding the first
+// poll keeps is checked too.
+func checkJobStatus(t *testing.T, st JobStatus, response []byte) {
+	t.Helper()
+	want := st
+	want.Response = nil
+	if response != nil {
+		var resp RunResponse
+		if json.Unmarshal(response, &resp) == nil {
+			want.Response = &resp
+		}
+	}
+	wantRec := httptest.NewRecorder()
+	writeJSON(wantRec, http.StatusOK, want)
+
+	s := &Server{jobs: newJobRegistry(1)}
+	j := s.jobs.restore(st.ID, st.Total)
+	j.completed.Store(int64(st.Completed))
+	j.finish(st.Status, response)
+	for poll := 1; poll <= 2; poll++ {
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/x", nil)
+		req.SetPathValue("id", st.ID)
+		rec := httptest.NewRecorder()
+		s.handleJob(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("poll %d: status %d, Content-Type %q", poll, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, wantRec.Body.Bytes()) {
+			t.Fatalf("poll %d differs from writeJSON \ngot  %q\nwant %q", poll, got, wantRec.Body.Bytes())
+		}
+	}
+}
+
+// TestJobStatusEnvelope pins the job poll's splice to the re-encoding it
+// replaced, for queued, running, done and cancelled jobs, whether the
+// response was marshaled by this process, restored from a journal, is an
+// error body or does not decode at all.
+func TestJobStatusEnvelope(t *testing.T) {
+	sc := engine.Scenario{Name: "real", System: core.PaperSystem(), Cycles: 1500}
+	key, _ := sc.CanonicalKey()
+	res := engine.NewRunner(1).Run(context.Background(), []engine.Scenario{sc})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	full := mustResult(t, resultWire(&res[0], key))
+	busy := mustResult(t, ResultWire{Name: "queued", Key: key, Error: errBusy.Error()})
+	marshal := func(resp RunResponse) []byte {
+		b, err := appendRunResponse(nil, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	done := marshal(RunResponse{
+		Results: []json.RawMessage{full, full},
+		Batch: BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: 2, Workers: 1, WallSeconds: 0.0123,
+			LatencySeconds: metrics.SummaryWire{N: 2, Mean: 0.01}}, CacheMisses: 2,
+			Backends: map[string]int{"event": 2}, Accuracies: map[string]int{"cycle": 2}},
+	})
+	drained := marshal(RunResponse{
+		Results: []json.RawMessage{full, busy, nil},
+		Batch:   BatchWire{BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: 3, Failed: 2}, CacheMisses: 3},
+	})
+	badUTF8 := marshal(RunResponse{
+		Results: []json.RawMessage{full},
+		Batch:   BatchWire{BackendFallbacks: []string{"bad \xff name: fell back"}, Backends: map[string]int{"\xfe": 1}},
+	})
+	rejected, _ := json.Marshal(errorWire(errors.New("scenario 0: 90000000 cycles over the limit")))
+	id := func(status string, total, completed int) JobStatus {
+		return JobStatus{ID: "job-000042", Status: status, Total: total, Completed: completed}
+	}
+	cases := []struct {
+		name     string
+		st       JobStatus
+		response []byte
+	}{
+		{"queued", id(JobQueued, 2, 0), nil},
+		{"running", id(JobRunning, 2, 1), nil},
+		{"done", id(JobDone, 2, 2), done},
+		{"cancelled by a drain", id(JobCancelled, 3, 1), drained},
+		{"cancelled on recovery", id(JobCancelled, 0, 0), rejected},
+		{"invalid UTF-8 in the envelope", id(JobDone, 1, 1), badUTF8},
+		{"torn response", id(JobDone, 1, 1), done[:len(done)/2]},
+		{"not JSON", id(JobDone, 1, 1), []byte("\x00\xff{")},
+		{"not compact", id(JobDone, 1, 1), []byte(`{ "results" : [ {"name" : "a<b"} , null ], "batch" : {"scenarios" : 1e0} }`)},
+		{"empty response", id(JobCancelled, 1, 0), []byte{}},
+		{"unencodable envelope", id(JobDone, 1, 1), nil},
+		{"escaped id", JobStatus{ID: "<job& >", Status: JobDone, Total: 1, Completed: 1}, done},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkJobStatus(t, c.st, c.response) })
+	}
+}
+
+// FuzzJobStatusEnvelope checks the job poll's splice against writeJSON
+// over arbitrary stored bytes, as a journal may hold them, and over
+// appendRunResponse output with arbitrary strings in its envelope, as a
+// job finished in this process holds it.
+func FuzzJobStatusEnvelope(f *testing.F) {
+	f.Add("job-000001", JobDone, 1, 1, []byte(`{"results":[{"name":"a"}],"batch":{"scenarios":1}}`), "a", "event", 1.5e-9, uint8(1))
+	f.Add("job-000002", JobCancelled, 2, 0, []byte(`{"error":"over the limit"}`), "<&>", "", 0.0, uint8(0))
+	f.Add("<&>", JobQueued, 0, 0, []byte(nil), "bad \xff", "tlm", math.Inf(1), uint8(3))
+	f.Add("job-000003", JobDone, 1, 1, []byte(`{ "results" : [ 1 , null ] }`), "", " ", -0.0, uint8(9))
+	f.Fuzz(func(t *testing.T, id, status string, total, completed int, stored []byte,
+		name, action string, energy float64, n uint8) {
+		st := JobStatus{ID: id, Status: status, Total: total, Completed: completed}
+		checkJobStatus(t, st, stored)
+
+		var resp RunResponse
+		if n%8 != 0 {
+			resp.Results = make([]json.RawMessage, n%8)
+		}
+		for i := range resp.Results {
+			if b, err := json.Marshal(ResultWire{Name: name, Error: action, TotalEnergy: energy}); err == nil && i%2 == 0 {
+				resp.Results[i] = b
+			}
+		}
+		resp.Batch = BatchWire{
+			BatchMetricsWire: metrics.BatchMetricsWire{Scenarios: int(n), CyclesPerSec: energy},
+			DegradedActions:  []string{action},
+			Backends:         map[string]int{action: int(n)},
+			BackendFallbacks: []string{name + ": " + action},
+		}
+		if b, err := appendRunResponse(nil, &resp); err == nil {
+			checkJobStatus(t, st, b)
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,11 @@ type job struct {
 	completed atomic.Int64
 
 	mu       sync.Mutex
-	response []byte // marshaled RunResponse, set exactly once
-	done     chan struct{}
+	response []byte // marshaled RunResponse, set exactly once; see pollResponse
+	// reencoded reports that the first poll after finish has replaced
+	// response with its re-encoding.
+	reencoded bool
+	done      chan struct{}
 }
 
 func (j *job) finish(status string, response []byte) {
@@ -42,6 +46,27 @@ func (j *job) finish(status string, response []byte) {
 	j.status.Store(status)
 	j.response = response
 	close(j.done)
+}
+
+// pollResponse returns what GET /v1/jobs/{id} embeds as the job's
+// response: the stored bytes decoded as a RunResponse and marshaled
+// again, or nil, omitted, while the job runs or when the bytes do not
+// decode. The first poll after finish re-encodes them and keeps the
+// result, so every later poll splices it as it is.
+func (j *job) pollResponse() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.response != nil && !j.reencoded {
+		var resp RunResponse
+		if json.Unmarshal(j.response, &resp) != nil {
+			j.response = nil
+		} else {
+			// A decoded RunResponse holds no value json.Marshal refuses.
+			j.response, _ = json.Marshal(&resp)
+		}
+		j.reencoded = true
+	}
+	return j.response
 }
 
 // JobStatus is the body of GET /v1/jobs/{id}.

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -86,5 +88,37 @@ func TestJobRegistryRestoreIdempotent(t *testing.T) {
 	}
 	if j := r.create(1); j.id != fmt.Sprintf("job-%06d", 6) {
 		t.Errorf("create after restore issued %s, want job-000006", j.id)
+	}
+}
+
+// TestJobPollResponseConcurrent polls one restored job from many
+// goroutines at once. The first poll re-encodes the stored bytes and
+// keeps the result; every poll must return the same bytes. Run under
+// -race it pins pollResponse's locking.
+func TestJobPollResponseConcurrent(t *testing.T) {
+	stored := []byte(`{ "results" : [ {"name" : "a<b"} ], "batch" : {"scenarios" : 1} }`)
+	var resp RunResponse
+	if err := json.Unmarshal(stored, &resp); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJobRegistry(8).restoreFinished("job-000001", JobDone, stored, 1)
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = j.pollResponse()
+		}()
+	}
+	wg.Wait()
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("poll %d: %s, want %s", i, b, want)
+		}
 	}
 }

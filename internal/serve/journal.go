@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -15,10 +19,13 @@ import (
 // three kinds of on-disk state under it:
 //
 //   - journal.jsonl — an append-only write-ahead journal of the async
-//     job lifecycle: one "accepted" entry (carrying the full RunRequest)
-//     when a job is admitted, one "scenario" entry per cacheable
-//     scenario completion, and one "retired" entry (terminal status plus
-//     the marshaled response) when the job finishes — done or cancelled.
+//     job lifecycle, one fsynced line per entry: one "accepted" entry
+//     (carrying the full RunRequest) when a job is admitted, one
+//     "scenario" entry per cacheable scenario completion, and one
+//     "retired" entry (terminal status plus the marshaled response) when
+//     the job finishes — done or cancelled. An entry with a payload (the
+//     request or the response) is framed: a small JSON head holding the
+//     payload's CRC32C, a tab, then the payload bytes as they are.
 //   - results/<key>.json — the disk tier of the content-addressed result
 //     cache: the exact marshaled ResultWire bytes the memory cache
 //     holds, keyed by engine.Scenario.CanonicalKey. Because the stored
@@ -39,7 +46,10 @@ import (
 // resume from their latest checkpoint, and only the genuinely
 // unfinished remainder is re-simulated. Replay is idempotent: entries
 // are folded by job id, so replaying the same journal any number of
-// times yields the same job set.
+// times yields the same job set. It decodes only the heads while it
+// folds; the requests of the jobs still pending and the responses of the
+// finished jobs the registry keeps are read back from the file at the
+// end, and no other payload is decoded or kept.
 
 // Journal entry types.
 const (
@@ -48,19 +58,38 @@ const (
 	journalRetired  = "retired"
 )
 
-// journalEntry is one JSONL line of the write-ahead journal.
+// journalEntry is one line of the write-ahead journal. An entry that
+// carries a payload — an accepted request or a retired response — is
+// framed: its head (the entry without Req and Response, marshaled as
+// JSON), a tab, then the payload bytes. json.Marshal never writes a raw
+// tab, so the first tab of a line splits it. A line without a tab is the
+// whole entry as one JSON object: scenario entries, which carry no
+// payload, and every entry of a journal written before the framing.
+// Both kinds decode through the same json.Unmarshal into this struct.
 type journalEntry struct {
 	T   string `json:"t"`
 	Job string `json:"job,omitempty"`
-	// Req is the originally admitted request (accepted entries), the
-	// replay source for re-admission.
-	Req *RunRequest `json:"req,omitempty"`
+	// N is the accepted request's scenario count (framed accepted
+	// entries), so replay knows a finished job's total without decoding
+	// its request.
+	N int `json:"n,omitempty"`
 	// Key is the completed scenario's canonical key (scenario entries).
 	Key string `json:"key,omitempty"`
-	// Status and Response are the terminal state (retired entries).
-	Status   string          `json:"status,omitempty"`
+	// Status is the terminal state (retired entries).
+	Status string `json:"status,omitempty"`
+	// CRC is the CRC32C (Castagnoli) of the payload of a framed entry.
+	CRC uint32 `json:"crc,omitempty"`
+	// Req is the originally admitted request (accepted entries), the
+	// replay source for re-admission. Framed entries carry it as their
+	// payload.
+	Req *RunRequest `json:"req,omitempty"`
+	// Response is the retired job's marshaled RunResponse. Framed entries
+	// carry it as their payload, written as it is.
 	Response json.RawMessage `json:"response,omitempty"`
 }
+
+// crc32c is the table of the journal's payload checksums.
+var crc32c = crc32.MakeTable(crc32.Castagnoli)
 
 // stateStore is the durable state of one daemon: the journal plus the
 // disk tiers of the result cache and the checkpoint store.
@@ -88,21 +117,80 @@ func openState(dir string) (*stateStore, error) {
 			_ = os.Remove(name) // best effort: a file left here is only litter
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening journal: %w", err)
+	}
+	if err := dropTornLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("serve: repairing journal: %w", err)
 	}
 	return &stateStore{dir: dir, f: f}, nil
 }
 
+// dropTornLine truncates the journal to the end of its last complete
+// line if a crash mid-append left an unterminated one behind. Otherwise
+// the next entry would be glued onto the fragment, and replay would drop
+// the two together — an accepted job among them, although its client
+// holds the id. The fragment itself answered no client: its append never
+// returned.
+func dropTornLine(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end := fi.Size()
+	buf := make([]byte, 64*1024)
+	for end > 0 {
+		n := min(end, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end -= n - int64(i) - 1
+			break
+		}
+		end -= n
+	}
+	if end == fi.Size() {
+		return nil
+	}
+	if err := f.Truncate(end); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
 // append durably writes one journal entry: the line is flushed with
 // fsync before append returns, so an entry observed by a later replay
-// is always complete (a torn final line from a crash mid-write is
-// skipped by the replay scanner).
+// is always complete (the next openState drops the torn final line a
+// crash mid-write leaves). An entry with a request or a response
+// is written framed; the response goes in as it is, so it must be one
+// line of JSON, as every marshaled response is.
 func (st *stateStore) append(e journalEntry) error {
+	var payload []byte
+	switch {
+	case e.Req != nil:
+		b, err := json.Marshal(e.Req)
+		if err != nil {
+			return err
+		}
+		payload, e.N, e.Req = b, len(e.Req.Scenarios), nil
+	case len(e.Response) > 0:
+		payload, e.Response = e.Response, nil
+	}
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return errors.New("serve: journal payload holds a newline")
+	}
+	if payload != nil {
+		e.CRC = crc32.Checksum(payload, crc32c)
+	}
 	b, err := json.Marshal(e)
 	if err != nil {
 		return err
+	}
+	if payload != nil {
+		b = append(append(b, '\t'), payload...)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -250,16 +338,42 @@ type finishedJob struct {
 type replayState struct {
 	// next is the highest job number seen, so restored registries never
 	// reissue an id.
-	next     uint64
-	pending  []pendingJob
+	next    uint64
+	pending []pendingJob
+	// finished holds the newest jobsKeep retired jobs, oldest first: the
+	// ones a restored registry keeps.
 	finished []finishedJob
+	// corrupt counts what replay skipped because it did not check out: a
+	// line whose head does not decode or whose payload fails its CRC, and
+	// a pending job whose request does not decode. The torn final line a
+	// crash leaves is not counted.
+	corrupt int
+}
+
+// span locates a framed entry's payload in the journal file.
+type span struct {
+	off int64
+	n   int
+}
+
+// read reads the payload back from the journal.
+func (sp span) read(f io.ReaderAt) ([]byte, error) {
+	b := make([]byte, sp.n)
+	if _, err := f.ReadAt(b, sp.off); err != nil {
+		return nil, fmt.Errorf("serve: reading journal: %w", err)
+	}
+	return b, nil
 }
 
 // replay folds the journal into its current job set. Entries are folded
 // by job id — a retirement cancels its acceptance — so replaying a
 // journal any number of times (or a journal that accumulated several
-// daemon lifetimes) yields one entry per job. Unparseable lines (a torn
-// final write from a crash) are skipped.
+// daemon lifetimes) yields one entry per job. A line that does not check
+// out — a torn final write from a crash, a head that does not decode, a
+// payload that fails its CRC — is skipped. Folding decodes heads only
+// and notes where each payload lies; then replay decodes the requests of
+// the jobs still pending and reads back the responses of the newest
+// jobsKeep finished jobs. No other payload is decoded or kept.
 func (st *stateStore) replay() (replayState, error) {
 	var rs replayState
 	f, err := os.Open(filepath.Join(st.dir, "journal.jsonl"))
@@ -271,36 +385,61 @@ func (st *stateStore) replay() (replayState, error) {
 	}
 	defer f.Close()
 
+	// jobState is one job's folded state. An unframed entry brings its
+	// request or response decoded, a framed one where its payload lies.
 	type jobState struct {
+		accepted bool
 		req      *RunRequest
+		reqAt    span
+		total    int
 		status   string
 		response []byte
+		respAt   span
 	}
 	states := map[string]*jobState{}
 	var order []string
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 64<<20)
+	sc.Split(scanEntries)
+	var off int64
 	for sc.Scan() {
-		line := sc.Bytes()
+		start := off
+		off += int64(len(sc.Bytes()))
+		line, terminated := bytes.CutSuffix(sc.Bytes(), []byte{'\n'})
 		if len(line) == 0 {
 			continue
 		}
+		head, payload, framed := bytes.Cut(line, []byte{'\t'})
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn or corrupt line: skip, the fsync contract covers complete entries
-		}
-		if n, ok := jobNumber(e.Job); ok && n > rs.next {
+		valid := json.Unmarshal(head, &e) == nil
+		// An id a head names is never issued again, even when its payload
+		// fails the CRC: the client may hold it.
+		if n, ok := jobNumber(e.Job); valid && ok && n > rs.next {
 			rs.next = n
 		}
+		if !valid || framed && crc32.Checksum(payload, crc32c) != e.CRC {
+			// A torn final line is crash residue, the one skip the fsync
+			// contract expects; any other is corruption. (openState drops
+			// such a line before a server replays.)
+			if terminated {
+				rs.corrupt++
+			}
+			continue
+		}
+		at := span{off: start + int64(len(head)) + 1, n: len(payload)}
 		switch e.T {
 		case journalAccepted:
-			if e.Job == "" || e.Req == nil {
+			if e.Job == "" || !framed && e.Req == nil {
 				continue
 			}
 			if _, seen := states[e.Job]; !seen {
 				order = append(order, e.Job)
 			}
-			states[e.Job] = &jobState{req: e.Req}
+			js := &jobState{accepted: true, reqAt: at, total: e.N}
+			if !framed {
+				js.req, js.total = e.Req, len(e.Req.Scenarios)
+			}
+			states[e.Job] = js
 		case journalRetired:
 			if e.Job == "" {
 				continue
@@ -312,26 +451,62 @@ func (st *stateStore) replay() (replayState, error) {
 				order = append(order, e.Job)
 			}
 			js.status = e.Status
-			js.response = e.Response
+			js.response, js.respAt = e.Response, span{}
+			if framed {
+				js.response, js.respAt = nil, at
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return rs, fmt.Errorf("serve: scanning journal: %w", err)
 	}
+	var finished []string
 	for _, id := range order {
 		js := states[id]
 		switch {
 		case js.status != "":
-			fj := finishedJob{id: id, status: js.status, response: js.response}
-			if js.req != nil {
-				fj.total = len(js.req.Scenarios)
+			finished = append(finished, id)
+		case js.accepted:
+			if js.req == nil {
+				payload, err := js.reqAt.read(f)
+				if err != nil {
+					return rs, err
+				}
+				if json.Unmarshal(payload, &js.req) != nil || js.req == nil {
+					rs.corrupt++
+					continue
+				}
 			}
-			rs.finished = append(rs.finished, fj)
-		case js.req != nil:
 			rs.pending = append(rs.pending, pendingJob{id: id, req: js.req})
 		}
 	}
+	// A restored registry keeps the newest jobsKeep finished jobs, so
+	// only their responses are read.
+	for _, id := range finished[max(0, len(finished)-jobsKeep):] {
+		js := states[id]
+		fj := finishedJob{id: id, status: js.status, response: js.response, total: js.total}
+		if js.respAt.n > 0 {
+			if fj.response, err = js.respAt.read(f); err != nil {
+				return rs, err
+			}
+		}
+		rs.finished = append(rs.finished, fj)
+	}
 	return rs, nil
+}
+
+// scanEntries splits the journal into lines like bufio.ScanLines, but
+// keeps each line's newline and any carriage return before it: replay
+// needs every line's exact length to locate payloads, and the newline to
+// tell a torn final line from a complete one.
+func scanEntries(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // jobNumber parses the numeric suffix of a "job-%06d" id.

@@ -210,7 +210,7 @@ type counters struct {
 	checkpointsSaved    expvar.Int // scenario snapshots persisted to the state dir
 	scenariosResumed    expvar.Int // scenarios resumed from a persisted checkpoint
 	checkpointFallbacks expvar.Int // scenarios that could not checkpoint (reason surfaced)
-	stateCorrupt        expvar.Int // persisted checkpoints and results that did not decode, deleted
+	stateCorrupt        expvar.Int // persisted state that did not check out: checkpoints and results (deleted), journal lines (skipped)
 	journalErrors       expvar.Int // best-effort state-dir writes that failed
 	jobsRecovered       expvar.Int // interrupted jobs re-admitted by journal replay
 	diskCacheHits       expvar.Int // results served from the disk cache tier
@@ -296,6 +296,7 @@ func Open(cfg Config) (*Server, error) {
 			st.close()
 			return nil, err
 		}
+		s.ctr.stateCorrupt.Add(int64(rs.corrupt))
 		s.jobs.setNext(rs.next)
 		for _, fj := range rs.finished {
 			s.jobs.restoreFinished(fj.id, fj.status, fj.response, fj.total)
@@ -857,7 +858,8 @@ func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 	}
 }
 
-// handleJob serves GET /v1/jobs/{id}.
+// handleJob serves GET /v1/jobs/{id}: the bytes writeJSON would send for
+// the job's JobStatus, with the response spliced in, not re-encoded.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
@@ -870,16 +872,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		Total:     j.total,
 		Completed: int(j.completed.Load()),
 	}
-	j.mu.Lock()
-	raw := j.response
-	j.mu.Unlock()
-	if raw != nil {
-		var resp RunResponse
-		if err := json.Unmarshal(raw, &resp); err == nil {
-			st.Response = &resp
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
+	b := appendJobStatus(nil, &st, j.pollResponse())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, '\n')) // the connection is the only failure mode here
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -428,6 +428,24 @@ func appendRunResponse(b []byte, resp *RunResponse) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
+// appendJobStatus appends the JSON encoding of st with response as its
+// Response: byte for byte what json.Marshal returns for st when response
+// is json.Marshal's encoding of st.Response, as job.pollResponse keeps
+// it. A nil response is omitted, as a nil Response is; st.Response
+// itself is ignored.
+func appendJobStatus(b []byte, st *JobStatus, response []byte) []byte {
+	head := *st
+	head.Response = nil
+	enc, _ := json.Marshal(&head) // strings and ints: nothing to refuse
+	if response == nil {
+		return append(b, enc...)
+	}
+	b = append(b, enc[:len(enc)-1]...)
+	b = append(b, `,"response":`...)
+	b = append(b, response...)
+	return append(b, '}')
+}
+
 // embeddable reports whether b is what encoding/json embeds unchanged as
 // a json.RawMessage: one valid JSON value, compact and HTML-escaped, as
 // every json.Marshal output is. Result bytes read back from the disk
