@@ -79,7 +79,8 @@ type (
 	BusConfig = ahb.Config
 	// Bus is the AHB interconnect.
 	Bus = ahb.Bus
-	// Master is a script-driven AHB master.
+	// Master is an AHB master driven by the sequences it is given with
+	// Enqueue or pulls from a streamed traffic source.
 	Master = ahb.Master
 	// Op is one master operation (write burst, read burst or idle).
 	Op = ahb.Op

@@ -228,6 +228,42 @@ func TestBusyInsertion(t *testing.T) {
 	ts.checkClean(t)
 }
 
+// TestBusyInsertionLeavesTrafficUnchanged enqueues one sequence twice:
+// each pass inserts its own two BUSY cycles, the caller's BusyBefore map
+// keeps its counts, and the snapshot's BusyLeft counts them off per pass.
+func TestBusyInsertionLeavesTrafficUnchanged(t *testing.T) {
+	ts := newTestSystem(t, 1, 1, 0, PolicySticky)
+	busy := map[int]int{2: 2}
+	seq := Sequence{Ops: []Op{{Kind: OpWrite, Addr: 0x10, Data: []uint32{7, 8, 9, 10}, BusyBefore: busy}}, IdleAfter: 3}
+	m := ts.masters[0]
+	m.Enqueue(seq, seq)
+	seen := map[int]int{} // BusyLeft[2] value -> cycles captured with it
+	for c := 0; c < 80; c++ {
+		ts.run(t, 1)
+		if left, ok := m.CaptureState().BusyLeft[2]; ok {
+			seen[left]++
+		}
+	}
+	if !m.Done() {
+		t.Fatal("master did not finish both passes")
+	}
+	if got := m.Stats().BusyCycle; got != 4 {
+		t.Errorf("BusyCycle=%d, want 4", got)
+	}
+	if got := ts.mon.Counts()["busy"]; got != 4 {
+		t.Errorf("monitor busy=%d, want 4", got)
+	}
+	if len(busy) != 1 || busy[2] != 2 {
+		t.Errorf("caller's BusyBefore = %v, want map[2:2]", busy)
+	}
+	for left := 0; left <= 2; left++ {
+		if seen[left] == 0 {
+			t.Errorf("no capture saw BusyLeft[2]=%d (saw %v)", left, seen)
+		}
+	}
+	ts.checkClean(t)
+}
+
 func TestTwoMastersArbitration(t *testing.T) {
 	ts := newTestSystem(t, 2, 2, 0, PolicySticky)
 	ts.masters[0].Enqueue(Sequence{Ops: []Op{

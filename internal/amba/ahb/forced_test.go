@@ -2,6 +2,7 @@ package ahb_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ahbpower/internal/amba/ahb"
@@ -337,5 +338,102 @@ func TestRandomRetryInjection(t *testing.T) {
 				t.Errorf("retries=%d: mem[%#x]=%#x, want %#x", retries, addr, got, val)
 			}
 		}
+	}
+}
+
+// reusingSource yields seqs through one op buffer and one data buffer,
+// overwriting the previous sequence with garbage before writing the next:
+// a master that keeps reading a sequence after pulling its successor
+// drives the garbage.
+type reusingSource struct {
+	seqs []ahb.Sequence
+	next int
+	ops  []ahb.Op
+	data []uint32
+}
+
+func (s *reusingSource) Next() (ahb.Sequence, bool) {
+	for i := range s.ops {
+		s.ops[i] = ahb.Op{Kind: ahb.OpWrite, Addr: 0xBAD0, Lock: true, BusyBefore: map[int]int{1: 9}}
+	}
+	for i := range s.data {
+		s.data[i] = 0xDEADBEEF
+	}
+	if s.next >= len(s.seqs) {
+		return ahb.Sequence{}, false
+	}
+	seq := s.seqs[s.next]
+	s.next++
+	s.ops, s.data = s.ops[:0], s.data[:0]
+	for _, op := range seq.Ops {
+		n := len(s.data)
+		s.data = append(s.data, op.Data...)
+		op.Data = s.data[n:len(s.data):len(s.data)]
+		s.ops = append(s.ops, op)
+	}
+	return ahb.Sequence{Ops: s.ops, IdleAfter: seq.IdleAfter}, true
+}
+
+// TestStreamedSourceMatchesScript runs short locked and BUSY-padded
+// sequences back to back under a RETRY storm, so beats are rewound across
+// sequence boundaries, once from a script and once from a source that
+// reuses and poisons its buffers: every bus cycle (HMASTLOCK included),
+// beat and counter must agree.
+func TestStreamedSourceMatchesScript(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var seqs []ahb.Sequence
+	for i := 0; i < 60; i++ {
+		var ops []ahb.Op
+		for j := rng.Intn(3); j >= 0; j-- {
+			addr := uint32(rng.Intn(0x40)) * 16
+			op := ahb.Op{Kind: ahb.OpRead, Addr: addr, Beats: 4, Lock: rng.Intn(3) == 0}
+			if rng.Intn(2) == 0 {
+				op = ahb.Op{Kind: ahb.OpWrite, Addr: addr, Data: []uint32{rng.Uint32(), rng.Uint32()}, Lock: op.Lock}
+			}
+			if rng.Intn(3) == 0 {
+				op.BusyBefore = map[int]int{1: 1 + rng.Intn(2)}
+			}
+			ops = append(ops, op)
+		}
+		seqs = append(seqs, ahb.Sequence{Ops: ops, IdleAfter: rng.Intn(2)})
+	}
+	plan := &fault.Plan{Seed: 5, Rules: []fault.Rule{{Kind: fault.KindRetry, Slave: -1, Master: -1, Prob: 0.4, Retries: 2}}}
+	run := func(feed func(*ahb.Master)) ([][]ahb.Result, []ahb.MasterStats, []ahb.CycleInfo) {
+		fs := newForcedSystem(t, ahb.Config{NumMasters: 2, NumSlaves: 1}, plan)
+		for _, m := range fs.masters {
+			feed(m)
+		}
+		var cycles []ahb.CycleInfo
+		fs.bus.OnCycle(func(ci ahb.CycleInfo) { cycles = append(cycles, ci) })
+		fs.run(t, 10_000)
+		fs.checkClean(t)
+		var res [][]ahb.Result
+		var sts []ahb.MasterStats
+		for i, m := range fs.masters {
+			if !m.Done() {
+				t.Fatalf("master %d did not finish", i)
+			}
+			res, sts = append(res, m.Results()), append(sts, m.Stats())
+		}
+		return res, sts, cycles
+	}
+	wantRes, wantStats, wantCycles := run(func(m *ahb.Master) { m.Enqueue(seqs...) })
+	gotRes, gotStats, gotCycles := run(func(m *ahb.Master) { m.SetSource(&reusingSource{seqs: seqs}) })
+	for i := range min(len(gotCycles), len(wantCycles)) {
+		if gotCycles[i] != wantCycles[i] {
+			t.Fatalf("streamed run's bus cycle %d is %+v, script run's %+v", i, gotCycles[i], wantCycles[i])
+		}
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotStats, wantStats) || len(gotCycles) != len(wantCycles) {
+		t.Errorf("streamed run differs from the script run:\nstats %+v\n want %+v", gotStats, wantStats)
+	}
+	locked := 0
+	for _, ci := range wantCycles {
+		if ci.Lock {
+			locked++
+		}
+	}
+	if wantStats[0].Retries == 0 || wantStats[0].BusyCycle == 0 || locked == 0 {
+		t.Errorf("traffic exercised too little: stats %+v, %d locked cycles", wantStats, locked)
 	}
 }

@@ -1,6 +1,9 @@
 package ahb
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // OpKind is the kind of a master operation.
 type OpKind uint8
@@ -24,7 +27,8 @@ type Op struct {
 	Size  uint8
 	Burst uint8 // HBURST encoding; inferred from the beat count when 0 and beats>1
 	Lock  bool
-	// BusyBefore inserts a BUSY cycle before each beat index listed.
+	// BusyBefore maps a beat index to the number of BUSY cycles inserted
+	// before that beat. The master counts them down in a copy of its own.
 	BusyBefore map[int]int
 	// IdleCycles applies to OpIdle.
 	IdleCycles int
@@ -73,6 +77,31 @@ type Sequence struct {
 	IdleAfter int
 }
 
+// Source feeds a master its traffic, one sequence at a time. Next returns
+// the next sequence, or false when there is none for now. A sequence must
+// stay valid until the following call; the master only reads it, so a
+// source may hand out sequences that alias buffers it reuses.
+// *workload.Cursor is a Source.
+type Source interface {
+	Next() (Sequence, bool)
+}
+
+// script is the Source Enqueue appends to: sequences handed over by the
+// caller, yielded in order.
+type script struct {
+	seqs []Sequence
+	next int
+}
+
+// Next implements Source.
+func (s *script) Next() (Sequence, bool) {
+	if s.next >= len(s.seqs) {
+		return Sequence{}, false
+	}
+	s.next++
+	return s.seqs[s.next-1], true
+}
+
 // Result records the completion of one beat, for test verification.
 type Result struct {
 	Write bool
@@ -93,17 +122,25 @@ type MasterStats struct {
 	BusyCycle uint64
 }
 
-// Master is a script-driven AHB bus master. With an empty script it acts
-// as the paper's "simple default master": never requesting, driving IDLE
-// whenever granted.
+// Master is a traffic-driven AHB bus master: it pulls its sequences from
+// a Source as it reaches them. With no traffic it acts as the paper's
+// "simple default master": never requesting, driving IDLE whenever
+// granted.
 type Master struct {
 	bus   *Bus
 	idx   int
 	ports *masterPorts
 
-	script []Sequence
-	// regs is the script cursor, flags and counters: the scalar part of
-	// the master's snapshot (see MasterState).
+	src Source
+	// cur is the sequence at regs.SeqIdx once pulled is past SeqIdx;
+	// pulled counts the sequences taken from src.
+	cur    Sequence
+	pulled int
+	// busyLeft counts down the current op's BUSY cycles: a copy of its
+	// BusyBefore, made when the op becomes current.
+	busyLeft map[int]int
+	// regs is the traffic position, flags and counters: the scalar part
+	// of the master's snapshot (see MasterState).
 	regs masterRegs
 
 	// addrPhase / dataPhase describe in-flight beats.
@@ -136,10 +173,7 @@ func (m *Master) newFlight() *flight {
 
 // recycle returns a dead flight to the spare pool. The caller must hold
 // the only reference.
-func (m *Master) recycle(f *flight) {
-	f.op = nil // release the script op while pooled
-	m.spare = append(m.spare, f)
-}
+func (m *Master) recycle(f *flight) { m.spare = append(m.spare, f) }
 
 // BeatDrive is the mutable view of a beat the instant before its address
 // phase goes on the bus. An OnDrive hook may rewrite Addr and (for writes)
@@ -153,12 +187,16 @@ type BeatDrive struct {
 	Data  uint32
 }
 
-// flight is one beat in the bus pipeline.
+// flight is one beat in the bus pipeline. It holds everything its
+// re-issue drives, so it outlives the sequence it came from: seqIdx and
+// opIdx place its op in the traffic, for snapshots.
 type flight struct {
-	op      *Op
+	seqIdx  int
+	opIdx   int
 	beatIdx int
 	addr    uint32
 	write   bool
+	lock    bool
 	size    uint8
 	burst   uint8
 	trans   uint8
@@ -178,9 +216,21 @@ func NewMaster(b *Bus, idx int) (*Master, error) {
 // Index returns the master's port index.
 func (m *Master) Index() int { return m.idx }
 
-// Enqueue appends sequences to the master's script.
+// SetSource makes src the master's traffic in place of whatever it had.
+// Call it before the master's first cycle (or before RestoreState); a nil
+// src leaves the master idle.
+func (m *Master) SetSource(src Source) { m.src, m.pulled = src, 0 }
+
+// Enqueue appends sequences to the master's script, the Source it keeps
+// for traffic handed over whole. On a master streaming from another
+// Source, the script replaces that source.
 func (m *Master) Enqueue(seqs ...Sequence) {
-	m.script = append(m.script, seqs...)
+	s, ok := m.src.(*script)
+	if !ok {
+		s = &script{}
+		m.SetSource(s)
+	}
+	s.seqs = append(s.seqs, seqs...)
 }
 
 // KeepResults makes the master record every completed beat (for tests).
@@ -197,10 +247,10 @@ func (m *Master) Results() []Result { return m.results }
 // Stats returns the master's protocol counters.
 func (m *Master) Stats() MasterStats { return m.regs.Stats }
 
-// Done reports whether the script is fully executed and no beat is in
+// Done reports whether the source has no sequence left and no beat is in
 // flight.
 func (m *Master) Done() bool {
-	return m.regs.SeqIdx >= len(m.script) && m.addrPhase == nil && m.dataPhase == nil && len(m.rewind) == 0
+	return m.currentSeq() == nil && m.addrPhase == nil && m.dataPhase == nil && len(m.rewind) == 0
 }
 
 // tick advances the master by one clock edge.
@@ -349,9 +399,9 @@ func (m *Master) driveNext(granted bool) {
 	}
 
 	// BUSY insertion before this beat.
-	if op.BusyBefore != nil && m.regs.Beat > 0 {
-		if left := op.BusyBefore[m.regs.Beat]; left > 0 {
-			op.BusyBefore[m.regs.Beat] = left - 1
+	if m.busyLeft != nil && m.regs.Beat > 0 {
+		if left := m.busyLeft[m.regs.Beat]; left > 0 {
+			m.busyLeft[m.regs.Beat] = left - 1
 			m.regs.Stats.BusyCycle++
 			m.ports.Trans.Write(TransBusy)
 			return
@@ -366,15 +416,26 @@ func (m *Master) driveNext(granted bool) {
 	}
 }
 
-// nextOp moves the script cursor past the current op, entering the
-// sequence's idle gap after its last op.
+// nextOp moves past the current op, entering the sequence's idle gap
+// after its last op. The next sequence is pulled when it is first needed.
 func (m *Master) nextOp() {
 	m.regs.Beat = 0
 	m.regs.OpIdx++
-	if m.regs.OpIdx >= len(m.script[m.regs.SeqIdx].Ops) {
+	if m.regs.OpIdx >= len(m.cur.Ops) {
 		m.regs.OpIdx = 0
-		m.regs.IdleCnt = m.script[m.regs.SeqIdx].IdleAfter
+		m.regs.IdleCnt = m.cur.IdleAfter
 		m.regs.SeqIdx++
+	}
+	m.enterOp()
+}
+
+// enterOp starts the BUSY countdown of the op at the traffic position,
+// if its sequence has been pulled; currentSeq calls it again when it
+// pulls one.
+func (m *Master) enterOp() {
+	m.busyLeft = nil
+	if m.pulled > m.regs.SeqIdx && m.regs.OpIdx < len(m.cur.Ops) {
+		m.busyLeft = maps.Clone(m.cur.Ops[m.regs.OpIdx].BusyBefore)
 	}
 }
 
@@ -391,13 +452,29 @@ func (m *Master) hasWork() bool {
 	return op != nil && op.Kind != OpIdle
 }
 
-// currentOp returns the op at the script cursor, or nil when exhausted.
-func (m *Master) currentOp() *Op {
-	if m.regs.SeqIdx >= len(m.script) {
-		return nil
+// currentSeq returns the sequence at regs.SeqIdx, pulling it from the
+// source when the master has just moved onto it, or nil when the source
+// has none.
+func (m *Master) currentSeq() *Sequence {
+	if m.pulled <= m.regs.SeqIdx {
+		if m.src == nil {
+			return nil
+		}
+		s, ok := m.src.Next()
+		if !ok {
+			return nil
+		}
+		m.cur, m.pulled = s, m.pulled+1
+		m.enterOp()
 	}
-	seq := &m.script[m.regs.SeqIdx]
-	if m.regs.OpIdx >= len(seq.Ops) {
+	return &m.cur
+}
+
+// currentOp returns the op at the traffic position, or nil when the
+// source is exhausted.
+func (m *Master) currentOp() *Op {
+	seq := m.currentSeq()
+	if seq == nil || m.regs.OpIdx >= len(seq.Ops) {
 		return nil
 	}
 	return &seq.Ops[m.regs.OpIdx]
@@ -425,7 +502,8 @@ func (m *Master) advanceIdle() {
 // flightFor builds the flight for the current beat of op.
 func (m *Master) flightFor(op *Op) *flight {
 	f := m.newFlight()
-	f.op, f.beatIdx, f.write, f.size = op, m.regs.Beat, op.Kind == OpWrite, op.Size
+	f.seqIdx, f.opIdx, f.beatIdx = m.regs.SeqIdx, m.regs.OpIdx, m.regs.Beat
+	f.write, f.lock, f.size = op.Kind == OpWrite, op.Lock, op.Size
 	if f.size == 0 && m.bus.Cfg.DataWidth == 32 {
 		f.size = Size32
 	}
@@ -481,5 +559,5 @@ func (m *Master) driveFlight(f *flight) {
 	m.ports.Write.Write(f.write)
 	m.ports.Size.Write(f.size)
 	m.ports.Burst.Write(f.burst)
-	m.ports.Lock.Write(f.op != nil && f.op.Lock)
+	m.ports.Lock.Write(f.lock)
 }

@@ -13,8 +13,9 @@ import (
 // a master on the scalar part of MasterState and the slaves on
 // LatchedState. Capture is therefore a copy and restore an assignment
 // onto a freshly constructed, structurally identical component; only the
-// in-flight beats (stored as script positions) and the memory contents
-// (a sorted cell list) are converted. Restores assume the kernel's signal
+// in-flight beats and the memory contents (a sorted cell list) are
+// converted, and a master regenerates its traffic by pulling its fresh
+// source up to the captured position. Restores assume the kernel's signal
 // values have already been restored (silently), so they only move
 // component-resident state — cursors, latches, counters, masks — and
 // never drive signals.
@@ -35,9 +36,9 @@ func (b *Bus) CaptureState() BusState { return b.st }
 // RestoreState writes a captured bus state back.
 func (b *Bus) RestoreState(st BusState) { b.st = st }
 
-// FlightState is the serialized form of one in-flight beat. The script
-// op it references is stored as its (sequence, op) position — restore
-// re-resolves the pointer into the deterministically rebuilt script.
+// FlightState is the serialized form of one in-flight beat. Its op is
+// stored as its (sequence, op) position; restore reads the op's lock bit
+// back from the regenerated traffic.
 type FlightState struct {
 	SeqIdx  int    `json:"seq"`
 	OpIdx   int    `json:"op"`
@@ -50,10 +51,9 @@ type FlightState struct {
 	Data    uint32 `json:"data,omitempty"`
 }
 
-// MasterState is a master state machine's dynamic state: script cursor,
-// idle countdown, in-flight and rewound beats, the current op's
-// remaining BUSY insertions (decremented in place as they are consumed)
-// and the protocol counters.
+// MasterState is a master state machine's dynamic state: traffic
+// position, idle countdown, in-flight and rewound beats, the current op's
+// remaining BUSY insertions and the protocol counters.
 type MasterState struct {
 	masterRegs
 
@@ -61,14 +61,14 @@ type MasterState struct {
 	DataPhase *FlightState  `json:"data_phase,omitempty"`
 	Rewind    []FlightState `json:"rewind,omitempty"`
 
-	// BusyLeft is the current op's partially consumed BusyBefore map;
-	// nil when the op has none.
+	// BusyLeft is the current op's BusyBefore map less the BUSY cycles
+	// already inserted; nil when the op has none.
 	BusyLeft map[int]int `json:"busy_left,omitempty"`
 }
 
-// masterRegs is the scalar state a master runs on: the script cursor,
-// the idle countdown, the NONSEQ-restart and split-wait flags and the
-// protocol counters.
+// masterRegs is the scalar state a master runs on: the traffic position
+// (sequence, op and beat), the idle countdown, the NONSEQ-restart and
+// split-wait flags and the protocol counters.
 type masterRegs struct {
 	SeqIdx  int `json:"seq_idx"`
 	OpIdx   int `json:"op_idx"`
@@ -81,29 +81,9 @@ type masterRegs struct {
 	Stats      MasterStats `json:"stats"`
 }
 
-// opPosition locates op in the master's script by pointer identity.
-func (m *Master) opPosition(op *Op) (int, int, error) {
-	if op == nil {
-		return -1, -1, nil
-	}
-	for si := range m.script {
-		ops := m.script[si].Ops
-		for oi := range ops {
-			if &ops[oi] == op {
-				return si, oi, nil
-			}
-		}
-	}
-	return 0, 0, fmt.Errorf("ahb: in-flight op not found in master %d script", m.idx)
-}
-
-func (m *Master) captureFlight(f *flight) (FlightState, error) {
-	si, oi, err := m.opPosition(f.op)
-	if err != nil {
-		return FlightState{}, err
-	}
+func captureFlight(f *flight) FlightState {
 	return FlightState{
-		SeqIdx: si, OpIdx: oi,
+		SeqIdx: f.seqIdx, OpIdx: f.opIdx,
 		BeatIdx: f.beatIdx,
 		Addr:    f.addr,
 		Write:   f.write,
@@ -111,89 +91,98 @@ func (m *Master) captureFlight(f *flight) (FlightState, error) {
 		Burst:   f.burst,
 		Trans:   f.trans,
 		Data:    f.data,
-	}, nil
+	}
 }
 
-func (m *Master) restoreFlight(st FlightState) (*flight, error) {
+func (m *Master) restoreFlight(st FlightState) *flight {
 	f := m.newFlight()
-	if st.SeqIdx >= 0 {
-		if st.SeqIdx >= len(m.script) || st.OpIdx >= len(m.script[st.SeqIdx].Ops) {
-			return nil, fmt.Errorf("ahb: flight op position (%d,%d) outside master %d script", st.SeqIdx, st.OpIdx, m.idx)
-		}
-		f.op = &m.script[st.SeqIdx].Ops[st.OpIdx]
-	}
-	f.beatIdx = st.BeatIdx
-	f.addr = st.Addr
-	f.write = st.Write
-	f.size = st.Size
-	f.burst = st.Burst
-	f.trans = st.Trans
-	f.data = st.Data
-	return f, nil
+	*f = flight{seqIdx: st.SeqIdx, opIdx: st.OpIdx, beatIdx: st.BeatIdx, addr: st.Addr,
+		write: st.Write, size: st.Size, burst: st.Burst, trans: st.Trans, data: st.Data}
+	return f
 }
 
 // CaptureState serializes the master's dynamic state.
-func (m *Master) CaptureState() (MasterState, error) {
+func (m *Master) CaptureState() MasterState {
 	st := MasterState{masterRegs: m.regs}
 	if m.addrPhase != nil {
-		f, e := m.captureFlight(m.addrPhase)
-		if e != nil {
-			return st, e
-		}
+		f := captureFlight(m.addrPhase)
 		st.AddrPhase = &f
 	}
 	if m.dataPhase != nil {
-		f, e := m.captureFlight(m.dataPhase)
-		if e != nil {
-			return st, e
-		}
+		f := captureFlight(m.dataPhase)
 		st.DataPhase = &f
 	}
 	for _, rf := range m.rewind {
-		f, e := m.captureFlight(rf)
-		if e != nil {
-			return st, e
-		}
-		st.Rewind = append(st.Rewind, f)
+		st.Rewind = append(st.Rewind, captureFlight(rf))
 	}
-	if op := m.currentOp(); op != nil {
-		st.BusyLeft = maps.Clone(op.BusyBefore)
+	if m.currentOp() != nil {
+		st.BusyLeft = maps.Clone(m.busyLeft)
 	}
-	return st, nil
+	return st
 }
 
-// RestoreState writes a captured master state back onto a master holding
-// the identical script.
+// RestoreState writes a captured master state back onto a master that
+// has not run yet and streams the identical traffic. It pulls the source
+// up to the captured sequence, reading each in-flight beat's lock bit
+// from its op on the way. A position or flight the traffic does not
+// reach is an error.
 func (m *Master) RestoreState(st MasterState) error {
-	m.regs = st.masterRegs
+	if m.pulled != 0 {
+		return fmt.Errorf("ahb: master %d restored after pulling traffic", m.idx)
+	}
+	if st.SeqIdx < 0 || st.OpIdx < 0 {
+		return fmt.Errorf("ahb: master %d position (%d,%d) is negative", m.idx, st.SeqIdx, st.OpIdx)
+	}
 	m.addrPhase, m.dataPhase, m.rewind = nil, nil, nil
+	var flights []*flight
 	if st.AddrPhase != nil {
-		f, err := m.restoreFlight(*st.AddrPhase)
-		if err != nil {
-			return err
-		}
-		m.addrPhase = f
+		m.addrPhase = m.restoreFlight(*st.AddrPhase)
+		flights = append(flights, m.addrPhase)
 	}
 	if st.DataPhase != nil {
-		f, err := m.restoreFlight(*st.DataPhase)
-		if err != nil {
-			return err
-		}
-		m.dataPhase = f
+		m.dataPhase = m.restoreFlight(*st.DataPhase)
+		flights = append(flights, m.dataPhase)
 	}
 	for _, fs := range st.Rewind {
-		f, err := m.restoreFlight(fs)
-		if err != nil {
-			return err
+		m.rewind = append(m.rewind, m.restoreFlight(fs))
+	}
+	flights = append(flights, m.rewind...)
+	// Seek: pull sequences 0..SeqIdx; the last one pulled is current.
+	for m.src != nil && m.pulled <= st.SeqIdx {
+		seq, ok := m.src.Next()
+		if !ok {
+			break
 		}
-		m.rewind = append(m.rewind, f)
+		for _, f := range flights {
+			if f.seqIdx != m.pulled {
+				continue
+			}
+			if f.opIdx < 0 || f.opIdx >= len(seq.Ops) {
+				return fmt.Errorf("ahb: flight op position (%d,%d) outside master %d traffic", f.seqIdx, f.opIdx, m.idx)
+			}
+			f.lock = seq.Ops[f.opIdx].Lock
+		}
+		m.cur = seq
+		m.pulled++
+	}
+	if m.pulled < st.SeqIdx {
+		return fmt.Errorf("ahb: master %d position %d past the end of its %d-sequence traffic", m.idx, st.SeqIdx, m.pulled)
+	}
+	for _, f := range flights {
+		if f.seqIdx >= m.pulled {
+			return fmt.Errorf("ahb: flight op position (%d,%d) outside master %d traffic", f.seqIdx, f.opIdx, m.idx)
+		}
+	}
+	m.regs = st.masterRegs
+	m.busyLeft = nil
+	if m.pulled > st.SeqIdx && st.OpIdx > 0 && st.OpIdx >= len(m.cur.Ops) {
+		return fmt.Errorf("ahb: master %d op position (%d,%d) outside its traffic", m.idx, st.SeqIdx, st.OpIdx)
 	}
 	if st.BusyLeft != nil {
-		op := m.currentOp()
-		if op == nil {
+		if m.currentOp() == nil {
 			return fmt.Errorf("ahb: BusyLeft captured with no current op on master %d", m.idx)
 		}
-		op.BusyBefore = maps.Clone(st.BusyLeft)
+		m.busyLeft = maps.Clone(st.BusyLeft)
 	}
 	return nil
 }

@@ -87,17 +87,10 @@ func (s *System) CaptureSnapshot() (*Snapshot, error) {
 		Monitor: s.Monitor.CaptureState(),
 	}
 	for _, m := range s.Masters {
-		ms, err := m.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		sn.Masters = append(sn.Masters, ms)
+		sn.Masters = append(sn.Masters, m.CaptureState())
 	}
 	if s.Default != nil {
-		ds, err := s.Default.CaptureState()
-		if err != nil {
-			return nil, err
-		}
+		ds := s.Default.CaptureState()
 		sn.Default = &ds
 	}
 	for _, sl := range s.Slaves {

@@ -178,7 +178,7 @@ func NewSystemTopo(t topo.Topology) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.Default = dm // empty script: drives IDLE forever
+		sys.Default = dm // no traffic: drives IDLE forever
 	}
 	for i, s := range ct.Slaves {
 		sl, err := ahb.NewMemorySlave(bus, i, s.Waits)
@@ -193,27 +193,30 @@ func NewSystemTopo(t topo.Topology) (*System, error) {
 // LoadPaperWorkload loads every active master with the paper's testbench
 // traffic sized to roughly the requested total cycle count.
 func (s *System) LoadPaperWorkload(targetCycles uint64) error {
-	return s.enqueue(paperWorkloads(&s.Topo, targetCycles))
+	return s.load(paperWorkloads(&s.Topo, targetCycles))
 }
 
-// LoadWorkload generates traffic from one configuration per active master
+// LoadWorkload loads traffic from one configuration per active master
 // (missing entries reuse the last configuration with a shifted seed).
 func (s *System) LoadWorkload(cfgs ...workload.Config) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("core: no workload configurations")
 	}
-	return s.enqueue(perMaster(cfgs, len(s.Masters)))
+	return s.load(perMaster(cfgs, len(s.Masters)))
 }
 
-// enqueue generates one script per active master from cfgs, which holds
-// one configuration per master.
-func (s *System) enqueue(cfgs []workload.Config) error {
+// load validates cfgs, which holds one configuration per active master,
+// and hands each master a fresh cursor over its traffic in place of what
+// it had. Nothing is generated here: a master draws each sequence from
+// its cursor when it reaches it, inside Run, so a run generates only the
+// traffic its horizon reaches.
+func (s *System) load(cfgs []workload.Config) error {
 	for m, mm := range s.Masters {
-		seqs, err := workload.Generate(cfgs[m])
+		cur, err := workload.NewCursor(cfgs[m])
 		if err != nil {
 			return err
 		}
-		mm.Enqueue(seqs...)
+		mm.SetSource(cur)
 	}
 	return nil
 }

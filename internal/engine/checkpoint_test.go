@@ -15,6 +15,7 @@ import (
 	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
 	"ahbpower/internal/metrics"
+	"ahbpower/internal/workload"
 )
 
 // ckptFP is the bit-exact fingerprint of a Result used by the resume
@@ -268,5 +269,143 @@ func TestCheckpointSnapshotGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != snapshotGoldenDigest {
 		t.Errorf("snapshot digest %s, want %s: the checkpoint encoding moved", got, snapshotGoldenDigest)
+	}
+}
+
+// TestCheckpointResumeRewoundLockedFlight resumes from snapshots in which
+// master 1's rewind queue holds the last beat of one sequence and the
+// first, locked beat of the next: a forced RETRY on a sequence's last
+// beat cancels the address phase behind it. Restoring must pull master
+// 1's script and master 0's cursor up to their positions and give the
+// rewound beats their lock bits back: under fixed priority only the lock
+// keeps master 0 from taking the bus in the middle of master 1's locked
+// write-read. On either backend each resumed run must end in the
+// uninterrupted run's exact state, and a snapshot placing master 1 past
+// its traffic must be refused.
+func TestCheckpointResumeRewoundLockedFlight(t *testing.T) {
+	const cycles = 6000
+	cfg := core.PaperSystem()
+	cfg.Policy = ahb.PolicyFixed
+	// Even sequences are one locked write, odd ones a locked write-read
+	// with an idle gap after it.
+	var script []ahb.Sequence
+	for i := 0; i < 400; i++ {
+		a := uint32(i%64) * 16
+		script = append(script,
+			ahb.Sequence{Ops: []ahb.Op{{Kind: ahb.OpWrite, Addr: a, Data: []uint32{uint32(i)}, Lock: true}}},
+			ahb.Sequence{Ops: []ahb.Op{
+				{Kind: ahb.OpWrite, Addr: a + 4, Data: []uint32{^uint32(i)}, Lock: true},
+				{Kind: ahb.OpRead, Addr: a, Lock: true},
+			}, IdleAfter: 3})
+	}
+	plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{{Kind: fault.KindRetry, Slave: 0, Master: -1, Prob: 0.5, Count: 40}}}
+	build := func() *core.System {
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Master 0 streams paper traffic from a cursor, kept off slave 0
+		// so that every RETRY lands on master 1's script.
+		traffic := workload.PaperTestbench(0, cycles/100)
+		traffic.AddrBase, traffic.AddrSize = 0x1000, 0x2000
+		if err := sys.LoadWorkload(traffic); err != nil {
+			t.Fatal(err)
+		}
+		sys.Masters[1].Enqueue(script...)
+		an, err := core.Attach(sys, core.AnalyzerConfig{Style: core.StyleGlobal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := fault.Attach(sys.Bus, sys.Masters, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.AddSnapshotter("analyzer", an)
+		sys.AddSnapshotter("faults", inj)
+		return sys
+	}
+	encode := func(sys *core.System) []byte {
+		sn, err := sys.CaptureSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	// The uninterrupted run keeps every qualifying snapshot and the state
+	// of the follow cycles after it, which drive the rewound beats again
+	// with their lock bits on the bus.
+	const follow = 8
+	sys := build()
+	var blobs [][]byte
+	var last uint64 // cycle of the newest qualifying snapshot
+	trail := map[uint64][]byte{}
+	for c := uint64(1); c <= cycles; c++ {
+		if err := sys.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if last > 0 && c <= last+follow {
+			trail[c] = encode(sys)
+		}
+		// Wanted: the rewound write of an even sequence, and behind it the
+		// rewound first write of the odd sequence, whose read still waits.
+		st := sys.Masters[1].CaptureState()
+		prev, next := false, false
+		for _, f := range st.Rewind {
+			prev = prev || f.SeqIdx == st.SeqIdx-1
+			next = next || f.SeqIdx == st.SeqIdx && f.OpIdx == 0
+		}
+		if prev && next && st.SeqIdx%2 == 1 && c+follow < cycles {
+			blobs, last = append(blobs, encode(sys)), c
+		}
+	}
+	if len(blobs) == 0 {
+		t.Fatal("no cycle had a rewound beat of a finished sequence before a rewound locked one")
+	}
+	want := encode(sys)
+	for _, blob := range blobs {
+		snap, err := core.DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []exec.Backend{exec.Event(), exec.Compiled()} {
+			twin := build()
+			if err := twin.RestoreSnapshot(snap); err != nil {
+				t.Fatalf("%s: %v", be.Name(), err)
+			}
+			for c := snap.Cycle + 1; c <= snap.Cycle+follow; c++ {
+				if err := be.Run(context.Background(), twin, 1); err != nil {
+					t.Fatalf("%s: %v", be.Name(), err)
+				}
+				if got := encode(twin); string(got) != string(trail[c]) {
+					t.Fatalf("%s: resumed at cycle %d, the state at cycle %d differs", be.Name(), snap.Cycle, c)
+				}
+			}
+			if err := be.Run(context.Background(), twin, cycles-snap.Cycle-follow); err != nil {
+				t.Fatalf("%s: %v", be.Name(), err)
+			}
+			if got := encode(twin); string(got) != string(want) {
+				t.Errorf("%s: resumed at cycle %d, the run ends in a different state", be.Name(), snap.Cycle)
+			}
+		}
+	}
+
+	for name, mutate := range map[string]func(*ahb.MasterState){
+		"position past the script":   func(st *ahb.MasterState) { st.SeqIdx = len(script) + 1 },
+		"flight past its sequence":   func(st *ahb.MasterState) { st.Rewind[0].OpIdx = 2 },
+		"flight ahead of the master": func(st *ahb.MasterState) { st.Rewind[0].SeqIdx = st.SeqIdx + 1 },
+	} {
+		bad, err := core.DecodeSnapshot(blobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(&bad.Masters[1])
+		if err := build().RestoreSnapshot(bad); err == nil {
+			t.Errorf("%s: restore accepted it", name)
+		}
 	}
 }

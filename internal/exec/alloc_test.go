@@ -2,9 +2,11 @@ package exec_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"ahbpower/internal/core"
+	"ahbpower/internal/exec"
 )
 
 // TestSteadyStateCycleAllocs pins the zero-allocation cycle: once a paper
@@ -70,6 +72,43 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 				if m.Done() {
 					t.Errorf("master %d ran out of traffic inside the measured window", i)
 				}
+			}
+		})
+	}
+}
+
+// TestCycleAccurateAllocsFlat pins that a whole cycle-accurate run, from
+// NewSystem to the end of Run, allocates no more for a 100× longer
+// horizon: the masters draw their traffic from cursors that reuse their
+// buffers, and the slaves' memory maps stop growing once every word of
+// the paper's regions has been written.
+func TestCycleAccurateAllocsFlat(t *testing.T) {
+	const short, long, slack = 20_000, 2_000_000, 16
+	for _, be := range []exec.Backend{exec.Event(), exec.Compiled()} {
+		t.Run(be.Name(), func(t *testing.T) {
+			allocs := func(cycles uint64) uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sys, err := core.NewSystem(core.PaperSystem())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.LoadPaperWorkload(cycles); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := core.Attach(sys, core.AnalyzerConfig{Style: core.StyleGlobal}); err != nil {
+					t.Fatal(err)
+				}
+				if err := be.Run(context.Background(), sys, cycles); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			s, l := allocs(short), allocs(long)
+			t.Logf("%d allocs at %d cycles, %d at %d", s, uint64(short), l, uint64(long))
+			if l > s+slack {
+				t.Errorf("%d allocations over %d cycles, %d over %d: want at most %d more", l, uint64(long), s, uint64(short), slack)
 			}
 		})
 	}

@@ -9,15 +9,16 @@ import (
 )
 
 // benchCycles is the run length of one timed benchmark iteration: long
-// enough to amortize warm-up, short enough that the live workload heap
-// stays small and GC scanning does not pollute the timing (sizing the
-// workload to b.N directly keeps O(b.N) sequences live, and at millions
-// of iterations the collector's scan time dwarfs the kernels).
+// enough to amortize a run's warm-up (the first sequences, the slaves'
+// memory maps filling), and fixed, so that allocs/op means the same
+// thing at every -benchtime.
 const benchCycles = 10_000
 
-// benchRun times backend.Run over fixed-length runs on fresh systems,
-// with construction excluded from the timer, and reports ns per simulated
-// bus cycle as the headline metric (ns/op is per benchCycles-cycle run).
+// benchRun times backend.Run over fixed-length runs on fresh systems and
+// reports ns per simulated bus cycle as the headline metric (ns/op is per
+// benchCycles-cycle run). Building the system and attaching the analyzer
+// are excluded from the timer; traffic generation is not, because the
+// masters draw their sequences from cursors inside Run.
 func benchRun(b *testing.B, backend exec.Backend, analyzer bool) {
 	b.Helper()
 	b.ReportAllocs()

@@ -33,9 +33,9 @@ func tlmSweepWorkload(i int) workload.Config {
 
 // benchTLMEstimate times the estimation of the seed sweep. Preparation
 // (validating and resolving the traffic configurations) is excluded, but
-// it generates nothing: the traffic is generated inside Estimate, by the
-// calibration prefix's scripts and the walk's cursors, so the timed
-// region is the whole estimate a user waits for. Reports ns per
+// it generates nothing: the traffic is generated inside Estimate, from
+// cursors, by the calibration prefix's masters and by the walk, so the
+// timed region is the whole estimate a user waits for. Reports ns per
 // scenario-cycle, directly comparable to the serial sweep below.
 func benchTLMEstimate(b *testing.B) {
 	b.Helper()
@@ -67,8 +67,10 @@ func benchTLMEstimate(b *testing.B) {
 }
 
 // benchTLMSerial times the same sweep simulated cycle-accurately one
-// scenario at a time, construction excluded exactly like benchSweepSerial,
-// reporting ns per scenario-cycle.
+// scenario at a time, reporting ns per scenario-cycle. Building the
+// system is excluded from the timer, as in benchRun; generating the
+// traffic is timed on this side too, since the masters draw it inside
+// Run.
 func benchTLMSerial(b *testing.B, backend exec.Backend) {
 	b.Helper()
 	b.ReportAllocs()

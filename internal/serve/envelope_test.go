@@ -169,17 +169,22 @@ func FuzzRunResponseEnvelope(f *testing.F) {
 }
 
 // checkJobStatus asserts that a poll of a job holding response sends
-// exactly what the handler sent before the splice: writeJSON of the job's
-// JobStatus with the stored bytes decoded into Response, which is omitted
-// when they do not decode. It polls twice, so the re-encoding the first
-// poll keeps is checked too.
+// exactly writeJSON of the job's JobStatus with the stored bytes decoded:
+// an error body (an object with a non-empty "error" string) into Error,
+// anything else into Response, which is omitted when they do not decode.
+// It polls twice, so the re-encoding the first poll keeps is checked too.
 func checkJobStatus(t *testing.T, st JobStatus, response []byte) {
 	t.Helper()
 	want := st
 	want.Response = nil
 	if response != nil {
+		var ew struct {
+			Error string `json:"error"`
+		}
 		var resp RunResponse
-		if json.Unmarshal(response, &resp) == nil {
+		if json.Unmarshal(response, &ew) == nil && ew.Error != "" {
+			want.Error = ew.Error
+		} else if json.Unmarshal(response, &resp) == nil {
 			want.Response = &resp
 		}
 	}
@@ -206,8 +211,8 @@ func checkJobStatus(t *testing.T, st JobStatus, response []byte) {
 
 // TestJobStatusEnvelope pins the job poll's splice to the re-encoding it
 // replaced, for queued, running, done and cancelled jobs, whether the
-// response was marshaled by this process, restored from a journal, is an
-// error body or does not decode at all.
+// response was marshaled by this process, restored from a journal or
+// does not decode at all, and an error body to the status's error.
 func TestJobStatusEnvelope(t *testing.T) {
 	sc := engine.Scenario{Name: "real", System: core.PaperSystem(), Cycles: 1500}
 	key, _ := sc.CanonicalKey()

@@ -29,6 +29,9 @@ type job struct {
 
 	mu       sync.Mutex
 	response []byte // marshaled RunResponse, set exactly once; see pollResponse
+	// refusal is the message of an error body the job was retired with
+	// in place of a response, read out by the first poll.
+	refusal string
 	// reencoded reports that the first poll after finish has replaced
 	// response with its re-encoding.
 	reencoded bool
@@ -48,25 +51,34 @@ func (j *job) finish(status string, response []byte) {
 	close(j.done)
 }
 
-// pollResponse returns what GET /v1/jobs/{id} embeds as the job's
-// response: the stored bytes decoded as a RunResponse and marshaled
-// again, or nil, omitted, while the job runs or when the bytes do not
-// decode. The first poll after finish re-encodes them and keeps the
-// result, so every later poll splices it as it is.
-func (j *job) pollResponse() []byte {
+// pollResponse returns what GET /v1/jobs/{id} shows for the job's
+// outcome. Stored bytes that are an error body (an object with a
+// non-empty "error" string, as recoverJob retires a job the current
+// limits refuse with) give their message as refusal and no response.
+// Other bytes give response: decoded as a RunResponse and marshaled
+// again, or nil, omitted, while the job runs or when they do not decode.
+// The first poll after finish decodes them and keeps the result, so
+// every later poll splices it as it is.
+func (j *job) pollResponse() (response []byte, refusal string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.response != nil && !j.reencoded {
+		var ew struct {
+			Error string `json:"error"`
+		}
 		var resp RunResponse
-		if json.Unmarshal(j.response, &resp) != nil {
+		switch {
+		case json.Unmarshal(j.response, &ew) == nil && ew.Error != "":
+			j.response, j.refusal = nil, ew.Error
+		case json.Unmarshal(j.response, &resp) != nil:
 			j.response = nil
-		} else {
+		default:
 			// A decoded RunResponse holds no value json.Marshal refuses.
 			j.response, _ = json.Marshal(&resp)
 		}
 		j.reencoded = true
 	}
-	return j.response
+	return j.response, j.refusal
 }
 
 // JobStatus is the body of GET /v1/jobs/{id}.
@@ -75,6 +87,10 @@ type JobStatus struct {
 	Status    string `json:"status"`
 	Total     int    `json:"total"`
 	Completed int    `json:"completed"`
+	// Error is why a job was cancelled without running: a journaled job
+	// that the limits in force at restart refuse. Such a job has no
+	// Response.
+	Error string `json:"error,omitempty"`
 	// Response is the finished batch, present once Status is done or
 	// cancelled.
 	Response *RunResponse `json:"response,omitempty"`

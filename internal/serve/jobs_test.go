@@ -112,7 +112,7 @@ func TestJobPollResponseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = j.pollResponse()
+			got[i], _ = j.pollResponse()
 		}()
 	}
 	wg.Wait()

@@ -217,6 +217,45 @@ func TestCrashRecoveryResumesJob(t *testing.T) {
 	s.Drain(time.Second)
 }
 
+// TestRecoveredJobRefusalReachesPoll journals an accepted job that the
+// limits in force at the next start refuse. Polling it must show the job
+// cancelled with the refusal as the status's error and no response, both
+// in the process that refused it and after another restart, which reads
+// the refusal back from the journal.
+func TestRecoveredJobRefusalReachesPoll(t *testing.T) {
+	var req RunRequest
+	if err := json.Unmarshal([]byte(`{"async":true,"scenarios":[{"name":"long","cycles":5000}]}`), &req); err != nil {
+		t.Fatalf("decoding request: %v", err)
+	}
+	dir := t.TempDir()
+	st, err := openState(dir)
+	if err != nil {
+		t.Fatalf("openState: %v", err)
+	}
+	if err := st.append(journalEntry{T: journalAccepted, Job: "job-000003", Req: &req}); err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	st.close()
+
+	const want = `scenario "long": 5000 cycles exceeds the per-scenario limit 1000`
+	for start := 1; start <= 2; start++ {
+		s := mustOpen(t, Config{Workers: 1, StateDir: dir, MaxCycles: 1000})
+		rr := get(s.Handler(), "/v1/jobs/job-000003")
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(rr.Body.Bytes(), &raw); err != nil {
+			t.Fatalf("start %d: decoding %s: %v", start, rr.Body.Bytes(), err)
+		}
+		var got JobStatus
+		if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+			t.Fatalf("start %d: %v", start, err)
+		}
+		if _, has := raw["response"]; rr.Code != http.StatusOK || got.Status != JobCancelled || got.Error != want || has {
+			t.Errorf("start %d: poll %d %s, want cancelled with error %q and no response", start, rr.Code, rr.Body.Bytes(), want)
+		}
+		s.Drain(time.Second)
+	}
+}
+
 // TestCorruptCheckpointRunsFresh plants checkpoints that do not decode
 // — a torn write and one from an unknown snapshot version — under a
 // scenario's key. The scenario must not fail on them: the server deletes

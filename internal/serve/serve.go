@@ -315,8 +315,8 @@ func Open(cfg Config) (*Server, error) {
 // across the restart see the same job complete. The acceptance is not
 // re-journaled — replay folds by id, so the original entry still covers
 // it. A request the current configuration no longer admits (limits
-// tightened between runs) is retired cancelled with the rejection as its
-// response.
+// tightened between runs) is retired cancelled with the rejection's
+// error body, which a poll shows as the status's error.
 func (s *Server) recoverJob(id string, req *RunRequest) {
 	scenarios, keys, err := s.resolveRequest(req)
 	if err != nil {
@@ -872,7 +872,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		Total:     j.total,
 		Completed: int(j.completed.Load()),
 	}
-	b := appendJobStatus(nil, &st, j.pollResponse())
+	// Read after the status, so a finished status always comes with its
+	// outcome.
+	response, refusal := j.pollResponse()
+	st.Error = refusal
+	b := appendJobStatus(nil, &st, response)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(append(b, '\n')) // the connection is the only failure mode here

@@ -9,40 +9,41 @@ import (
 	"sync"
 	"testing"
 
-	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/power"
 	"ahbpower/internal/workload"
 )
 
-// TestPrefixScriptsMeasureLikeFullScripts pins the bounded calibration
-// scripts' invariant on every golden family: the prefix measured on them
-// equals, Float64bits for Float64bits per block, the prefix measured on
-// the full Generate scripts.
-func TestPrefixScriptsMeasureLikeFullScripts(t *testing.T) {
+// TestCursorPrefixMeasuresLikeFullScripts pins the calibration prefix on
+// every golden family: measured on masters that draw their traffic from
+// cursors as they reach it, it equals, Float64bits for Float64bits per
+// block, the prefix measured on masters holding the full Generate
+// scripts through Enqueue.
+func TestCursorPrefixMeasuresLikeFullScripts(t *testing.T) {
 	for _, f := range goldenFamilies() {
 		p, err := Prepare(f.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		prefix := CalibrationPrefix(f.spec.Cycles)
-		full := make([][]ahb.Sequence, len(p.cfgs))
-		for i, cfg := range p.cfgs {
-			if full[i], err = workload.Generate(cfg); err != nil {
-				t.Fatalf("%s: %v", f.name, err)
-			}
-		}
-		bounded, err := prefixScripts(p.cfgs, prefix)
+		sys, err := core.NewSystemTopo(p.ct)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		want, wantBackend, err := runPrefix(context.Background(), p.ct, p.spec.Analyzer, full, prefix)
+		for i, cfg := range p.cfgs {
+			full, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			sys.Masters[i].Enqueue(full...)
+		}
+		want, wantBackend, err := measurePrefix(context.Background(), sys, p.spec.Analyzer, prefix)
 		if err != nil {
 			t.Fatalf("%s: full scripts: %v", f.name, err)
 		}
-		got, gotBackend, err := runPrefix(context.Background(), p.ct, p.spec.Analyzer, bounded, prefix)
+		got, gotBackend, err := runPrefix(context.Background(), p.ct, p.spec.Analyzer, p.cfgs, prefix)
 		if err != nil {
-			t.Fatalf("%s: bounded scripts: %v", f.name, err)
+			t.Fatalf("%s: cursors: %v", f.name, err)
 		}
 		if gotBackend != wantBackend {
 			t.Errorf("%s: prefix ran on %s, want %s", f.name, gotBackend, wantBackend)
@@ -54,11 +55,6 @@ func TestPrefixScriptsMeasureLikeFullScripts(t *testing.T) {
 		}
 		if math.Float64bits(got.total) != math.Float64bits(want.total) {
 			t.Errorf("%s: prefix total %v, full scripts measure %v", f.name, got.total, want.total)
-		}
-		for i := range bounded {
-			if n := len(bounded[i]); n < len(full[i]) && workload.TotalBeats(bounded[i]) <= int(prefix) {
-				t.Errorf("%s: master %d's calibration script stops at %d sequences, within the prefix's reach", f.name, i, n)
-			}
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"context"
 	"fmt"
 
-	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
 	"ahbpower/internal/power"
@@ -169,11 +168,7 @@ func Prepare(spec Spec) (*Prepared, error) {
 // horizon.
 func (p *Prepared) Estimate(ctx context.Context) (*Outcome, error) {
 	prefix := CalibrationPrefix(p.spec.Cycles)
-	scripts, err := prefixScripts(p.cfgs, prefix)
-	if err != nil {
-		return nil, fmt.Errorf("tlm: spec %q: %w", p.spec.Name, err)
-	}
-	measured, backendName, err := runPrefix(ctx, p.ct, p.spec.Analyzer, scripts, prefix)
+	measured, backendName, err := runPrefix(ctx, p.ct, p.spec.Analyzer, p.cfgs, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: calibration prefix: %w", p.spec.Name, err)
 	}
@@ -217,56 +212,26 @@ type measuredPrefix struct {
 	total float64
 }
 
-// prefixMargin is how many beats past the prefix length a calibration
-// script carries (see prefixScripts): slack over the one-beat-per-cycle
-// bound, so the argument holds without counting pipeline edges.
-const prefixMargin = 64
-
-// prefixScripts generates each master's calibration script from its own
-// cursor, stopping after the first sequence that takes the script past
-// prefix+prefixMargin beats. That is all of the script the prefix can
-// reach: a master drives at most one address phase per cycle, so within
-// prefix cycles it issues at most prefix beats and never reaches the end
-// of a longer script. Its request line, grants and drive are therefore
-// cycle-for-cycle those of a master holding the full script, and the
-// prefix measures exactly what it would have measured on the full
-// Generate scripts (TestPrefixScriptsMeasureLikeFullScripts).
-func prefixScripts(cfgs []workload.Config, prefix uint64) ([][]ahb.Sequence, error) {
-	scripts := make([][]ahb.Sequence, len(cfgs))
-	for i, cfg := range cfgs {
-		cur, err := workload.NewCursor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var beats uint64
-		for beats <= prefix+prefixMargin {
-			s, ok := cur.NextOwned()
-			if !ok {
-				break
-			}
-			scripts[i] = append(scripts[i], s)
-			beats += uint64(workload.TotalBeats(scripts[i][len(scripts[i])-1:]))
-		}
-	}
-	return scripts, nil
-}
-
-// runPrefix builds the scenario's system, enqueues the calibration
-// scripts (one per active master), attaches the analyzer and runs the
-// cycle-accurate kernel for the prefix window.
+// runPrefix builds the scenario's system, loads each active master with
+// its configuration's traffic and measures the prefix window on it. The
+// masters draw their sequences as they reach them, so the prefix
+// generates only the traffic it drives.
 func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
-	scripts [][]ahb.Sequence, prefix uint64) (measuredPrefix, string, error) {
-	var m measuredPrefix
+	cfgs []workload.Config, prefix uint64) (measuredPrefix, string, error) {
 	sys, err := core.NewSystemTopo(ct)
 	if err != nil {
-		return m, "", err
+		return measuredPrefix{}, "", err
 	}
-	if len(sys.Masters) != len(scripts) {
-		return m, "", fmt.Errorf("tlm: %d active masters but %d scripts", len(sys.Masters), len(scripts))
+	if err := sys.LoadWorkload(cfgs...); err != nil {
+		return measuredPrefix{}, "", err
 	}
-	for i, mm := range sys.Masters {
-		mm.Enqueue(scripts[i]...)
-	}
+	return measurePrefix(ctx, sys, az, prefix)
+}
+
+// measurePrefix attaches the analyzer to a loaded system and runs the
+// cycle-accurate kernel for the prefix window.
+func measurePrefix(ctx context.Context, sys *core.System, az core.AnalyzerConfig, prefix uint64) (measuredPrefix, string, error) {
+	var m measuredPrefix
 	an, err := core.Attach(sys, az)
 	if err != nil {
 		return m, "", err

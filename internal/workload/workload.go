@@ -290,28 +290,3 @@ func (g *dataGen) next() uint32 {
 		return g.state
 	}
 }
-
-// TotalBeats returns the number of data beats in a script (both
-// directions), for sizing simulations.
-func TotalBeats(seqs []ahb.Sequence) int {
-	n := 0
-	for _, s := range seqs {
-		for _, op := range s.Ops {
-			switch op.Kind {
-			case ahb.OpWrite:
-				if len(op.Data) == 0 {
-					n++
-				} else {
-					n += len(op.Data)
-				}
-			case ahb.OpRead:
-				if op.Beats <= 0 {
-					n++
-				} else {
-					n += op.Beats
-				}
-			}
-		}
-	}
-	return n
-}

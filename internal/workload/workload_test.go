@@ -236,16 +236,3 @@ func TestPaperTestbenchConfig(t *testing.T) {
 		t.Error("masters must get distinct seeds")
 	}
 }
-
-func TestTotalBeats(t *testing.T) {
-	seqs := []ahb.Sequence{{Ops: []ahb.Op{
-		{Kind: ahb.OpWrite, Data: []uint32{1, 2, 3, 4}},
-		{Kind: ahb.OpRead, Beats: 4},
-		{Kind: ahb.OpWrite},
-		{Kind: ahb.OpRead},
-		{Kind: ahb.OpIdle, IdleCycles: 5},
-	}}}
-	if got := TotalBeats(seqs); got != 10 {
-		t.Errorf("TotalBeats=%d, want 10", got)
-	}
-}
