@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"ahbpower/internal/engine"
-	"ahbpower/internal/exec"
 	"ahbpower/internal/serve"
 )
 
@@ -49,7 +48,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "maximum per-request deadline")
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "time in-flight batches may finish after SIGTERM before cancellation")
 	degradeAt := flag.Float64("degrade-at", 0.75, "queue-pressure fraction that enters degraded mode (negative disables)")
-	backend := flag.String("backend", "", "default execution backend for requests that don't pick one: event, compiled, auto or lanes (lanes: retired, runs compiled)")
 	accuracy := flag.String("accuracy", "", "default accuracy class for requests that don't pick one: cycle (exact) or transaction (calibrated estimate; part of the cache key)")
 	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate (approximate answers; opt-in)")
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal, disk result cache and scenario checkpoints; a daemon restarted on the same directory recovers interrupted jobs (empty: in-memory only)")
@@ -57,9 +55,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "ahbserved: ", log.LstdFlags)
-	if !exec.ValidName(*backend) {
-		logger.Fatalf("unknown -backend %q (want event, compiled, lanes or auto)", *backend)
-	}
 	if !engine.ValidAccuracy(*accuracy) {
 		logger.Fatalf("unknown -accuracy %q (want cycle or transaction)", *accuracy)
 	}
@@ -73,7 +68,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		DegradeAt:       *degradeAt,
-		DefaultBackend:  *backend,
 		DefaultAccuracy: *accuracy,
 		DegradeEstimate: *degradeEstimate,
 		StateDir:        *stateDir,

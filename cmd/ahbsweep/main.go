@@ -35,7 +35,7 @@ func main() {
 	faultsFile := flag.String("faults", "", "inject faults from this JSON plan file into every configuration (see internal/fault)")
 	out := flag.String("o", "", "output file (default stdout)")
 	showMetrics := flag.Bool("metrics", false, "print batch run metrics (throughput, utilization, latency) to stderr")
-	backend := flag.String("backend", "", "execution backend for every configuration: event, compiled, auto or lanes (lanes: retired, runs compiled; results are identical either way)")
+	backend := flag.String("backend", "", "execution backend for every configuration: event pins the reference kernel; empty (the default), compiled, auto and lanes all run the fastest exact path, compiled unless a feature needs event (results are identical either way)")
 	accuracy := flag.String("accuracy", "", "accuracy class for every configuration: cycle (exact, default) or transaction (calibrated transaction-level estimate, ~10x faster)")
 	topoFile := flag.String("topology", "", "sweep from this declarative topology JSON file instead of the paper base (-widths/-waits/-policies still apply per point; -slaves does not: the address map fixes the slave count)")
 	flag.Parse()

@@ -467,6 +467,48 @@ func TestMasterWithEmptyScriptStaysIdle(t *testing.T) {
 	ts.checkClean(t)
 }
 
+// TestOpLessSequenceCostsItsIdleGap checks a sequence without ops costs
+// exactly its IdleAfter idle cycles, after which the master moves on:
+// every later beat completes that many cycles later than without it, and
+// the master finishes its traffic.
+func TestOpLessSequenceCostsItsIdleGap(t *testing.T) {
+	write := Sequence{Ops: []Op{{Kind: OpWrite, Addr: 0x10, Data: []uint32{7}}}, IdleAfter: 1}
+	read := Sequence{Ops: []Op{{Kind: OpRead, Addr: 0x10}}}
+	run := func(name string, seqs ...Sequence) []Result {
+		ts := newTestSystem(t, 1, 1, 0, PolicySticky)
+		ts.masters[0].Enqueue(seqs...)
+		ts.run(t, 60)
+		ts.checkClean(t)
+		if !ts.masters[0].Done() {
+			t.Fatalf("%s: master not done after 60 cycles (%d beats)", name, ts.masters[0].Stats().Beats)
+		}
+		return ts.masters[0].Results()
+	}
+	base := run("no gap", write, read)
+	for _, c := range []struct {
+		name  string
+		seqs  []Sequence
+		shift []uint64 // per beat, cycles later than the base run
+	}{
+		{"leading gap", []Sequence{{IdleAfter: 2}, write, read}, []uint64{2, 2}},
+		{"leading empty", []Sequence{{}, write, read}, []uint64{0, 0}},
+		{"middle gaps", []Sequence{write, {IdleAfter: 3}, {}, {IdleAfter: 1}, read}, []uint64{0, 4}},
+		{"trailing gap", []Sequence{write, read, {IdleAfter: 5}}, []uint64{0, 0}},
+	} {
+		got := run(c.name, c.seqs...)
+		if len(got) != len(base) {
+			t.Fatalf("%s: %d beats, want %d", c.name, len(got), len(base))
+		}
+		for i := range got {
+			want := base[i]
+			want.Cycle += c.shift[i]
+			if got[i] != want {
+				t.Errorf("%s: beat %d = %+v, want %+v", c.name, i, got[i], want)
+			}
+		}
+	}
+}
+
 func TestBadPortIndexes(t *testing.T) {
 	ts := newTestSystem(t, 1, 1, 0, PolicySticky)
 	if _, err := NewMaster(ts.bus, 5); err == nil {

@@ -448,15 +448,16 @@ func (m *Master) hasWork() bool {
 	if m.regs.IdleCnt > 0 {
 		return false
 	}
-	op := m.currentOp()
-	return op != nil && op.Kind != OpIdle
+	op := m.currentOp() // may enter the idle gap of an op-less sequence
+	return op != nil && op.Kind != OpIdle && m.regs.IdleCnt == 0
 }
 
 // currentSeq returns the sequence at regs.SeqIdx, pulling it from the
 // source when the master has just moved onto it, or nil when the source
-// has none.
+// has none. A sequence without ops is only its idle gap: the master adds
+// its IdleAfter to the countdown and moves on to the next one.
 func (m *Master) currentSeq() *Sequence {
-	if m.pulled <= m.regs.SeqIdx {
+	for m.pulled <= m.regs.SeqIdx {
 		if m.src == nil {
 			return nil
 		}
@@ -465,6 +466,11 @@ func (m *Master) currentSeq() *Sequence {
 			return nil
 		}
 		m.cur, m.pulled = s, m.pulled+1
+		if len(s.Ops) == 0 {
+			m.regs.IdleCnt += s.IdleAfter
+			m.regs.SeqIdx++
+			continue
+		}
 		m.enterOp()
 	}
 	return &m.cur
@@ -483,11 +489,14 @@ func (m *Master) currentOp() *Op {
 // advanceIdle consumes one idle cycle if an idle gap or OpIdle is active.
 func (m *Master) advanceIdle() {
 	m.regs.Stats.IdleCycle++
+	var op *Op
+	if m.regs.IdleCnt == 0 {
+		op = m.currentOp() // may enter the idle gap of an op-less sequence
+	}
 	if m.regs.IdleCnt > 0 {
 		m.regs.IdleCnt--
 		return
 	}
-	op := m.currentOp()
 	if op != nil && op.Kind == OpIdle {
 		if m.regs.Beat == 0 {
 			m.regs.Beat = op.IdleCycles

@@ -103,6 +103,9 @@ func (m *Master) restoreFlight(st FlightState) *flight {
 
 // CaptureState serializes the master's dynamic state.
 func (m *Master) CaptureState() MasterState {
+	// Pulling the current sequence first steps over op-less sequences, so
+	// the captured position is one RestoreState seeks to.
+	op := m.currentOp()
 	st := MasterState{masterRegs: m.regs}
 	if m.addrPhase != nil {
 		f := captureFlight(m.addrPhase)
@@ -115,7 +118,7 @@ func (m *Master) CaptureState() MasterState {
 	for _, rf := range m.rewind {
 		st.Rewind = append(st.Rewind, captureFlight(rf))
 	}
-	if m.currentOp() != nil {
+	if op != nil {
 		st.BusyLeft = maps.Clone(m.busyLeft)
 	}
 	return st
@@ -175,7 +178,7 @@ func (m *Master) RestoreState(st MasterState) error {
 	}
 	m.regs = st.masterRegs
 	m.busyLeft = nil
-	if m.pulled > st.SeqIdx && st.OpIdx > 0 && st.OpIdx >= len(m.cur.Ops) {
+	if m.pulled > st.SeqIdx && st.OpIdx >= len(m.cur.Ops) {
 		return fmt.Errorf("ahb: master %d op position (%d,%d) outside its traffic", m.idx, st.SeqIdx, st.OpIdx)
 	}
 	if st.BusyLeft != nil {

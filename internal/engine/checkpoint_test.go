@@ -153,8 +153,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 // TestCheckpointFallbacks verifies the surfaced-reason contract for every
 // route that cannot checkpoint: ineligible analyzers run without
-// snapshots, a lanes hint checkpoints on the compiled stepper, and the
-// TLM executor falls back to cycle accuracy.
+// snapshots, a lanes hint checkpoints on the compiled stepper with no
+// fallback, and the TLM executor falls back to cycle accuracy.
 func TestCheckpointFallbacks(t *testing.T) {
 	base := Scenario{
 		Name:     "ckpt-fallback",
@@ -203,9 +203,9 @@ func TestCheckpointFallbacks(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("run: %v", res.Err)
 		}
-		if res.Backend != exec.NameCompiled || res.BackendFallback != LanesRetired || res.CheckpointFallback != "" || saved == 0 {
-			t.Errorf("lanes + checkpoint: backend %q, fallback %q, checkpoint fallback %q, %d snapshots; want compiled, %q and snapshots",
-				res.Backend, res.BackendFallback, res.CheckpointFallback, saved, LanesRetired)
+		if res.Backend != exec.NameCompiled || res.BackendFallback != "" || res.CheckpointFallback != "" || saved == 0 {
+			t.Errorf("lanes + checkpoint: backend %q, fallback %q, checkpoint fallback %q, %d snapshots; want compiled, no fallback and snapshots",
+				res.Backend, res.BackendFallback, res.CheckpointFallback, saved)
 		}
 	})
 	t.Run("tlm-fallback", func(t *testing.T) {
@@ -269,6 +269,85 @@ func TestCheckpointSnapshotGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != snapshotGoldenDigest {
 		t.Errorf("snapshot digest %s, want %s: the checkpoint encoding moved", got, snapshotGoldenDigest)
+	}
+}
+
+// TestCheckpointResumeOpLessSequences resumes from a snapshot of every
+// cycle of a run whose master 1 script puts sequences without ops, with
+// and without idle gaps, between its writes and reads. On either backend
+// each resumed run must match the uninterrupted run's state for the next
+// cycles and at the end.
+func TestCheckpointResumeOpLessSequences(t *testing.T) {
+	const cycles, follow = 240, 6
+	var script []ahb.Sequence
+	for i := 0; i < 12; i++ {
+		a := uint32(i) * 16
+		script = append(script,
+			ahb.Sequence{Ops: []ahb.Op{{Kind: ahb.OpWrite, Addr: a, Data: []uint32{uint32(i)}}}},
+			ahb.Sequence{IdleAfter: 2}, ahb.Sequence{},
+			ahb.Sequence{Ops: []ahb.Op{{Kind: ahb.OpRead, Addr: a}}, IdleAfter: 1},
+			ahb.Sequence{IdleAfter: 3})
+	}
+	build := func() *core.System {
+		sys, err := core.NewSystem(core.PaperSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Masters[1].Enqueue(script...)
+		an, err := core.Attach(sys, core.AnalyzerConfig{Style: core.StyleGlobal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.AddSnapshotter("analyzer", an)
+		return sys
+	}
+	encode := func(sys *core.System) []byte {
+		sn, err := sys.CaptureSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sys := build()
+	states := [][]byte{nil}
+	for c := 1; c <= cycles; c++ {
+		if err := sys.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, encode(sys))
+	}
+	if beats := sys.Masters[1].Stats().Beats; beats != 24 {
+		t.Fatalf("master 1 moved %d beats, want 24", beats)
+	}
+	for c := 1; c+follow < cycles; c++ {
+		snap, err := core.DecodeSnapshot(states[c])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []exec.Backend{exec.Event(), exec.Compiled()} {
+			twin := build()
+			if err := twin.RestoreSnapshot(snap); err != nil {
+				t.Fatalf("%s: cycle %d: %v", be.Name(), c, err)
+			}
+			for f := c + 1; f <= c+follow; f++ {
+				if err := be.Run(context.Background(), twin, 1); err != nil {
+					t.Fatalf("%s: %v", be.Name(), err)
+				}
+				if string(encode(twin)) != string(states[f]) {
+					t.Fatalf("%s: resumed at cycle %d, the state at cycle %d differs", be.Name(), c, f)
+				}
+			}
+			if err := be.Run(context.Background(), twin, uint64(cycles-c-follow)); err != nil {
+				t.Fatalf("%s: %v", be.Name(), err)
+			}
+			if string(encode(twin)) != string(states[cycles]) {
+				t.Errorf("%s: resumed at cycle %d, the run ends in a different state", be.Name(), c)
+			}
+		}
 	}
 }
 

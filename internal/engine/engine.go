@@ -76,12 +76,10 @@ type Scenario struct {
 	// never what they compute — results are bit-identical across backends
 	// — so it is deliberately excluded from CanonicalKey and a cached
 	// result answers the scenario regardless of the backend that produced
-	// it. A "compiled"/"auto" hint falls back to the event backend, with
-	// the reason surfaced in Result.BackendFallback, when the scenario
-	// uses features the compiled stepper cannot honor. "lanes" names the
-	// retired lane backend: it plans exactly like "compiled", and when the
-	// compiled stepper runs the scenario the fallback reason says so
-	// (LanesRetired).
+	// it. "event" pins the reference kernel. Every other accepted hint is
+	// the same request: the compiled stepper, or the event kernel with the
+	// reason surfaced in Result.BackendFallback when the scenario uses
+	// features the compiled stepper cannot honor.
 	Backend string
 	// Accuracy selects the result-accuracy class: "" or "cycle" for the
 	// exact cycle-accurate simulation (the default), "transaction" for
@@ -132,22 +130,16 @@ type Plan struct {
 	BackendFallback, CheckpointFallback string
 }
 
-// LanesRetired is the fallback reason of a "lanes" hint that the
-// compiled stepper ran: the lane backend is retired, and its hint plans
-// like "compiled".
-const LanesRetired = "lane backend retired: ran on the compiled stepper"
-
 // Plan resolves the scenario's execution path. A transaction-accuracy
-// request takes the estimator unless a feature blocks it; otherwise a
-// compiled, auto or lanes hint picks the compiled stepper unless a
-// feature blocks it, and the event kernel runs everything else. The
-// reason a requested path was not taken is the first blocker in the
-// capability table, prefixed "transaction accuracy: " for an accuracy
-// fallback; a lanes hint that the compiled stepper ran with no other
-// reason reports LanesRetired. Checkpointing is armed unless blocked;
-// resuming a scenario that cannot be checkpointed is an error, since
-// restoring would silently drop state. A scenario with invalid analyzer
-// constants (see core.AnalyzerConfig.Validate) gets no plan.
+// request takes the estimator unless a feature blocks it; otherwise
+// exec.Select picks the cycle-accurate backend: the event kernel under an
+// "event" hint, else the compiled stepper unless a feature blocks it.
+// The reason a path was not taken is the first blocker in the capability
+// table, prefixed "transaction accuracy: " for an accuracy fallback,
+// which comes first. Checkpointing is armed unless blocked; resuming a
+// scenario that cannot be checkpointed is an error, since restoring
+// would silently drop state. A scenario with invalid analyzer constants
+// (see core.AnalyzerConfig.Validate) gets no plan.
 func (sc *Scenario) Plan() (Plan, error) {
 	switch {
 	case sc.Cycles == 0:
@@ -167,7 +159,7 @@ func (sc *Scenario) Plan() (Plan, error) {
 		}
 	}
 	fs := sc.features()
-	p := Plan{Path: exec.NameEvent, Accuracy: AccuracyCycle}
+	p := Plan{Accuracy: AccuracyCycle}
 	if NormalizeAccuracy(sc.Accuracy) == AccuracyTransaction {
 		reason := exec.Blocker(fs, exec.PathTLM)
 		if reason == "" {
@@ -175,18 +167,10 @@ func (sc *Scenario) Plan() (Plan, error) {
 		}
 		p.BackendFallback = "transaction accuracy: " + reason
 	}
-	switch sc.Backend {
-	case exec.NameCompiled, exec.NameAuto, exec.NameLanes:
-		reason := exec.Blocker(fs, exec.PathCompiled)
-		if reason == "" {
-			p.Path = exec.NameCompiled
-			if sc.Backend == exec.NameLanes {
-				reason = LanesRetired
-			}
-		}
-		if p.BackendFallback == "" {
-			p.BackendFallback = reason
-		}
+	backend, reason := exec.Select(fs, sc.Backend)
+	p.Path = backend.Name()
+	if p.BackendFallback == "" {
+		p.BackendFallback = reason
 	}
 	if sc.Checkpoint != nil {
 		p.CheckpointFallback = exec.Blocker(fs, exec.PathCheckpoint)
@@ -259,11 +243,10 @@ type Result struct {
 	// part of the result identity: supported scenarios produce
 	// bit-identical results on every cycle-accurate backend.
 	Backend string
-	// BackendFallback is the surfaced reason the compiled backend was
-	// requested but the event backend ran instead, the reason a
-	// transaction-accuracy request conservatively ran cycle-accurate
-	// (prefixed "transaction accuracy:"), or LanesRetired for a lanes hint
-	// the compiled stepper ran; empty when no fallback happened.
+	// BackendFallback is the surfaced reason a transaction-accuracy
+	// request conservatively ran cycle-accurate (prefixed "transaction
+	// accuracy:"), or else the reason the event kernel ran a scenario
+	// that did not pin it; empty when no fallback happened.
 	BackendFallback string
 	// Accuracy is the accuracy class that actually produced the result:
 	// AccuracyCycle for the exact paths (including conservative fallbacks

@@ -81,16 +81,17 @@ func planBase() Scenario {
 }
 
 // requestedPath returns the path a scenario asks for and its table bit
-// (0 for the event kernel, which nothing blocks).
+// (0 for the event kernel, which nothing blocks): the estimator at
+// transaction accuracy, the event kernel under an event pin, and the
+// compiled stepper under every other hint.
 func requestedPath(sc *Scenario) (string, exec.Path) {
-	if sc.Accuracy == AccuracyTransaction {
+	switch {
+	case sc.Accuracy == AccuracyTransaction:
 		return tlm.Name, exec.PathTLM
+	case sc.Backend == exec.NameEvent:
+		return exec.NameEvent, 0
 	}
-	switch sc.Backend {
-	case exec.NameCompiled, exec.NameAuto, exec.NameLanes:
-		return exec.NameCompiled, exec.PathCompiled
-	}
-	return exec.NameEvent, 0
+	return exec.NameCompiled, exec.PathCompiled
 }
 
 // TestPlanExhaustive enumerates every feature combination — the boolean
@@ -99,13 +100,13 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 // against the capability table: no chosen path or armed checkpoint is
 // blocked by a present feature, a fallback reason is set exactly when the
 // requested path was not taken and names its first blocker in table
-// order, resuming a checkpoint-blocked scenario is an error, and every
-// analyzer the plan arms for checkpointing passes the analyzer's own
-// snapshot guard. A lanes hint must plan exactly like a compiled hint in
-// path, accuracy and checkpointing; its fallback reason is the compiled
-// hint's, or LanesRetired when the compiled stepper runs it with no other
-// reason. Activity recording and a timeout must leave every plan as it is
-// without them.
+// order, a transaction request that falls back runs where its
+// cycle-accuracy twin runs, resuming a checkpoint-blocked scenario is an
+// error, and every analyzer the plan arms for checkpointing passes the
+// analyzer's own snapshot guard. The hints have two behaviours: event
+// pins the event kernel, and compiled, auto and lanes plan exactly like
+// no hint, reason included. Activity recording and a timeout must leave
+// every plan as it is without them.
 func TestPlanExhaustive(t *testing.T) {
 	var boolKnobs []planKnob
 	for _, k := range planKnobs(t) {
@@ -156,8 +157,8 @@ func TestPlanExhaustive(t *testing.T) {
 					for _, hint := range planHints {
 						sc.Accuracy, sc.Backend = acc, hint
 						checkPlan(t, &sc, want)
-						if hint == exec.NameLanes {
-							checkLanesLikeCompiled(t, sc)
+						if hint != "" && hint != exec.NameEvent {
+							checkHintLikeNone(t, sc)
 						}
 						if sc.Analyzer.RecordActivity {
 							twin := sc
@@ -231,16 +232,18 @@ func checkPlan(t *testing.T, sc *Scenario, fs exec.Feature) {
 	}
 	want, bit := requestedPath(sc)
 	reason := ""
-	switch {
-	case p.Path != want:
+	if p.Path != want {
 		if reason = exec.Blocker(fs, bit); reason == "" {
 			t.Fatalf("%s: %s was not taken, yet nothing blocks it", id, want)
 		}
 		if bit == exec.PathTLM {
 			reason = "transaction accuracy: " + reason
+			twin := *sc
+			twin.Accuracy = AccuracyCycle
+			if tp, err := twin.Plan(); err != nil || tp.Path != p.Path {
+				t.Fatalf("%s: fell back onto %s, its cycle-accuracy twin plans %+v (%v)", id, p.Path, tp, err)
+			}
 		}
-	case sc.Backend == exec.NameLanes && p.Path == exec.NameCompiled:
-		reason = LanesRetired
 	}
 	if p.BackendFallback != reason {
 		t.Fatalf("%s: ran on %s with fallback %q, want %q", id, p.Path, p.BackendFallback, reason)
@@ -261,26 +264,16 @@ func checkPlan(t *testing.T, sc *Scenario, fs exec.Feature) {
 	}
 }
 
-// checkLanesLikeCompiled checks a lanes-hinted scenario plans like its
-// compiled-hinted twin: the same error or the same path, accuracy and
-// checkpointing, and the twin's fallback reason, or LanesRetired when the
-// compiled stepper runs it with no other reason.
-func checkLanesLikeCompiled(t *testing.T, sc Scenario) {
+// checkHintLikeNone checks a scenario plans like its unhinted twin: the
+// same error, or the same path, accuracy, checkpointing and reasons.
+func checkHintLikeNone(t *testing.T, sc Scenario) {
 	t.Helper()
 	twin := sc
-	twin.Backend = exec.NameCompiled
+	twin.Backend = ""
 	p, err := sc.Plan()
 	tp, terr := twin.Plan()
-	if (err == nil) != (terr == nil) {
-		t.Fatalf("accuracy %q: lanes hint err %v, compiled hint err %v", sc.Accuracy, err, terr)
-	}
-	reason := tp.BackendFallback
-	if reason == "" && tp.Path == exec.NameCompiled {
-		reason = LanesRetired
-	}
-	if p.Path != tp.Path || p.Accuracy != tp.Accuracy || p.Checkpoint != tp.Checkpoint ||
-		p.CheckpointFallback != tp.CheckpointFallback || p.BackendFallback != reason {
-		t.Fatalf("accuracy %q: lanes hint planned %+v, compiled hint %+v (want fallback %q)", sc.Accuracy, p, tp, reason)
+	if p != tp || (err == nil) != (terr == nil) {
+		t.Fatalf("hint %q accuracy %q: planned %+v (%v), unhinted %+v (%v)", sc.Backend, sc.Accuracy, p, err, tp, terr)
 	}
 }
 
@@ -339,9 +332,9 @@ func TestRunOneFollowsPlan(t *testing.T) {
 }
 
 // TestRunOneLaneBackend runs the retired lane backend's hint through
-// RunOne: a scenario the compiled stepper honours runs there with
-// LanesRetired and the event backend's exact result, and one it does not
-// falls back to the event kernel with the compiled blocker.
+// RunOne: a scenario the compiled stepper honours runs there with no
+// fallback reason and the event backend's exact result, and one it does
+// not falls back to the event kernel with the compiled blocker.
 func TestRunOneLaneBackend(t *testing.T) {
 	sc := planBase()
 	sc.Backend = exec.NameLanes
@@ -352,8 +345,8 @@ func TestRunOneLaneBackend(t *testing.T) {
 	if res.Err != nil || ref.Err != nil {
 		t.Fatalf("lanes hint: %v; event: %v", res.Err, ref.Err)
 	}
-	if res.Backend != exec.NameCompiled || res.BackendFallback != LanesRetired || res.Lanes != 0 {
-		t.Errorf("backend=%q fallback=%q lanes=%d, want compiled, %q, 0", res.Backend, res.BackendFallback, res.Lanes, LanesRetired)
+	if res.Backend != exec.NameCompiled || res.BackendFallback != "" || res.Lanes != 0 {
+		t.Errorf("backend=%q fallback=%q lanes=%d, want compiled, no fallback, 0", res.Backend, res.BackendFallback, res.Lanes)
 	}
 	if !reflect.DeepEqual(res.Report, ref.Report) || res.Beats != ref.Beats || !reflect.DeepEqual(res.Counts, ref.Counts) {
 		t.Errorf("lanes-hinted result differs from the event backend's")
@@ -370,8 +363,8 @@ func TestRunOneLaneBackend(t *testing.T) {
 // TestRunnerLanesHintRunsCompiled runs 64 lanes-hinted paper seeds, the
 // batch the lane backend used to run as one pack, on a pooled runner. The
 // results must equal the same batch hinted compiled, field for field,
-// and every result must read the compiled backend, LanesRetired and no
-// lane occupancy.
+// and every result must read the compiled backend, no fallback reason
+// and no lane occupancy.
 func TestRunnerLanesHintRunsCompiled(t *testing.T) {
 	scs := make([]Scenario, 64)
 	for i := range scs {
@@ -396,9 +389,9 @@ func TestRunnerLanesHintRunsCompiled(t *testing.T) {
 		if g.Err != nil || w.Err != nil {
 			t.Fatalf("%s: lanes hint %v, compiled hint %v", scs[i].Name, g.Err, w.Err)
 		}
-		if g.Backend != exec.NameCompiled || g.BackendFallback != LanesRetired || g.Lanes != 0 {
-			t.Errorf("%s: backend=%q fallback=%q lanes=%d, want compiled, %q, 0",
-				scs[i].Name, g.Backend, g.BackendFallback, g.Lanes, LanesRetired)
+		if g.Backend != exec.NameCompiled || g.BackendFallback != "" || g.Lanes != 0 {
+			t.Errorf("%s: backend=%q fallback=%q lanes=%d, want compiled, no fallback, 0",
+				scs[i].Name, g.Backend, g.BackendFallback, g.Lanes)
 		}
 		if math.Float64bits(g.Report.TotalEnergy) != math.Float64bits(w.Report.TotalEnergy) ||
 			!reflect.DeepEqual(g.Report, w.Report) || !reflect.DeepEqual(g.Stats, w.Stats) ||

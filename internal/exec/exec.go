@@ -18,7 +18,8 @@
 // transaction-level estimator (internal/tlm). Which of the three paths —
 // and whether checkpointing — can honour a scenario is one decision,
 // recorded once in this package's capability table (see Feature and
-// Blocker) and resolved by engine.(*Scenario).Plan.
+// Blocker) and resolved by engine.(*Scenario).Plan; Select is the one
+// rule for compiled versus event.
 //
 // Results are byte-identical across the cycle-accurate paths for
 // supported scenarios — the golden equivalence suites and the backend
@@ -36,21 +37,18 @@ import (
 )
 
 // Backend names accepted as scenario hints and by the -backend CLI flags.
+// NameEvent is the only hint that changes where a scenario runs; the
+// empty hint, NameCompiled, NameAuto and NameLanes are one request for the
+// fastest exact path (see Select).
 const (
-	// NameEvent selects the reference event-driven kernel.
+	// NameEvent pins the reference event-driven kernel.
 	NameEvent = "event"
-	// NameCompiled selects the straight-line compiled stepper, falling
-	// back to the event backend (with a surfaced reason) for scenarios it
-	// cannot honor.
+	// NameCompiled names the straight-line compiled stepper.
 	NameCompiled = "compiled"
-	// NameAuto selects the compiled backend whenever the scenario supports
-	// it and the event backend otherwise; the fallback reason is surfaced
-	// the same way as for an explicit compiled request.
+	// NameAuto is accepted for clients that still send it.
 	NameAuto = "auto"
-	// NameLanes is the hint of the retired bit-parallel lane backend. It
-	// is still accepted so existing clients keep working, and it plans
-	// exactly like NameCompiled, with a fallback reason saying the
-	// backend is retired.
+	// NameLanes is the hint of the retired bit-parallel lane backend,
+	// accepted for clients that still send it.
 	NameLanes = "lanes"
 )
 
@@ -155,10 +153,23 @@ func AnalyzerFeatures(cfg core.AnalyzerConfig) Feature {
 func Event() Backend { return eventBackend{} }
 
 // Compiled returns the straight-line compiled backend. Callers are
-// expected to consult Blocker with PathCompiled first; Run fails (rather
-// than silently degrading) when the built system violates the
-// flat-execution contract.
+// expected to choose it through Select; Run fails (rather than silently
+// degrading) when the built system violates the flat-execution contract.
 func Compiled() Backend { return compiledBackend{} }
+
+// Select returns the cycle-accurate backend that runs a scenario with
+// features fs under a backend hint: the event kernel when the hint is
+// NameEvent, otherwise the compiled stepper unless a feature blocks it,
+// and else the event kernel with the first blocker as the reason.
+func Select(fs Feature, hint string) (Backend, string) {
+	if hint == NameEvent {
+		return Event(), ""
+	}
+	if reason := Blocker(fs, PathCompiled); reason != "" {
+		return Event(), reason
+	}
+	return Compiled(), ""
+}
 
 type eventBackend struct{}
 
@@ -181,7 +192,8 @@ func (compiledBackend) Run(ctx context.Context, sys *core.System, cycles uint64)
 }
 
 // ValidName reports whether name is an accepted backend hint. The empty
-// string is valid and means the default (event) backend.
+// string is valid: like compiled, auto and lanes it asks for the fastest
+// exact path, and only event pins a backend.
 func ValidName(name string) bool {
 	switch name {
 	case "", NameEvent, NameCompiled, NameAuto, NameLanes:

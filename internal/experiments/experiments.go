@@ -14,6 +14,7 @@ import (
 	"ahbpower/internal/charact"
 	"ahbpower/internal/core"
 	"ahbpower/internal/engine"
+	"ahbpower/internal/exec"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/power"
 	"ahbpower/internal/stats"
@@ -139,10 +140,10 @@ type OverheadResult struct {
 // Overhead measures wall-clock simulation time without power analysis and
 // with each analyzer style plus the Activity store (the paper's
 // instrumentation: Activity class and power FSM), using the engine's
-// Metrics.Run (simulation loop only, excluding construction and workload
-// generation) on a single-worker runner so runs never contend for the
-// CPU. Each configuration is run three times and the minimum is
-// reported, to suppress scheduler and allocator noise.
+// Metrics.Run (simulation loop only, excluding construction) on the event
+// kernel and a single-worker runner so runs never contend for the CPU.
+// Each configuration is run three times and the minimum is reported, to
+// suppress scheduler and allocator noise.
 func Overhead(cycles uint64) (*OverheadResult, error) {
 	runner := engine.NewRunner(1)
 	run := func(skipAnalyzer bool, style core.Style) (float64, error) {
@@ -154,6 +155,9 @@ func Overhead(cycles uint64) (*OverheadResult, error) {
 				Analyzer:     core.AnalyzerConfig{Style: style, RecordActivity: !skipAnalyzer},
 				Cycles:       cycles,
 				SkipAnalyzer: skipAnalyzer,
+				// One kernel for every configuration: private style runs
+				// only on the event kernel.
+				Backend: exec.NameEvent,
 			}})[0]
 			if res.Err != nil {
 				return 0, res.Err

@@ -106,7 +106,7 @@ func TestRunResponseEnvelope(t *testing.T) {
 				DegradedActions:  []string{"estimated_transaction_accuracy:1", "served_from_cache_despite_no_cache"},
 				Backends:         map[string]int{"tlm": 1, "event": 1},
 				Accuracies:       map[string]int{"transaction": 1, "cycle": 1},
-				BackendFallbacks: []string{"real: private-style analyzer <needs> the event kernel & more", "x: " + engine.LanesRetired}},
+				BackendFallbacks: []string{"real: private-style analyzer <needs> the event kernel & more", "x: lane backend retired: ran on the compiled stepper"}},
 		}},
 		{"nil slots", RunResponse{
 			Results: []json.RawMessage{nil, hit, nil},

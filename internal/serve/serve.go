@@ -59,23 +59,13 @@ type Config struct {
 	// degradation reported in the response envelope. 0 selects the
 	// default 0.75; negative disables degradation.
 	DegradeAt float64
-	// DefaultBackend is the execution backend applied to scenarios whose
-	// request carries no backend of its own: "" or "event" (the default),
-	// "compiled", "auto" (compiled when supported, event otherwise), or
-	// "lanes", the retired lane backend's hint, which runs like
-	// "compiled".
-	// Purely an execution policy — results and cache keys are identical
-	// across backends. The name must be valid (exec.ValidName); requests
-	// resolved against an unknown default are rejected at decode time, and
-	// cmd/ahbserved validates its flag at startup.
-	DefaultBackend string
 	// DefaultAccuracy is the accuracy class applied to scenarios whose
 	// request carries none of its own: "" or "cycle" (exact, the default)
 	// or "transaction" (calibrated transaction-level estimate — cheaper
-	// tier, approximate by contract). Unlike DefaultBackend, accuracy
+	// tier, approximate by contract). Unlike a backend hint, accuracy
 	// changes the computed result and is part of the cache key, so cycle
-	// and transaction results never answer each other. Validated like the
-	// backend (engine.ValidAccuracy).
+	// and transaction results never answer each other. Validated by
+	// engine.ValidAccuracy.
 	DefaultAccuracy string
 	// StateDir, when non-empty, makes the daemon crash-safe: async job
 	// lifecycle events are written to an fsynced write-ahead journal under
@@ -560,9 +550,9 @@ func (s *Server) checkRequest(req *RunRequest) error {
 
 // resolveScenario resolves scenario i of a checked request into the
 // engine scenario /v1/run executes and its canonical cache key: wire
-// decode, the cycle limit, then the backend and accuracy inherited
-// scenario → request → server default. On error the returned scenario
-// still carries the name.
+// decode, the cycle limit, then the backend inherited scenario → request
+// and the accuracy scenario → request → server default. On error the
+// returned scenario still carries the name.
 func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, string, error) {
 	sc, err := req.Scenarios[i].Scenario(i)
 	if err != nil {
@@ -575,12 +565,6 @@ func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, strin
 	// result identity, so it must settle before the key is computed.
 	if sc.Backend == "" {
 		sc.Backend = req.Backend
-	}
-	if sc.Backend == "" {
-		sc.Backend = s.cfg.DefaultBackend
-	}
-	if !exec.ValidName(sc.Backend) {
-		return sc, "", fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|lanes|auto)", sc.Name, sc.Backend)
 	}
 	if sc.Accuracy == "" {
 		sc.Accuracy = req.Accuracy

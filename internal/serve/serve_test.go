@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"ahbpower/internal/engine"
+	"ahbpower/internal/exec"
 )
 
 // wireResult mirrors the fields of ResultWire the tests assert on.
@@ -548,9 +548,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestLaneBackendServed drives the retired lane backend's hint through
 // the wire format: "lanes" is still accepted, runs on the compiled
-// stepper with one surfaced fallback per scenario, and returns bytes
-// identical to the same batch recomputed on the event backend. The lane
-// counters are gone from /metrics.
+// stepper with no fallback, and returns bytes identical to the same batch
+// recomputed on the event backend. The lane counters are gone from
+// /metrics.
 func TestLaneBackendServed(t *testing.T) {
 	s := New(Config{Workers: 2})
 	h := s.Handler()
@@ -570,10 +570,9 @@ func TestLaneBackendServed(t *testing.T) {
 	if err := json.Unmarshal(first.Body.Bytes(), &r1); err != nil {
 		t.Fatal(err)
 	}
-	wantFallbacks := []string{"lane-a: " + engine.LanesRetired, "lane-b: " + engine.LanesRetired}
-	if r1.Batch.Backends["compiled"] != 2 || !slices.Equal(r1.Batch.Fallbacks, wantFallbacks) {
-		t.Fatalf("lanes request: backends=%v fallbacks=%v, want compiled:2 and %v",
-			r1.Batch.Backends, r1.Batch.Fallbacks, wantFallbacks)
+	if r1.Batch.Backends["compiled"] != 2 || len(r1.Batch.Fallbacks) != 0 {
+		t.Fatalf("lanes request: backends=%v fallbacks=%v, want compiled:2 and no fallback",
+			r1.Batch.Backends, r1.Batch.Fallbacks)
 	}
 
 	second := post(h, `{"no_cache":true,"backend":"event","scenarios":[`+specs+`]}`)
@@ -593,13 +592,66 @@ func TestLaneBackendServed(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
 		t.Fatalf("metrics body is not JSON: %v", err)
 	}
-	if vars["backend_compiled_runs"].(float64) != 2 || vars["backend_fallbacks"].(float64) != 2 {
-		t.Errorf("backend_compiled_runs = %v, backend_fallbacks = %v, want 2 and 2",
+	if vars["backend_compiled_runs"].(float64) != 2 || vars["backend_fallbacks"].(float64) != 0 {
+		t.Errorf("backend_compiled_runs = %v, backend_fallbacks = %v, want 2 and 0",
 			vars["backend_compiled_runs"], vars["backend_fallbacks"])
 	}
 	for _, gone := range []string{"backend_lane_runs", "lane_occupancy"} {
 		if _, ok := vars[gone]; ok {
 			t.Errorf("/metrics still exports %q", gone)
+		}
+	}
+}
+
+// TestUnhintedRequestRunsFastestExactPath posts a batch with no backend
+// hint anywhere: a global-style scenario must run on the compiled stepper
+// with no fallback, and a private-style one on the event kernel with the
+// compiled stepper's blocker listed in backend_fallbacks and counted in
+// /metrics. The result bytes must equal an event-pinned recompute.
+func TestUnhintedRequestRunsFastestExactPath(t *testing.T) {
+	s := New(Config{Workers: 2})
+	h := s.Handler()
+	specs := scenarioJSON("global", 1500, 5) + `,` +
+		`{"name":"private","cycles":1500,"analyzer":{"style":"private"},` +
+		`"workloads":[{"seed":6,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]}`
+
+	first := post(h, `{"scenarios":[`+specs+`]}`)
+	if first.Code != http.StatusOK {
+		t.Fatalf("unhinted request: status %d, body %s", first.Code, first.Body.String())
+	}
+	var r1 struct {
+		wireResponse
+		Batch struct {
+			Backends  map[string]int `json:"backends"`
+			Fallbacks []string       `json:"backend_fallbacks"`
+		} `json:"batch"`
+	}
+	if err := json.Unmarshal(first.Body.Bytes(), &r1); err != nil {
+		t.Fatal(err)
+	}
+	wantFallbacks := []string{"private: " + exec.Blocker(exec.FeaturePrivateStyle, exec.PathCompiled)}
+	if len(r1.Batch.Backends) != 2 || r1.Batch.Backends["compiled"] != 1 || r1.Batch.Backends["event"] != 1 ||
+		!slices.Equal(r1.Batch.Fallbacks, wantFallbacks) {
+		t.Fatalf("unhinted request: backends=%v fallbacks=%q, want compiled:1 event:1 and %q",
+			r1.Batch.Backends, r1.Batch.Fallbacks, wantFallbacks)
+	}
+	for name, want := range map[string]int64{"backend_compiled_runs": 1, "backend_event_runs": 1, "backend_fallbacks": 1} {
+		if got := metricInt(t, s, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	second := post(h, `{"no_cache":true,"backend":"event","scenarios":[`+specs+`]}`)
+	var r2 wireResponse
+	if err := json.Unmarshal(second.Body.Bytes(), &r2); err != nil {
+		t.Fatal(err)
+	}
+	if len(r2.Results) != len(r1.Results) {
+		t.Fatalf("event recompute returned %d results, want %d", len(r2.Results), len(r1.Results))
+	}
+	for i := range r1.Results {
+		if string(r1.Results[i]) != string(r2.Results[i]) {
+			t.Errorf("unhinted result %d differs from the event recompute:\n%s\n%s", i, r1.Results[i], r2.Results[i])
 		}
 	}
 }

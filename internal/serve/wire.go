@@ -44,13 +44,13 @@ type RunRequest struct {
 	// NoCache bypasses the result cache for this request (results are
 	// still stored for later hits).
 	NoCache bool `json:"no_cache,omitempty"`
-	// Backend is the request-level execution-backend default
+	// Backend is the request-level execution-backend hint
 	// ("event"|"compiled"|"auto"|"lanes") applied to every scenario that
-	// does not carry its own; empty defers to the server's configured
-	// default. "lanes" is the retired lane backend's hint and runs like
-	// "compiled". An execution hint only: results and cache keys are
-	// identical across backends, so requests with different backends
-	// share cache entries.
+	// does not carry its own. "event" pins the reference kernel; empty and
+	// the other names all run a scenario on the compiled stepper unless
+	// one of its features needs the event kernel. An execution hint only:
+	// results and cache keys are identical across backends, so requests
+	// with different backends share cache entries.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy is the request-level accuracy-class default
 	// ("cycle"|"transaction") applied to every scenario that does not
@@ -87,11 +87,10 @@ type ScenarioSpec struct {
 	// internal/fault). Plans participate in the canonical cache key, so
 	// faulty runs cache like clean ones.
 	Faults *fault.Plan `json:"faults,omitempty"`
-	// Backend selects this scenario's execution backend
+	// Backend is this scenario's execution-backend hint
 	// ("event"|"compiled"|"auto"|"lanes"); empty defers to the
-	// request-level and then the server-level default. Not part of the
-	// cache key. "lanes" is the retired lane backend's hint: it runs like
-	// "compiled" and reports the retirement as its backend fallback.
+	// request-level hint. Only "event" changes where the scenario runs: it
+	// pins the reference kernel. Not part of the cache key.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy selects this scenario's accuracy class
 	// ("cycle"|"transaction"); empty defers to the request-level and then
@@ -483,9 +482,9 @@ type BatchWire struct {
 	// request that conservatively fell back counts under "cycle".
 	Accuracies map[string]int `json:"accuracies,omitempty"`
 	// BackendFallbacks lists, in input order, the scenarios that did not
-	// run on the path they asked for, with the surfaced reason ("name:
-	// reason"): a compiled/auto/lanes hint that fell back to the event
-	// backend, a transaction request that ran cycle-accurate, or a lanes
-	// hint that ran compiled because the lane backend is retired.
+	// run on the fastest path they could ask for, with the surfaced reason
+	// ("name: reason"): a transaction request that ran cycle-accurate, or
+	// a scenario without an "event" pin that a feature kept off the
+	// compiled stepper.
 	BackendFallbacks []string `json:"backend_fallbacks,omitempty"`
 }

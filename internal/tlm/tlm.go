@@ -229,17 +229,15 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 }
 
 // measurePrefix attaches the analyzer to a loaded system and runs the
-// cycle-accurate kernel for the prefix window.
+// prefix window on the cycle-accurate backend exec.Select picks for the
+// analyzer's features.
 func measurePrefix(ctx context.Context, sys *core.System, az core.AnalyzerConfig, prefix uint64) (measuredPrefix, string, error) {
 	var m measuredPrefix
 	an, err := core.Attach(sys, az)
 	if err != nil {
 		return m, "", err
 	}
-	backend := exec.Compiled()
-	if exec.Blocker(exec.AnalyzerFeatures(az), exec.PathCompiled) != "" {
-		backend = exec.Event()
-	}
+	backend, _ := exec.Select(exec.AnalyzerFeatures(az), "")
 	if err := backend.Run(ctx, sys, prefix); err != nil {
 		return m, backend.Name(), err
 	}

@@ -197,6 +197,32 @@ func TestTraitsUnsupported(t *testing.T) {
 	}
 }
 
+// TestCalibrationPrefixBackend checks the calibration prefix runs on the
+// backend exec.Select picks for the analyzer's features: a private-style
+// estimate calibrates on the event kernel, a global-style one on the
+// compiled stepper.
+func TestCalibrationPrefixBackend(t *testing.T) {
+	for _, c := range []struct {
+		style core.Style
+		want  string
+	}{
+		{core.StyleGlobal, exec.NameCompiled},
+		{core.StylePrivate, exec.NameEvent},
+	} {
+		az := core.AnalyzerConfig{Style: c.style}
+		if b, _ := exec.Select(exec.AnalyzerFeatures(az), ""); b.Name() != c.want {
+			t.Fatalf("%s style: exec.Select picks %s, want %s", c.style, b.Name(), c.want)
+		}
+		out, err := Estimate(context.Background(), Spec{Name: "prefix", Topo: paperTopo(t, ""), Analyzer: az, Cycles: 20_000})
+		if err != nil {
+			t.Fatalf("%s style: %v", c.style, err)
+		}
+		if out.CalibrationBackend != c.want {
+			t.Errorf("%s style: prefix ran on %s, want %s", c.style, out.CalibrationBackend, c.want)
+		}
+	}
+}
+
 // TestReportSharesConsistent checks the estimated report's structural
 // invariants: shares sum to ~1 and the block breakdown matches the total.
 func TestReportSharesConsistent(t *testing.T) {

@@ -195,7 +195,9 @@ func faultTotal(res *engine.Result) uint64 {
 // buildScenarios derives one scenario per seed: a seed-determined random
 // fault plan on the paper system, with the arbitration policy and the
 // slaves' wait states (0-3) varied by seed so all three arbiters and
-// slaves with and without wait states face injected faults.
+// slaves with and without wait states face injected faults. Every
+// scenario pins the event kernel: the sweep is the all-event baseline
+// the backend mix is checked against.
 func buildScenarios(cfg config) ([]engine.Scenario, []*fault.Plan) {
 	scens := make([]engine.Scenario, cfg.seeds)
 	plans := make([]*fault.Plan, cfg.seeds)
@@ -211,6 +213,7 @@ func buildScenarios(cfg config) ([]engine.Scenario, []*fault.Plan) {
 			Cycles:  cfg.cycles,
 			Faults:  plans[i],
 			Timeout: cfg.timeout,
+			Backend: "event",
 		}
 	}
 	return scens, plans
