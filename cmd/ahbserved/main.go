@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"ahbpower/internal/engine"
 	"ahbpower/internal/serve"
 )
 
@@ -48,16 +47,12 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "maximum per-request deadline")
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "time in-flight batches may finish after SIGTERM before cancellation")
 	degradeAt := flag.Float64("degrade-at", 0.75, "queue-pressure fraction that enters degraded mode (negative disables)")
-	accuracy := flag.String("accuracy", "", "default accuracy class for requests that don't pick one: cycle (exact) or transaction (calibrated estimate; part of the cache key)")
 	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate (approximate answers; opt-in)")
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal, disk result cache and scenario checkpoints; a daemon restarted on the same directory recovers interrupted jobs (empty: in-memory only)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 250_000, "minimum cycles between persisted scenario checkpoints when -state-dir is set (0 disables checkpointing)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "ahbserved: ", log.LstdFlags)
-	if !engine.ValidAccuracy(*accuracy) {
-		logger.Fatalf("unknown -accuracy %q (want cycle or transaction)", *accuracy)
-	}
 	srv, err := serve.Open(serve.Config{
 		Workers:         *workers,
 		MaxConcurrent:   *concurrent,
@@ -68,7 +63,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		DegradeAt:       *degradeAt,
-		DefaultAccuracy: *accuracy,
 		DegradeEstimate: *degradeEstimate,
 		StateDir:        *stateDir,
 		CheckpointEvery: *checkpointEvery,

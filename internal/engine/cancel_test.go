@@ -5,10 +5,51 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"ahbpower/internal/core"
+	"ahbpower/internal/exec"
 	"ahbpower/internal/metrics"
+	"ahbpower/internal/tlm"
 )
+
+// TestBatchDeadlineStopsRun runs a long scenario in a batch whose context
+// expires after 50 ms, on each execution path. The batch context is the
+// one deadline: the run must stop with context.DeadlineExceeded well
+// before it could finish. The paper workload sized to a 2e9-cycle
+// horizon keeps the estimator walking transactions long enough to meet
+// the deadline; a short explicit workload would leave it an idle tail it
+// prices analytically.
+func TestBatchDeadlineStopsRun(t *testing.T) {
+	for _, c := range []struct{ backend, accuracy, path string }{
+		{exec.NameEvent, "", exec.NameEvent},
+		{exec.NameCompiled, "", exec.NameCompiled},
+		{"", AccuracyTransaction, tlm.Name},
+	} {
+		t.Run(c.path, func(t *testing.T) {
+			sc := Scenario{
+				Name:     "slow",
+				System:   core.PaperSystem(),
+				Cycles:   2_000_000_000,
+				Backend:  c.backend,
+				Accuracy: c.accuracy,
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			res := NewRunner(1).Run(ctx, []Scenario{sc})[0]
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("deadline took %v to stop the run", elapsed)
+			}
+			if !errors.Is(res.Err, context.DeadlineExceeded) {
+				t.Fatalf("want the batch deadline, got %v", res.Err)
+			}
+			if res.Backend != c.path || res.Attempts != 1 {
+				t.Errorf("ran on %q in %d attempts, want %s once", res.Backend, res.Attempts, c.path)
+			}
+		})
+	}
+}
 
 // TestCancellationMidBatchKeepsCompletedResults cancels a multi-worker
 // batch partway through: scenarios that finished before the cancellation

@@ -67,10 +67,6 @@ type Scenario struct {
 	// internal/fault). Plans participate in CanonicalKey, so faulty runs
 	// cache correctly.
 	Faults *fault.Plan
-	// Timeout, when positive, bounds this scenario's wall-clock execution.
-	// On expiry the run stops at the next cycle-slice boundary and the
-	// scenario fails with a timeout-classed error.
-	Timeout time.Duration
 	// Backend is an execution hint: "", "event", "compiled", "auto" or
 	// "lanes" (see internal/exec). It selects how cycles are advanced,
 	// never what they compute — results are bit-identical across backends
@@ -231,8 +227,8 @@ type Result struct {
 	// DPM is the dynamic-power-management estimate, when enabled.
 	DPM *core.DPMEstimate
 	// Metrics are the run's engine-level performance figures: cycles
-	// simulated, kernel delta cycles, build and run wall times and the
-	// resulting throughput. Populated on success.
+	// simulated, build and run wall times and the resulting throughput.
+	// Populated on success.
 	Metrics metrics.RunMetrics
 	// Attempts is 1 for every executed scenario (each runs exactly once)
 	// and 0 for one abandoned before starting.
@@ -268,10 +264,10 @@ type Result struct {
 	// carried an active fault plan.
 	Faults *fault.Stats
 	// Err captures any failure: construction, workload generation, attach,
-	// simulation, or a panic inside the scenario. Runner batches wrap it
-	// in a *ScenarioError carrying the failure class; scenarios abandoned
-	// before starting keep the raw context error. One failed scenario
-	// never aborts the rest of a batch.
+	// simulation, or a panic inside the scenario. A Runner batch reports
+	// exactly the error RunOne would; scenarios abandoned before starting
+	// carry the raw context error. One failed scenario never aborts the
+	// rest of a batch.
 	Err error
 }
 
@@ -353,8 +349,7 @@ func (r *Runner) run(ctx context.Context, scenarios []Scenario) ([]Result, int) 
 				if r.OnStart != nil {
 					r.OnStart(i)
 				}
-				results[i] = Execute(ctx, i, scenarios[i])
-				typeErr(ctx, &results[i])
+				results[i] = execute(ctx, i, scenarios[i])
 				executed[i] = true
 				if r.OnDone != nil {
 					r.OnDone(results[i])
@@ -413,14 +408,14 @@ func Run(ctx context.Context, scenarios []Scenario) []Result {
 
 // RunOne executes a single scenario synchronously.
 func RunOne(ctx context.Context, sc Scenario) Result {
-	return Execute(ctx, 0, sc)
+	return execute(ctx, 0, sc)
 }
 
-// Execute builds and runs one scenario exactly once, capturing any
+// execute builds and runs one scenario exactly once, capturing any
 // failure — including a panic anywhere in the model stack — in
-// Result.Err, unwrapped (Runner batches type it as a *ScenarioError). It
-// plans the scenario once and dispatches on the plan's path.
-func Execute(ctx context.Context, index int, sc Scenario) (res Result) {
+// Result.Err. It plans the scenario once and dispatches on the plan's
+// path; ctx is the one deadline on every path.
+func execute(ctx context.Context, index int, sc Scenario) (res Result) {
 	res = Result{Index: index, Scenario: sc}
 	defer func() {
 		if p := recover(); p != nil {
@@ -442,11 +437,6 @@ func Execute(ctx context.Context, index int, sc Scenario) (res Result) {
 	}
 	res.Backend, res.Accuracy = plan.Path, plan.Accuracy
 	res.BackendFallback, res.CheckpointFallback = plan.BackendFallback, plan.CheckpointFallback
-	if sc.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sc.Timeout)
-		defer cancel()
-	}
 	if plan.Path == tlm.Name {
 		estimate(ctx, &res)
 	} else {
@@ -554,7 +544,7 @@ func simulate(ctx context.Context, res *Result, plan Plan) {
 		fail(err)
 		return
 	}
-	res.Metrics = metrics.NewRunMetrics(sys.Bus.Cycles(), sys.K.DeltaCycles(), build, time.Since(start))
+	res.Metrics = metrics.NewRunMetrics(sys.Bus.Cycles(), build, time.Since(start))
 	if an != nil {
 		res.Report = an.Report()
 		res.Stats = an.FSM().Stats()

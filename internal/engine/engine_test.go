@@ -9,6 +9,7 @@ import (
 
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
+	"ahbpower/internal/topo"
 )
 
 // testScenarios builds a small mixed batch exercising several grid axes.
@@ -83,6 +84,40 @@ func TestScenarioErrorDoesNotKillSweep(t *testing.T) {
 	}
 	if results[3].Err != nil || results[3].Report == nil {
 		t.Errorf("ok-b must succeed despite earlier failures: %v", results[3].Err)
+	}
+	// A batch reports a failure exactly as a single run does.
+	for _, i := range []int{1, 2} {
+		solo := RunOne(context.Background(), scs[i])
+		if results[i].Err == nil || solo.Err == nil || results[i].Err.Error() != solo.Err.Error() {
+			t.Errorf("%s: runner error %v, RunOne error %v", scs[i].Name, results[i].Err, solo.Err)
+		}
+	}
+}
+
+// TestPermanentFailureTypedAndIsolated checks a construction failure
+// reaches the caller with its own type, attempted once and naming its
+// scenario, while its batch neighbours complete.
+func TestPermanentFailureTypedAndIsolated(t *testing.T) {
+	bad := core.PaperSystem()
+	bad.NumActiveMasters = 0 // construction must fail deterministically
+	scs := []Scenario{
+		{Name: "ok-a", System: core.PaperSystem(), Cycles: 400},
+		{Name: "broken", System: bad, Cycles: 400},
+		{Name: "ok-b", System: core.PaperSystem(), Cycles: 400},
+	}
+	results := NewRunner(2).Run(context.Background(), scs)
+	if results[0].Err != nil || results[2].Err != nil {
+		t.Errorf("healthy scenarios failed: %v / %v", results[0].Err, results[2].Err)
+	}
+	var ve *topo.ValidationError
+	if !errors.As(results[1].Err, &ve) {
+		t.Fatalf("want a *topo.ValidationError in the chain, got %v", results[1].Err)
+	}
+	if !strings.Contains(results[1].Err.Error(), `"broken"`) {
+		t.Errorf("error %q does not name its scenario", results[1].Err)
+	}
+	if results[1].Attempts != 1 || results[1].Index != 1 {
+		t.Errorf("attempts=%d index=%d, want 1/1", results[1].Attempts, results[1].Index)
 	}
 }
 
@@ -206,7 +241,7 @@ func TestRunMeteredAggregatesBatchMetrics(t *testing.T) {
 		if r.Metrics.Cycles != r.Scenario.Cycles {
 			t.Errorf("%s: metrics cycles=%d, want %d", r.Scenario.Name, r.Metrics.Cycles, r.Scenario.Cycles)
 		}
-		if r.Metrics.DeltaCycles == 0 || r.Metrics.Run <= 0 || r.Metrics.CyclesPerSec <= 0 {
+		if r.Metrics.Run <= 0 || r.Metrics.CyclesPerSec <= 0 {
 			t.Errorf("%s: incomplete run metrics %+v", r.Scenario.Name, r.Metrics)
 		}
 	}

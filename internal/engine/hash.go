@@ -121,7 +121,7 @@ func (sc *Scenario) CanonicalKey() (key string, ok bool) {
 		e.i64(int64(w.BurstBeats))
 	}
 	e.u64(sc.Cycles)
-	e.i64(int64(sc.Timeout))
+	e.i64(0) // the retired timeout slot, kept so v4 keys stay unchanged
 
 	e.bool(sc.Faults != nil)
 	if sc.Faults != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/fault"
@@ -72,8 +71,8 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 			t.Errorf("%s: mutation did not change the canonical key", name)
 		}
 	}
-	// v2 fields: a fault plan and a per-scenario timeout are simulation
-	// inputs and must separate keys.
+	// v2 fields: a fault plan is a simulation input and must separate
+	// keys.
 	fmuts := map[string]func(*Scenario){
 		"Faults":    func(sc *Scenario) { sc.Faults = &fault.Plan{Seed: 1} },
 		"FaultSeed": func(sc *Scenario) { sc.Faults = &fault.Plan{Seed: 2} },
@@ -83,7 +82,6 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 		"FaultRuleArg": func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.KindError, Slave: -1, Master: -1, Count: 2}}}
 		},
-		"Timeout": func(sc *Scenario) { sc.Timeout = time.Second },
 	}
 	seen := map[string]string{"base": base}
 	for name, mut := range fmuts {

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
@@ -33,8 +32,6 @@ type planKnob struct {
 func planKnobs(t *testing.T) []planKnob {
 	return []planKnob{
 		{"setup", exec.FeatureSetup, func(sc *Scenario) { sc.Setup = func(*core.System) error { return nil } }},
-		// A timeout contributes no feature: it must never change a plan.
-		{"timeout", 0, func(sc *Scenario) { sc.Timeout = time.Minute }},
 		{"active-faults", exec.FeatureActiveFaults, func(sc *Scenario) {
 			sc.Faults = &fault.Plan{Seed: 7, Rules: []fault.Rule{{Kind: fault.KindWaits, Slave: -1, Master: -1, Prob: 0.01}}}
 		}},
@@ -105,8 +102,8 @@ func requestedPath(sc *Scenario) (string, exec.Path) {
 // error, and every analyzer the plan arms for checkpointing passes the
 // analyzer's own snapshot guard. The hints have two behaviours: event
 // pins the event kernel, and compiled, auto and lanes plan exactly like
-// no hint, reason included. Activity recording and a timeout must leave
-// every plan as it is without them.
+// no hint, reason included. Activity recording must leave every plan as
+// it is without it.
 func TestPlanExhaustive(t *testing.T) {
 	var boolKnobs []planKnob
 	for _, k := range planKnobs(t) {
@@ -180,7 +177,7 @@ func TestPlanExhaustive(t *testing.T) {
 			}
 		}
 	}
-	if rows != 1152*len(planHints)*len(planAccuracies) {
+	if rows != 576*len(planHints)*len(planAccuracies) {
 		t.Fatalf("enumerated %d rows", rows)
 	}
 }

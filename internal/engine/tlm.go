@@ -59,7 +59,7 @@ func estimate(ctx context.Context, res *Result) {
 	// Only the calibration prefix actually turned the kernel over; the
 	// rest of the horizon was estimated, which is the whole point — the
 	// throughput figure reflects estimated cycles per wall-clock second.
-	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, 0, time.Since(start))
+	res.Metrics = metrics.NewRunMetrics(out.Cycles, 0, time.Since(start))
 	res.Report = out.Report
 	res.Stats = out.Stats
 	res.Beats = out.Beats

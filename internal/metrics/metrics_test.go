@@ -257,7 +257,7 @@ func TestWriteVCD(t *testing.T) {
 }
 
 func TestRunMetricsFormat(t *testing.T) {
-	m := NewRunMetrics(1000, 4000, 0, 2_000_000 /* 2 ms */)
+	m := NewRunMetrics(1000, 0, 2_000_000 /* 2 ms */)
 	if m.CyclesPerSec != 500e3 {
 		t.Errorf("throughput=%g, want 5e5", m.CyclesPerSec)
 	}
@@ -268,8 +268,8 @@ func TestRunMetricsFormat(t *testing.T) {
 
 func TestAggregate(t *testing.T) {
 	runs := []RunMetrics{
-		NewRunMetrics(1000, 0, 0, 10_000_000),
-		NewRunMetrics(3000, 0, 0, 30_000_000),
+		NewRunMetrics(1000, 0, 10_000_000),
+		NewRunMetrics(3000, 0, 30_000_000),
 	}
 	b := Aggregate(runs, 1, 2, 40_000_000 /* 40 ms wall */)
 	if b.Scenarios != 3 || b.Failed != 1 {

@@ -8,14 +8,11 @@ import (
 )
 
 // RunMetrics are the engine-level performance figures of one scenario
-// run: how long the simulation took, how fast it went, and how much
-// kernel work it did. They are filled by the engine on every Result.
+// run: how long the simulation took and how fast it went. They are
+// filled by the engine on every Result.
 type RunMetrics struct {
 	// Cycles is the number of bus cycles actually simulated.
 	Cycles uint64
-	// DeltaCycles is the number of kernel delta cycles executed — the
-	// simulator's unit of work.
-	DeltaCycles uint64
 	// Build is the wall-clock time spent constructing the system,
 	// generating workloads and attaching the analyzer.
 	Build time.Duration
@@ -27,8 +24,8 @@ type RunMetrics struct {
 }
 
 // NewRunMetrics computes the derived fields from the raw measurements.
-func NewRunMetrics(cycles, deltas uint64, build, run time.Duration) RunMetrics {
-	m := RunMetrics{Cycles: cycles, DeltaCycles: deltas, Build: build, Run: run}
+func NewRunMetrics(cycles uint64, build, run time.Duration) RunMetrics {
+	m := RunMetrics{Cycles: cycles, Build: build, Run: run}
 	if s := run.Seconds(); s > 0 {
 		m.CyclesPerSec = float64(cycles) / s
 	}
@@ -37,8 +34,8 @@ func NewRunMetrics(cycles, deltas uint64, build, run time.Duration) RunMetrics {
 
 // Format renders the metrics as one human-readable line.
 func (m RunMetrics) Format() string {
-	return fmt.Sprintf("cycles=%d deltas=%d build=%s run=%s throughput=%.3g cycles/s",
-		m.Cycles, m.DeltaCycles, m.Build.Round(time.Microsecond), m.Run.Round(time.Microsecond),
+	return fmt.Sprintf("cycles=%d build=%s run=%s throughput=%.3g cycles/s",
+		m.Cycles, m.Build.Round(time.Microsecond), m.Run.Round(time.Microsecond),
 		m.CyclesPerSec)
 }
 

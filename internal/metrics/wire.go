@@ -2,30 +2,10 @@ package metrics
 
 import "ahbpower/internal/stats"
 
-// The wire types carry run and batch metrics across process boundaries
-// (the serving daemon's JSON API). They flatten time.Duration into float
+// The wire types carry batch metrics across process boundaries (the
+// serving daemon's JSON API). They flatten time.Duration into float
 // seconds and tag every field, so the payload is self-describing and
 // stable even if the in-memory structs evolve.
-
-// RunMetricsWire is the JSON form of RunMetrics.
-type RunMetricsWire struct {
-	Cycles       uint64  `json:"cycles"`
-	DeltaCycles  uint64  `json:"delta_cycles"`
-	BuildSeconds float64 `json:"build_s"`
-	RunSeconds   float64 `json:"run_s"`
-	CyclesPerSec float64 `json:"cycles_per_s"`
-}
-
-// Wire converts the metrics to their JSON form.
-func (m RunMetrics) Wire() RunMetricsWire {
-	return RunMetricsWire{
-		Cycles:       m.Cycles,
-		DeltaCycles:  m.DeltaCycles,
-		BuildSeconds: m.Build.Seconds(),
-		RunSeconds:   m.Run.Seconds(),
-		CyclesPerSec: m.CyclesPerSec,
-	}
-}
 
 // SummaryWire is the JSON form of a stats.Summary.
 type SummaryWire struct {

@@ -76,31 +76,3 @@ func (h *Hub[T]) PublishBatch(recs []T) {
 
 // Len returns the number of attached observers.
 func (h *Hub[T]) Len() int { return len(h.obs) }
-
-// Recorder is an Observer that stores every record it sees, in order.
-// Replay-style consumers (gate-level co-simulation, trace export) attach a
-// Recorder during the run and walk Records afterwards.
-type Recorder[T any] struct {
-	Records []T
-}
-
-// ObserveCycle implements Observer.
-func (r *Recorder[T]) ObserveCycle(rec T) { r.Records = append(r.Records, rec) }
-
-// Last returns the most recent record and whether one exists.
-func (r *Recorder[T]) Last() (T, bool) {
-	if len(r.Records) == 0 {
-		var zero T
-		return zero, false
-	}
-	return r.Records[len(r.Records)-1], true
-}
-
-// Counter is an Observer that only counts records; the cheapest way to
-// measure cycle throughput without retaining snapshots.
-type Counter[T any] struct {
-	N uint64
-}
-
-// ObserveCycle implements Observer.
-func (c *Counter[T]) ObserveCycle(T) { c.N++ }

@@ -37,39 +37,3 @@ func TestHubZeroValueUsable(t *testing.T) {
 		t.Errorf("got=%d, want 42", got)
 	}
 }
-
-func TestRecorder(t *testing.T) {
-	var h Hub[rec]
-	r := &Recorder[rec]{}
-	h.Attach(r)
-	if _, ok := r.Last(); ok {
-		t.Error("empty recorder must report no last record")
-	}
-	for i := 1; i <= 4; i++ {
-		h.Publish(rec{i})
-	}
-	if len(r.Records) != 4 {
-		t.Fatalf("recorded %d, want 4", len(r.Records))
-	}
-	for i, g := range r.Records {
-		if g.cycle != i+1 {
-			t.Fatalf("records out of order: %v", r.Records)
-		}
-	}
-	last, ok := r.Last()
-	if !ok || last.cycle != 4 {
-		t.Errorf("Last=%v ok=%v, want cycle 4", last, ok)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var h Hub[rec]
-	c := &Counter[rec]{}
-	h.Attach(c)
-	for i := 0; i < 10; i++ {
-		h.Publish(rec{i})
-	}
-	if c.N != 10 {
-		t.Errorf("N=%d, want 10", c.N)
-	}
-}

@@ -99,20 +99,20 @@ func TestTransactionAccuracyServed(t *testing.T) {
 	}
 }
 
-// TestAccuracyResolutionChain pins the scenario → request → server
-// default resolution, mirroring the backend chain.
+// TestAccuracyResolutionChain pins the scenario → request resolution,
+// mirroring the backend chain.
 func TestAccuracyResolutionChain(t *testing.T) {
-	s := New(Config{Workers: 2, DefaultAccuracy: "transaction"})
+	s := New(Config{Workers: 2})
 	h := s.Handler()
 
-	// No accuracy anywhere: the server default wins.
-	rr := post(h, `{"scenarios":[`+scenarioJSON("srv-default", 4000, 3)+`]}`)
+	// A scenario without an accuracy inherits the request's.
+	rr := post(h, `{"accuracy":"transaction","scenarios":[`+scenarioJSON("req-default", 4000, 3)+`]}`)
 	r1 := decodeAccuracy(t, rr.Body.Bytes())
 	if got := accuracyOf(t, r1.Results[0]); got != "transaction" {
-		t.Errorf("server default ignored: accuracy = %q, want transaction", got)
+		t.Errorf("request accuracy ignored: accuracy = %q, want transaction", got)
 	}
 
-	// A scenario-level "cycle" overrides both the request and the server.
+	// A scenario-level "cycle" overrides the request.
 	body := `{"accuracy":"transaction","scenarios":[{"name":"exact","cycles":2000,"accuracy":"cycle",` +
 		`"workloads":[{"seed":4,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]}]}`
 	rr2 := post(h, body)

@@ -59,14 +59,6 @@ type Config struct {
 	// degradation reported in the response envelope. 0 selects the
 	// default 0.75; negative disables degradation.
 	DegradeAt float64
-	// DefaultAccuracy is the accuracy class applied to scenarios whose
-	// request carries none of its own: "" or "cycle" (exact, the default)
-	// or "transaction" (calibrated transaction-level estimate — cheaper
-	// tier, approximate by contract). Unlike a backend hint, accuracy
-	// changes the computed result and is part of the cache key, so cycle
-	// and transaction results never answer each other. Validated by
-	// engine.ValidAccuracy.
-	DefaultAccuracy string
 	// StateDir, when non-empty, makes the daemon crash-safe: async job
 	// lifecycle events are written to an fsynced write-ahead journal under
 	// the directory, completed scenario results gain a content-addressed
@@ -425,16 +417,14 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// timeout resolves a request's deadline from its timeout_ms.
+// timeout resolves a request's deadline from its timeout_ms. It clamps
+// in milliseconds before converting, so no timeout_ms overflows.
 func (s *Server) timeout(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
+	d := s.cfg.DefaultTimeout
+	if ms > 0 {
+		d = time.Duration(min(ms, s.cfg.MaxTimeout.Milliseconds())) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
+	return min(d, s.cfg.MaxTimeout)
 }
 
 // decode reads and decodes a request body (see readBody and decodeBody).
@@ -550,9 +540,9 @@ func (s *Server) checkRequest(req *RunRequest) error {
 
 // resolveScenario resolves scenario i of a checked request into the
 // engine scenario /v1/run executes and its canonical cache key: wire
-// decode, the cycle limit, then the backend inherited scenario → request
-// and the accuracy scenario → request → server default. On error the
-// returned scenario still carries the name.
+// decode, the cycle limit, then the backend and the accuracy inherited
+// scenario → request. On error the returned scenario still carries the
+// name.
 func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, string, error) {
 	sc, err := req.Scenarios[i].Scenario(i)
 	if err != nil {
@@ -568,12 +558,6 @@ func (s *Server) resolveScenario(req *RunRequest, i int) (engine.Scenario, strin
 	}
 	if sc.Accuracy == "" {
 		sc.Accuracy = req.Accuracy
-	}
-	if sc.Accuracy == "" {
-		sc.Accuracy = s.cfg.DefaultAccuracy
-	}
-	if !engine.ValidAccuracy(sc.Accuracy) {
-		return sc, "", fmt.Errorf("scenario %q: unknown accuracy %q (want cycle|transaction)", sc.Name, sc.Accuracy)
 	}
 	key, _ := sc.CanonicalKey()
 	return sc, key, nil

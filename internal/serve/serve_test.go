@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os/signal"
@@ -652,6 +653,28 @@ func TestUnhintedRequestRunsFastestExactPath(t *testing.T) {
 	for i := range r1.Results {
 		if string(r1.Results[i]) != string(r2.Results[i]) {
 			t.Errorf("unhinted result %d differs from the event recompute:\n%s\n%s", i, r1.Results[i], r2.Results[i])
+		}
+	}
+}
+
+// TestTimeoutClamp pins how timeout_ms resolves against the default
+// (60 s) and the cap (10 min): unset or negative takes the default, and
+// anything past the cap, however large, takes the cap.
+func TestTimeoutClamp(t *testing.T) {
+	s := New(Config{})
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, time.Minute},
+		{-5, time.Minute},
+		{1500, 1500 * time.Millisecond},
+		{600_000, 10 * time.Minute},
+		{1e13, 10 * time.Minute},
+		{math.MaxInt64, 10 * time.Minute},
+	} {
+		if got := s.timeout(c.ms); got != c.want {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", c.ms, got, c.want)
 		}
 	}
 }

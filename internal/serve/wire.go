@@ -54,7 +54,7 @@ type RunRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Accuracy is the request-level accuracy-class default
 	// ("cycle"|"transaction") applied to every scenario that does not
-	// carry its own; empty defers to the server's configured default.
+	// carry its own; empty means "cycle".
 	// Unlike Backend this changes the computed result — "transaction"
 	// selects the calibrated transaction-level estimate, the daemon's
 	// cheap tier — and is part of the cache key, so the two classes never
@@ -93,8 +93,8 @@ type ScenarioSpec struct {
 	// pins the reference kernel. Not part of the cache key.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy selects this scenario's accuracy class
-	// ("cycle"|"transaction"); empty defers to the request-level and then
-	// the server-level default. Part of the cache key: transaction
+	// ("cycle"|"transaction"); empty defers to the request-level class.
+	// Part of the cache key: transaction
 	// estimates are approximate by contract and cache separately from
 	// exact results. Scenarios the estimator cannot honor (active fault
 	// plans, DPM estimators, ...) conservatively run cycle-accurate with

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,15 +46,24 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
-// TestCheckResultFlagsFailures exercises the violation paths directly.
+// TestCheckResultFlagsFailures exercises the violation paths directly: a
+// failed scenario is one violation, reported as a hang when the sweep
+// deadline stopped it.
 func TestCheckResultFlagsFailures(t *testing.T) {
 	plan := &fault.Plan{Seed: 1}
-	res := &engine.Result{Scenario: engine.Scenario{Name: "x"},
-		Err: &engine.ScenarioError{Name: "x", Class: engine.ClassPermanent, Err: io.ErrUnexpectedEOF}}
-	if v := checkResult(res, plan); len(v) != 1 {
-		t.Errorf("failed scenario must yield one violation, got %v", v)
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{fmt.Errorf("engine: scenario %q: %w", "x", io.ErrUnexpectedEOF), "unexpected failure"},
+		{fmt.Errorf("engine: scenario %q: %w", "x", context.DeadlineExceeded), "hang"},
+	} {
+		res := &engine.Result{Scenario: engine.Scenario{Name: "x"}, Attempts: 1, Err: c.err}
+		if v := checkResult(res, plan); len(v) != 1 || !strings.Contains(v[0], c.want) {
+			t.Errorf("%v: got %v, want one %q violation", c.err, v, c.want)
+		}
 	}
-	res = &engine.Result{Scenario: engine.Scenario{Name: "x"}, Attempts: 1}
+	res := &engine.Result{Scenario: engine.Scenario{Name: "x"}, Attempts: 1}
 	if v := checkResult(res, plan); len(v) == 0 {
 		t.Error("successful result with no report must flag missing conservation evidence")
 	}
