@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os/signal"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -484,6 +485,39 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := s.ctr.badRequests.Value(); got != int64(len(cases)) {
 		t.Errorf("bad_requests = %d, want %d", got, len(cases))
+	}
+}
+
+// TestHugePairCountRefused posts scenarios whose workload asks for 2³⁰
+// WRITE-READ pairs per sequence, on the cycle-accurate and the
+// transaction-level path. A cursor holds a whole sequence, so running
+// one would allocate ~128 GB on its first pull, whatever the horizon,
+// and take the daemon down. The workload refusal must come back as each
+// scenario's error, and the request must stay small.
+func TestHugePairCountRefused(t *testing.T) {
+	s := New(Config{Workers: 1})
+	h := s.Handler()
+	const wl = `"workloads":[{"seed":1,"sequences":1,"pairs_min":1073741824,"pairs_max":1073741824,"addr_size":4096}]`
+	body := `{"scenarios":[{"name":"cycle","cycles":1000,` + wl + `},` +
+		`{"name":"transaction","cycles":1000,"accuracy":"transaction",` + wl + `}]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rr := post(h, body)
+	runtime.ReadMemStats(&after)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", rr.Code, rr.Body.String())
+	}
+	for i, raw := range decodeRun(t, rr).Results {
+		var res wireResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Error, "PairsMax=1073741824") {
+			t.Errorf("result %d (%s): error %q, want the pair-count refusal", i, res.Name, res.Error)
+		}
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("the refused request allocated %d MB", alloc>>20)
 	}
 }
 

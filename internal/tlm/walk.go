@@ -71,6 +71,34 @@ func (e *emitter) addRun(from, to power.State, n uint64) {
 	e.t += n
 }
 
+// pairs emits p WRITE-READ pairs, each op n cycles, in O(1): the first
+// write's transition from the previous state, then per op its n-1
+// self-loop cycles and the transition into the next op. It emits nothing
+// and reports false unless the pairs end inside the horizon, all before
+// or all after the prefix boundary, so that no count needs splitting.
+func (e *emitter) pairs(p, n uint64) bool {
+	end := e.t + 2*p*n
+	if end > e.horizon || e.t < e.prefix && end > e.prefix {
+		return false
+	}
+	e.full.addPairs(e.prev, p, n)
+	if e.t < e.prefix {
+		e.pre.addPairs(e.prev, p, n)
+	}
+	e.prev, e.t = power.Read, end
+	return true
+}
+
+// addPairs counts the instructions of p WRITE-READ pairs of n-cycle ops
+// entered from state prev.
+func (c *instrCounts) addPairs(prev power.State, p, n uint64) {
+	c.add(prev, power.Write, 1)
+	c.add(power.Write, power.Write, p*(n-1))
+	c.add(power.Write, power.Read, p)
+	c.add(power.Read, power.Read, p*(n-1))
+	c.add(power.Read, power.Write, p-1)
+}
+
 // walkResult is everything the transaction walk derives from the scripts:
 // instruction counts over both windows plus estimated protocol counters.
 type walkResult struct {
@@ -149,6 +177,21 @@ func (wt waitTable) at(addr uint32) int {
 	return 0
 }
 
+// common returns the wait states every address in addrs gets, and false
+// when they differ.
+func (wt waitTable) common(addrs []uint32) (uint64, bool) {
+	if wt.none {
+		return 0, true
+	}
+	waits := wt.at(addrs[0])
+	for _, a := range addrs[1:] {
+		if wt.at(a) != waits {
+			return 0, false
+		}
+	}
+	return uint64(waits), true
+}
+
 // startupLatency approximates the request -> grant -> address-phase
 // pipeline delay before the first transfer of a run reaches the bus.
 const startupLatency = 2
@@ -161,15 +204,15 @@ const walkCheckEvery = 1024
 
 // runWalk serves each master's traffic at transaction granularity and
 // counts power-FSM instructions over the horizon. Every master gets a
-// fresh cursor on its configuration, and the walk pulls the master's
-// next sequence only when it serves that master, so no traffic past the
-// horizon is ever generated and none is kept once served. The model is
-// deliberately preemption-free: whole sequences are served atomically in
-// round-robin order among masters with pending work, each beat costs
-// (1 + wait-states) transfer cycles, per-sequence idle budgets elapse
-// concurrently with other masters' transfers, ownership changes insert
-// one handover cycle, and windows where no master is ready — plus the
-// post-script tail — classify as IDLE_HO, matching the analyzer's
+// fresh cursor on its configuration, and the walk draws the master's
+// next sequence shape only when it serves that master, so no traffic
+// past the horizon is ever generated and none is kept once served. The
+// model is deliberately preemption-free: whole sequences are served
+// atomically in round-robin order among masters with pending work, each
+// beat costs (1 + wait-states) transfer cycles, per-sequence idle budgets
+// elapse concurrently with other masters' transfers, ownership changes
+// insert one handover cycle, and windows where no master is ready — plus
+// the post-script tail — classify as IDLE_HO, matching the analyzer's
 // classifier for released-request idle cycles. Arbitration-policy
 // effects the walk does not replay (fixed/rr mid-sequence preemption)
 // are stationary mix shifts the prefix calibration cancels. The walk
@@ -201,9 +244,11 @@ func runWalk(ctx context.Context, ct *topo.Topology, cfgs []workload.Config, hor
 		}
 		// Round-robin pick among ready masters, starting after the last
 		// served one.
-		pick := -1
-		for i := 1; i <= len(ms); i++ {
-			c := ((last+i)%len(ms) + len(ms)) % len(ms)
+		pick, c := -1, last
+		for range ms {
+			if c++; c == len(ms) {
+				c = 0
+			}
 			if ms[c].cur.Remaining() > 0 && ms[c].ready <= em.t {
 				pick = c
 				break
@@ -237,31 +282,9 @@ func runWalk(ctx context.Context, ct *topo.Topology, cfgs []workload.Config, hor
 			w.handovers++
 		}
 		st := &ms[pick]
-		seq, _ := st.cur.Next()
-		for i := range seq.Ops {
-			if em.t >= horizon {
-				break
-			}
-			// Generated ops are WRITE/READ bursts: a write's length is its
-			// data, a read's its Beats.
-			op := &seq.Ops[i]
-			state, beats := power.Read, uint64(op.Beats)
-			if op.Kind == ahb.OpWrite {
-				state, beats = power.Write, uint64(len(op.Data))
-			}
-			waits := uint64(wt.at(op.Addr))
-			t0 := em.t
-			em.run(state, beats*(1+waits))
-			served := em.t - t0
-			fit := served / (1 + waits)
-			w.beats += fit
-			if fit > 0 {
-				w.nonseq++
-				w.seq += fit - 1
-			}
-			w.waits += served - fit
-		}
-		st.ready = em.t + uint64(seq.IdleAfter)
+		sh, _ := st.cur.NextShape()
+		w.serve(em, wt, sh)
+		st.ready = em.t + uint64(sh.IdleAfter)
 		last = pick
 	}
 	if em.t < horizon {
@@ -288,4 +311,42 @@ func runWalk(ctx context.Context, ct *topo.Topology, cfgs []workload.Config, hor
 		w.idle = horizon - transfer
 	}
 	return w, nil
+}
+
+// serve emits one sequence: a WRITE then a READ of sh.Beats beats at each
+// of its pair addresses, every beat costing 1 + the slave's wait states.
+// A sequence whose pairs all cost the same and that ends inside the
+// horizon on one side of the prefix boundary is counted in O(1); any
+// other goes op by op, up to the horizon.
+func (w *walkResult) serve(em *emitter, wt waitTable, sh workload.Shape) {
+	beats := uint64(sh.Beats)
+	if waits, ok := wt.common(sh.Addrs); ok && em.pairs(uint64(len(sh.Addrs)), beats*(1+waits)) {
+		ops := 2 * uint64(len(sh.Addrs))
+		w.beats += ops * beats
+		w.nonseq += ops
+		w.seq += ops * (beats - 1)
+		w.waits += ops * beats * waits
+		return
+	}
+	for _, addr := range sh.Addrs {
+		waits := uint64(wt.at(addr))
+		for _, state := range [2]power.State{power.Write, power.Read} {
+			if em.t >= em.horizon {
+				return
+			}
+			t0 := em.t
+			em.run(state, beats*(1+waits))
+			served := em.t - t0
+			fit := served
+			if waits > 0 {
+				fit = served / (1 + waits)
+			}
+			w.beats += fit
+			if fit > 0 {
+				w.nonseq++
+				w.seq += fit - 1
+			}
+			w.waits += served - fit
+		}
+	}
 }

@@ -22,7 +22,7 @@ func referenceGenerate(cfg Config) ([]ahb.Sequence, error) {
 	if beats == 0 {
 		beats = 1
 	}
-	gen := &dataGen{pattern: cfg.Pattern, rng: rng, state: rng.Uint32()}
+	gen := &referenceDataGen{pattern: cfg.Pattern, rng: rng, state: rng.Uint32()}
 	seqs := make([]ahb.Sequence, 0, cfg.NumSequences)
 	for s := 0; s < cfg.NumSequences; s++ {
 		window := cfg
@@ -66,6 +66,32 @@ func referenceRandAddr(c *Config, rng *rand.Rand, beats int) uint32 {
 			continue
 		}
 		return addr
+	}
+}
+
+// referenceDataGen is the write-data generator as it was before the
+// cursor's bounded draws, kept verbatim so the oracle draws through
+// math/rand alone.
+type referenceDataGen struct {
+	pattern Pattern
+	rng     *rand.Rand
+	state   uint32
+}
+
+func (g *referenceDataGen) next() uint32 {
+	switch g.pattern {
+	case PatternLowActivity:
+		flips := 1 + g.rng.Intn(3)
+		for i := 0; i < flips; i++ {
+			g.state ^= 1 << uint(g.rng.Intn(32))
+		}
+		return g.state
+	case PatternCounter:
+		g.state++
+		return g.state
+	default:
+		g.state = g.rng.Uint32()
+		return g.state
 	}
 }
 
@@ -186,7 +212,9 @@ func TestGenerateAllocatesPerSequence(t *testing.T) {
 
 // TestValidateRefusesUndrawableWindows covers the windows the address
 // draw could never satisfy, which used to spin Generate forever or emit
-// unaligned addresses, next to the tight windows that still work.
+// unaligned addresses, next to the tight windows that still work, and
+// the pair-count ceiling: a cursor holds a whole sequence, so at most
+// MaxPairs pairs per sequence, however short the horizon.
 func TestValidateRefusesUndrawableWindows(t *testing.T) {
 	cfg := func(mod func(*Config)) Config {
 		c := Config{Seed: 1, NumSequences: 3, PairsMin: 1, PairsMax: 2, AddrSize: 0x3000}
@@ -201,6 +229,8 @@ func TestValidateRefusesUndrawableWindows(t *testing.T) {
 		"unaligned base":              cfg(func(c *Config) { c.AddrBase = 2 }),
 		"window wraps 32 bits":        cfg(func(c *Config) { c.AddrBase = 0xFFFFF000 }),
 		"idle range overflows":        cfg(func(c *Config) { c.IdleMax = math.MaxInt }),
+		"pairs above MaxPairs":        cfg(func(c *Config) { c.PairsMax = MaxPairs + 1 }),
+		"a billion pairs":             cfg(func(c *Config) { c.PairsMin, c.PairsMax = 1<<30, 1<<30 }),
 	}
 	for name, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -212,6 +242,7 @@ func TestValidateRefusesUndrawableWindows(t *testing.T) {
 		"slot at the next 1 KB":     cfg(func(c *Config) { c.AddrBase, c.AddrSize, c.BurstBeats = 0x3FC, 68, 16 }),
 		"whole 32-bit space":        cfg(func(c *Config) { c.AddrSize, c.LocalityWindow = math.MaxUint32, 0x1000 }),
 		"windows of one burst each": cfg(func(c *Config) { c.LocalityWindow, c.BurstBeats = 16, 4 }),
+		"MaxPairs pairs":            cfg(func(c *Config) { c.PairsMin, c.PairsMax = MaxPairs, MaxPairs }),
 	}
 	for name, c := range good {
 		if err := c.Validate(); err != nil {
@@ -250,4 +281,76 @@ func FuzzCursorMatchesReference(f *testing.F) {
 		}
 		checkScript(t, cfg)
 	})
+}
+
+// TestNextShapeMatchesNext pins the shape draw to Next over patterns x
+// burst lengths x locality windows x idle ranges: a cursor that
+// alternates NextShape and Next yields, at every position, the sequence
+// Next yields there, or its shape, so the shape draw makes exactly
+// Next's draws, write data included.
+func TestNextShapeMatchesNext(t *testing.T) {
+	for _, pat := range []Pattern{PatternRandom, PatternLowActivity, PatternCounter} {
+		for _, burst := range []int{0, 1, 4, 16} {
+			for _, lw := range []uint32{0, 0x400, 0x1000} {
+				for _, idle := range [][2]int{{0, 0}, {1, 6}} {
+					cfg := Config{
+						Seed:         int64(burst)*131 + int64(lw) + int64(idle[1]),
+						NumSequences: 40,
+						PairsMin:     1, PairsMax: 12,
+						IdleMin: idle[0], IdleMax: idle[1],
+						AddrBase: 0x1000, AddrSize: 0x3000,
+						LocalityWindow: lw,
+						Pattern:        pat,
+						BurstBeats:     burst,
+					}
+					want, err := Generate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := NewCursor(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, seq := range want {
+						if i%2 == 1 {
+							got, _ := c.Next()
+							if !reflect.DeepEqual(got, seq) {
+								t.Fatalf("%+v: sequence %d after a shape draw differs from Next's", cfg, i)
+							}
+							continue
+						}
+						sh, _ := c.NextShape()
+						if len(sh.Addrs) != len(seq.Ops)/2 || sh.Beats != seq.Ops[1].Beats || sh.IdleAfter != seq.IdleAfter {
+							t.Fatalf("%+v: shape %d is %d pairs of %d beats idling %d, Next gives %d ops of %d beats idling %d",
+								cfg, i, len(sh.Addrs), sh.Beats, sh.IdleAfter, len(seq.Ops), seq.Ops[1].Beats, seq.IdleAfter)
+						}
+						for p, addr := range sh.Addrs {
+							if addr != seq.Ops[2*p].Addr || addr != seq.Ops[2*p+1].Addr {
+								t.Fatalf("%+v: shape %d pair %d at %#x, Next's at %#x", cfg, i, p, addr, seq.Ops[2*p].Addr)
+							}
+						}
+					}
+					if _, ok := c.NextShape(); ok {
+						t.Fatalf("%+v: NextShape yielded past NumSequences", cfg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNextShapeAllocatesNothing pins the shape draw's footprint: once its
+// address buffer has grown to the longest sequence, a draw allocates
+// nothing.
+func TestNextShapeAllocatesNothing(t *testing.T) {
+	cfg := PaperTestbench(0, 1000)
+	cfg.PairsMin = cfg.PairsMax
+	c, err := NewCursor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NextShape()
+	if allocs := testing.AllocsPerRun(100, func() { c.NextShape() }); allocs != 0 {
+		t.Errorf("NextShape made %.0f allocations per sequence, want 0", allocs)
+	}
 }

@@ -76,17 +76,26 @@ type Config struct {
 	BurstBeats int
 }
 
-// Validate checks the configuration. Beyond the ranges, it requires what
-// the address draw needs to end with aligned addresses: a word-aligned
-// base, a window inside the 32-bit space, and room in every locality
-// window for a burst that does not cross a 1 KB boundary (without one,
-// the draw would retry forever).
+// MaxPairs bounds the WRITE-READ pairs of one sequence. A cursor holds a
+// whole sequence at a time, so the bound is what keeps one configuration
+// from asking for gigabytes whatever its horizon.
+const MaxPairs = 1 << 16
+
+// Validate checks the configuration. Beyond the ranges, which allow at
+// most MaxPairs pairs per sequence, it requires what the address draw
+// needs to end with aligned addresses: a word-aligned base, a window
+// inside the 32-bit space, and room in every locality window for a burst
+// that does not cross a 1 KB boundary (without one, the draw would retry
+// forever).
 func (c *Config) Validate() error {
 	if c.NumSequences < 1 {
 		return fmt.Errorf("workload: NumSequences=%d, want >=1", c.NumSequences)
 	}
 	if c.PairsMin < 1 || c.PairsMax < c.PairsMin {
 		return fmt.Errorf("workload: bad pairs range [%d,%d]", c.PairsMin, c.PairsMax)
+	}
+	if c.PairsMax > MaxPairs {
+		return fmt.Errorf("workload: PairsMax=%d, want <=%d", c.PairsMax, MaxPairs)
 	}
 	if c.IdleMin < 0 || c.IdleMax < c.IdleMin || c.IdleMax-c.IdleMin == math.MaxInt {
 		return fmt.Errorf("workload: bad idle range [%d,%d]", c.IdleMin, c.IdleMax)
@@ -157,16 +166,26 @@ func PaperTestbench(m int, numSequences int) Config {
 // the seeded RNG in exactly the order Generate's scripts have always been
 // drawn in. Through Next a cursor holds O(1) traffic: each sequence it
 // returns lives in buffers it reuses for the next one, so a consumer that
-// reads each sequence once (the transaction walk) never materializes a
-// script.
+// reads each sequence once never materializes a script. Through
+// NextShape it yields only what the transaction walk reads of each
+// sequence, and builds no ops at all.
 type Cursor struct {
 	cfg   Config
 	rng   *rand.Rand
 	gen   dataGen
 	beats int
 	left  int // sequences still to yield
-	ops   []ahb.Op
-	data  []uint32
+	// size is every sequence's address window: the locality window when
+	// windows is set (each sequence then draws its window's offset), else
+	// the whole range.
+	size    uint32
+	windows bool
+	// The configuration's bounded draws, fixed when the cursor is made.
+	win, pairs, addr, idle bound
+	// buf holds the last sequence's pair addresses, then its write data
+	// when it was drawn with data.
+	buf []uint32
+	ops []ahb.Op
 }
 
 // NewCursor validates cfg and returns a cursor at its first sequence.
@@ -175,12 +194,20 @@ func NewCursor(cfg Config) (*Cursor, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := &Cursor{cfg: cfg, rng: rng, beats: max(cfg.BurstBeats, 1), left: cfg.NumSequences}
+	c := &Cursor{cfg: cfg, rng: rng, beats: max(cfg.BurstBeats, 1), left: cfg.NumSequences, size: cfg.AddrSize}
+	if lw := cfg.LocalityWindow; lw > 0 && lw < cfg.AddrSize {
+		c.windows, c.size = true, lw
+		c.win = int63nBound(int64(cfg.AddrSize / lw))
+	}
+	c.pairs = intnBound(cfg.PairsMax - cfg.PairsMin + 1)
+	c.addr = int63nBound(int64(c.size))
+	c.idle = intnBound(cfg.IdleMax - cfg.IdleMin + 1)
 	c.gen = dataGen{pattern: cfg.Pattern, rng: rng, state: rng.Uint32()}
 	return c, nil
 }
 
-// Remaining returns the number of sequences Next has still to yield.
+// Remaining returns the number of sequences still to yield, through
+// Next or NextShape.
 func (c *Cursor) Remaining() int { return c.left }
 
 // Next returns the next sequence, or false once all NumSequences have
@@ -191,36 +218,25 @@ func (c *Cursor) Next() (ahb.Sequence, bool) { return c.next(false) }
 
 // NextOwned is Next for a sequence that outlives the call: the sequence
 // gets storage of its own, one op slice and one backing array its
-// writes' data slices share.
+// writes' data slices share (behind the pair addresses it was drawn
+// with).
 func (c *Cursor) NextOwned() (ahb.Sequence, bool) { return c.next(true) }
 
 func (c *Cursor) next(own bool) (ahb.Sequence, bool) {
 	if c.left == 0 {
 		return ahb.Sequence{}, false
 	}
-	c.left--
-	cfg, rng, beats := &c.cfg, c.rng, c.beats
-	base, size := cfg.AddrBase, cfg.AddrSize
-	if cfg.LocalityWindow > 0 && cfg.LocalityWindow < cfg.AddrSize {
-		nWin := cfg.AddrSize / cfg.LocalityWindow
-		base += uint32(rng.Int63n(int64(nWin))) * cfg.LocalityWindow
-		size = cfg.LocalityWindow
-	}
-	pairs := cfg.PairsMin + rng.Intn(cfg.PairsMax-cfg.PairsMin+1)
+	addrs, data, idle := c.draw(true, own)
+	pairs, beats := len(addrs), c.beats
 	if own || cap(c.ops) < 2*pairs {
 		c.ops = make([]ahb.Op, 2*pairs)
-		c.data = make([]uint32, pairs*beats)
 	}
-	ops, data := c.ops[:2*pairs], c.data[:pairs*beats]
+	ops := c.ops[:2*pairs]
 	if own {
-		c.ops, c.data = nil, nil // the caller keeps them
+		c.ops, c.buf = nil, nil // the caller keeps them
 	}
-	for p := 0; p < pairs; p++ {
-		addr := randAddr(rng, base, size, beats)
+	for p, addr := range addrs {
 		d := data[p*beats : (p+1)*beats : (p+1)*beats]
-		for b := range d {
-			d[b] = c.gen.next()
-		}
 		// Ops are written in place, field by field. A slot keeps its kind
 		// across sequences (WRITE at even indices, READ at odd), so the
 		// fields its kind leaves unset are still zero.
@@ -228,11 +244,73 @@ func (c *Cursor) next(own bool) (ahb.Sequence, bool) {
 		w.Kind, w.Addr, w.Data, w.Size = ahb.OpWrite, addr, d, ahb.Size32
 		r.Kind, r.Addr, r.Beats, r.Size = ahb.OpRead, addr, beats, ahb.Size32
 	}
-	idle := cfg.IdleMin
-	if cfg.IdleMax > cfg.IdleMin {
-		idle += rng.Intn(cfg.IdleMax - cfg.IdleMin + 1)
-	}
 	return ahb.Sequence{Ops: ops, IdleAfter: idle}, true
+}
+
+// Shape is what a sequence is made of, without its write data: a WRITE
+// of Beats beats then a READ of Beats beats at each of Addrs, then
+// IdleAfter idle cycles.
+type Shape struct {
+	Addrs     []uint32
+	Beats     int
+	IdleAfter int
+}
+
+// NextShape advances the cursor past its next sequence exactly as Next
+// does, making the same draws, and returns the sequence's shape, or false
+// once all NumSequences have been yielded. Addrs aliases a buffer the
+// cursor reuses: it is valid until the next call and must not be
+// modified. Next and NextShape may be mixed; each call yields the next
+// sequence.
+func (c *Cursor) NextShape() (Shape, bool) {
+	if c.left == 0 {
+		return Shape{}, false
+	}
+	addrs, _, idle := c.draw(false, false)
+	return Shape{Addrs: addrs, Beats: c.beats, IdleAfter: idle}, true
+}
+
+// draw makes every RNG draw of the next sequence, in the order Generate's
+// scripts have always been drawn in: the locality window, the pair count,
+// then each pair's address followed by its write data, then the idle
+// gap. It returns the pair addresses and the idle gap, and with data set
+// the write data, beats words per pair; without it the data draws are
+// made and dropped, so the stream stays Next's. Addresses and data share
+// c.buf, in fresh storage when own is set, so a Next that reuses its
+// buffers allocates no more often than its ops grow.
+func (c *Cursor) draw(data, own bool) (addrs, d []uint32, idle int) {
+	c.left--
+	cfg, rng, beats := &c.cfg, c.rng, c.beats
+	base := cfg.AddrBase
+	if c.windows {
+		base += uint32(c.win.draw(rng)) * cfg.LocalityWindow
+	}
+	pairs := cfg.PairsMin + int(c.pairs.draw(rng))
+	n := pairs
+	if data {
+		n += pairs * beats
+	}
+	if own || cap(c.buf) < n {
+		c.buf = make([]uint32, n)
+	}
+	addrs = c.buf[:pairs]
+	if data {
+		d = c.buf[pairs:n]
+	}
+	for p := range addrs {
+		addrs[p] = c.randAddr(base)
+		for b := 0; b < beats; b++ {
+			v := c.gen.next()
+			if d != nil {
+				d[p*beats+b] = v
+			}
+		}
+	}
+	idle = cfg.IdleMin
+	if cfg.IdleMax > cfg.IdleMin {
+		idle += int(c.idle.draw(rng))
+	}
+	return addrs, d, idle
 }
 
 // Generate produces the master script described by the configuration:
@@ -249,18 +327,18 @@ func Generate(cfg Config) ([]ahb.Sequence, error) {
 	return seqs, nil
 }
 
-// randAddr draws a word-aligned address in [base, base+size) such that a
-// burst of the given length neither leaves the window nor crosses a 1 KB
-// boundary. Validate guarantees such an address exists.
-func randAddr(rng *rand.Rand, base, size uint32, beats int) uint32 {
-	span := uint32(beats) * 4
+// randAddr draws a word-aligned address in [base, base+c.size) such that
+// a burst of the cursor's length neither leaves the window nor crosses a
+// 1 KB boundary. Validate guarantees such an address exists.
+func (c *Cursor) randAddr(base uint32) uint32 {
+	span := uint32(c.beats) * 4
 	for {
-		off := uint32(rng.Int63n(int64(size))) &^ 3
-		if off+span > size {
+		off := uint32(c.addr.draw(c.rng)) &^ 3
+		if off+span > c.size {
 			continue
 		}
 		addr := base + off
-		if ahb.CrossesKB(addr, beats, ahb.Size32) {
+		if ahb.CrossesKB(addr, c.beats, ahb.Size32) {
 			continue
 		}
 		return addr
@@ -274,12 +352,18 @@ type dataGen struct {
 	state   uint32
 }
 
+// The low-activity pattern's draws: Intn(3) flips, each of bit Intn(32).
+var (
+	flipsBound = intnBound(3)
+	bitBound   = intnBound(32)
+)
+
 func (g *dataGen) next() uint32 {
 	switch g.pattern {
 	case PatternLowActivity:
-		flips := 1 + g.rng.Intn(3)
-		for i := 0; i < flips; i++ {
-			g.state ^= 1 << uint(g.rng.Intn(32))
+		flips := 1 + flipsBound.draw(g.rng)
+		for i := uint64(0); i < flips; i++ {
+			g.state ^= 1 << bitBound.draw(g.rng)
 		}
 		return g.state
 	case PatternCounter:

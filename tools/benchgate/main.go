@@ -5,6 +5,12 @@
 // into a hard gate: a >10% slowdown of the simulation-kernel benchmarks
 // fails the pull request.
 //
+// -unit picks another per-op figure to compare, such as allocs/op.
+// Allocation counts are deterministic, so CI gates them exactly with
+// -unit allocs/op -threshold 0: any rise over the base fails, including
+// one from zero. A benchmark whose base run did not report the figure
+// counts as new and never gates.
+//
 // Multiple -count repetitions of the same benchmark are reduced to their
 // median, so a single noisy run cannot flip the verdict. Benchmarks that
 // exist on only one side (newly added or deleted) are reported but never
@@ -23,7 +29,7 @@
 //
 // Usage:
 //
-//	benchgate [-threshold 10] [-min-speedup label:Nx[,label:Nx...]] base.txt head.txt
+//	benchgate [-unit ns/op] [-threshold 10] [-min-speedup label:Nx[,label:Nx...]] base.txt head.txt
 package main
 
 import (
@@ -31,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -38,22 +45,23 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 10, "maximum allowed ns/op regression, percent")
+	unit := flag.String("unit", "ns/op", "the per-op figure to compare, e.g. ns/op or allocs/op")
+	threshold := flag.Float64("threshold", 10, "maximum allowed regression of that figure, percent")
 	var speedups speedupFlag
 	flag.Var(&speedups, "min-speedup",
 		"comma-separated label:Nx assertions, e.g. tlm:8x (head benchmarks with a\n"+
 			"path segment equal to label must beat each sibling by the factor)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-threshold pct] [-min-speedup label:Nx] base.txt head.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchgate [-unit ns/op] [-threshold pct] [-min-speedup label:Nx] base.txt head.txt")
 		os.Exit(2)
 	}
-	base, baseErrored, err := parseFile(flag.Arg(0))
+	base, baseErrored, err := parseFile(flag.Arg(0), *unit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	head, headErrored, err := parseFile(flag.Arg(1))
+	head, headErrored, err := parseFile(flag.Arg(1), *unit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
@@ -64,7 +72,7 @@ func main() {
 		// so in case a "gone" row below is really a base-side casualty.
 		fmt.Println("note: base suite reported errors; comparing the samples it did produce")
 	}
-	report, failed := compare(base, head, *threshold)
+	report, failed := compare(base, head, *threshold, *unit)
 	fmt.Print(report)
 	if msg, errored := headSuiteError(base, head, headErrored); errored {
 		fmt.Printf("FAIL: %s\n", msg)
@@ -93,22 +101,23 @@ func headSuiteError(base, head map[string][]float64, headErrored bool) (string, 
 	return "", false
 }
 
-// parseFile reads one benchmark output file into name -> ns/op samples,
+// parseFile reads one benchmark output file into name -> samples of unit,
 // also reporting whether the file carries test-failure markers.
-func parseFile(path string) (map[string][]float64, bool, error) {
+func parseFile(path, unit string) (map[string][]float64, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.Close()
-	return parse(f)
+	return parse(f, unit)
 }
 
-// parse extracts ns/op samples per benchmark name from `go test -bench`
-// output. Lines that are not benchmark results are ignored, but FAIL and
-// panic markers are noted so callers can tell an errored suite from one
-// whose benchmarks were removed.
-func parse(r io.Reader) (map[string][]float64, bool, error) {
+// parse extracts the samples of unit (ns/op, allocs/op, ...) per
+// benchmark name from `go test -bench` output; a benchmark line without
+// that unit contributes nothing. Lines that are not benchmark results
+// are ignored, but FAIL and panic markers are noted so callers can tell
+// an errored suite from one whose benchmarks were removed.
+func parse(r io.Reader, unit string) (map[string][]float64, bool, error) {
 	out := map[string][]float64{}
 	errored := false
 	sc := bufio.NewScanner(r)
@@ -128,12 +137,12 @@ func parse(r io.Reader) (map[string][]float64, bool, error) {
 		}
 		name := trimCPUSuffix(fields[0])
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] != "ns/op" {
+			if fields[i+1] != unit {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, errored, fmt.Errorf("bad ns/op value %q for %s", fields[i], name)
+				return nil, errored, fmt.Errorf("bad %s value %q for %s", unit, fields[i], name)
 			}
 			out[name] = append(out[name], v)
 			break
@@ -264,9 +273,10 @@ func siblingAt(as, bs []string, i int) bool {
 	return true
 }
 
-// compare renders a per-benchmark delta table and reports whether any
-// shared benchmark regressed beyond threshold percent.
-func compare(base, head map[string][]float64, threshold float64) (string, bool) {
+// compare renders a per-benchmark delta table of unit's medians and
+// reports whether any shared benchmark regressed beyond threshold
+// percent. A rise from a base of zero is a regression at any threshold.
+func compare(base, head map[string][]float64, threshold float64, unit string) (string, bool) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -275,7 +285,7 @@ func compare(base, head map[string][]float64, threshold float64) (string, bool) 
 	var b strings.Builder
 	failed := false
 	shared := 0
-	fmt.Fprintf(&b, "%-44s %14s %14s %9s\n", "benchmark", "base ns/op", "head ns/op", "delta")
+	fmt.Fprintf(&b, "%-44s %14s %14s %9s\n", "benchmark", "base "+unit, "head "+unit, "delta")
 	for _, name := range names {
 		hv, ok := head[name]
 		if !ok {
@@ -285,8 +295,11 @@ func compare(base, head map[string][]float64, threshold float64) (string, bool) 
 		shared++
 		bm, hm := median(base[name]), median(hv)
 		deltaPct := 0.0
-		if bm > 0 {
+		switch {
+		case bm > 0:
 			deltaPct = (hm - bm) / bm * 100
+		case hm > bm:
+			deltaPct = math.Inf(1)
 		}
 		verdict := ""
 		if deltaPct > threshold {
@@ -303,9 +316,9 @@ func compare(base, head map[string][]float64, threshold float64) (string, bool) 
 	if shared == 0 {
 		fmt.Fprintf(&b, "no shared benchmarks between base and head; nothing to gate\n")
 	} else if failed {
-		fmt.Fprintf(&b, "FAIL: at least one benchmark regressed more than %.0f%% on ns/op\n", threshold)
+		fmt.Fprintf(&b, "FAIL: at least one benchmark regressed more than %.0f%% on %s\n", threshold, unit)
 	} else {
-		fmt.Fprintf(&b, "ok: no shared benchmark regressed more than %.0f%% on ns/op\n", threshold)
+		fmt.Fprintf(&b, "ok: no shared benchmark regressed more than %.0f%% on %s\n", threshold, unit)
 	}
 	return b.String(), failed
 }

@@ -29,7 +29,7 @@ PASS
 
 func mustParse(t *testing.T, s string) map[string][]float64 {
 	t.Helper()
-	m, errored, err := parse(strings.NewReader(s))
+	m, errored, err := parse(strings.NewReader(s), "ns/op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMedianResistsOutliers(t *testing.T) {
 }
 
 func TestCompareImprovementPasses(t *testing.T) {
-	report, failed := compare(mustParse(t, baseOut), mustParse(t, headOut), 10)
+	report, failed := compare(mustParse(t, baseOut), mustParse(t, headOut), 10, "ns/op")
 	if failed {
 		t.Fatalf("improvement flagged as regression:\n%s", report)
 	}
@@ -88,7 +88,7 @@ func TestCompareImprovementPasses(t *testing.T) {
 
 func TestCompareRegressionFails(t *testing.T) {
 	// Head slower than base by far more than 10%: swap the fixtures.
-	report, failed := compare(mustParse(t, headOut), mustParse(t, baseOut), 10)
+	report, failed := compare(mustParse(t, headOut), mustParse(t, baseOut), 10, "ns/op")
 	if !failed {
 		t.Fatalf("4x slowdown not flagged:\n%s", report)
 	}
@@ -100,11 +100,11 @@ func TestCompareRegressionFails(t *testing.T) {
 func TestCompareWithinThresholdPasses(t *testing.T) {
 	base := map[string][]float64{"BenchmarkX": {100}}
 	head := map[string][]float64{"BenchmarkX": {109}}
-	if report, failed := compare(base, head, 10); failed {
+	if report, failed := compare(base, head, 10, "ns/op"); failed {
 		t.Fatalf("9%% slowdown must pass a 10%% gate:\n%s", report)
 	}
 	head["BenchmarkX"] = []float64{111}
-	if report, failed := compare(base, head, 10); !failed {
+	if report, failed := compare(base, head, 10, "ns/op"); !failed {
 		t.Fatalf("11%% slowdown must fail a 10%% gate:\n%s", report)
 	}
 }
@@ -112,7 +112,7 @@ func TestCompareWithinThresholdPasses(t *testing.T) {
 func TestCompareNoSharedBenchmarksPasses(t *testing.T) {
 	base := map[string][]float64{"BenchmarkOld": {100}}
 	head := map[string][]float64{"BenchmarkNew": {100}}
-	report, failed := compare(base, head, 10)
+	report, failed := compare(base, head, 10, "ns/op")
 	if failed {
 		t.Fatal("disjoint benchmark sets must not gate")
 	}
@@ -127,7 +127,7 @@ func TestParseDetectsSuiteFailure(t *testing.T) {
 		"test fail": "--- FAIL: TestSomething (0.00s)\nFAIL\n",
 		"panic":     "panic: runtime error: index out of range\n",
 	} {
-		_, errored, err := parse(strings.NewReader(out))
+		_, errored, err := parse(strings.NewReader(out), "ns/op")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -135,7 +135,7 @@ func TestParseDetectsSuiteFailure(t *testing.T) {
 			t.Errorf("%s: failure marker not detected", name)
 		}
 	}
-	if _, errored, _ := parse(strings.NewReader(headOut)); errored {
+	if _, errored, _ := parse(strings.NewReader(headOut), "ns/op"); errored {
 		t.Error("clean output flagged as errored")
 	}
 }
@@ -205,5 +205,49 @@ func TestCheckSpeedupsFailsWithoutPair(t *testing.T) {
 	}
 	if report, failed := checkSpeedups(map[string][]float64{}, []speedupReq{{"tlm", 2}}); !failed {
 		t.Fatalf("empty head must fail the assertion:\n%s", report)
+	}
+}
+
+func mustParseUnit(t *testing.T, s, unit string) map[string][]float64 {
+	t.Helper()
+	m, _, err := parse(strings.NewReader(s), unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestCompareAllocsExact pins the allocation gate: at -threshold 0 any
+// rise in median allocs/op fails, a rise from zero included, while an
+// equal or lower count passes.
+func TestCompareAllocsExact(t *testing.T) {
+	base, head := mustParseUnit(t, baseOut, "allocs/op"), mustParseUnit(t, headOut, "allocs/op")
+	if got := base["BenchmarkKernel/events"]; len(got) != 3 || got[0] != 1 {
+		t.Fatalf("events allocs/op samples = %v, want three 1s", got)
+	}
+	if report, failed := compare(base, head, 0, "allocs/op"); failed {
+		t.Errorf("1 -> 0 allocs/op failed the gate:\n%s", report)
+	}
+	report, failed := compare(head, base, 0, "allocs/op")
+	if !failed || !strings.Contains(report, "REGRESSION") {
+		t.Errorf("0 -> 1 allocs/op passed the gate:\n%s", report)
+	}
+	if report, failed := compare(base, base, 0, "allocs/op"); failed {
+		t.Errorf("an unchanged count failed the gate:\n%s", report)
+	}
+}
+
+// TestCompareAllocsBaseWithoutFigureNeverGates: a benchmark whose base
+// run reported no allocs/op is new to the allocation gate, whatever its
+// head count.
+func TestCompareAllocsBaseWithoutFigureNeverGates(t *testing.T) {
+	base := mustParseUnit(t, baseOut, "allocs/op")
+	head := mustParseUnit(t, "BenchmarkKernel/clock-fanout-16-8\t 5000000\t 247 ns/op\t 64 B/op\t 3 allocs/op\n", "allocs/op")
+	if _, ok := base["BenchmarkKernel/clock-fanout-16"]; ok {
+		t.Fatal("a line without allocs/op contributed an allocs/op sample")
+	}
+	report, failed := compare(base, head, 0, "allocs/op")
+	if failed || !strings.Contains(report, "new") {
+		t.Errorf("a benchmark without a base figure gated:\n%s", report)
 	}
 }
